@@ -11,12 +11,10 @@ from __future__ import annotations
 from .bands import (
     BandRequest,
     BandResult,
-    EvalGrid,
     build_band,
     build_band_extension,
     default_taper,
     make_eval_grid,
-    multiplier_sup_draw,
     quantile,
     write_band,
 )
@@ -50,7 +48,6 @@ from .estimator import (
     oracle_mean,
     oracle_nu2,
     oracle_variance,
-    phi_gamma_hat,
 )
 from .noise_models import (
     Laplace,
@@ -69,7 +66,6 @@ from .simulation import (
     g_b,
     generate_sample,
     run_scenario,
-    signal_eval,
 )
 from .variance_estimation import VarianceCurve, estimate_nu, estimate_sigma2
 
@@ -79,12 +75,10 @@ __all__ = [
     "__version__",
     "BandRequest",
     "BandResult",
-    "EvalGrid",
     "build_band",
     "build_band_extension",
     "default_taper",
     "make_eval_grid",
-    "multiplier_sup_draw",
     "quantile",
     "write_band",
     "LepskiConfig",
@@ -116,7 +110,6 @@ __all__ = [
     "oracle_mean",
     "oracle_nu2",
     "oracle_variance",
-    "phi_gamma_hat",
     "Laplace",
     "LaplaceMixture",
     "NoError",
@@ -131,7 +124,6 @@ __all__ = [
     "g_b",
     "generate_sample",
     "run_scenario",
-    "signal_eval",
     "VarianceCurve",
     "estimate_nu",
     "estimate_sigma2",

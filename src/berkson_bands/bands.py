@@ -27,7 +27,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .deconv_kernel import KernelTable, TaperSpec, kernel_table
-from .design import Design, RegressionSample, SplitDesign, build_split, default_b_n
+from .design import Design, RegressionSample, build_split, default_b_n
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 from .variance_estimation import VarianceCurve, estimate_nu
 
@@ -36,7 +36,6 @@ __all__ = [
     "BandResult",
     "EvalGrid",
     "make_eval_grid",
-    "multiplier_sup_draw",
     "quantile",
     "build_band",
     "build_band_extension",
@@ -153,55 +152,18 @@ def quantile(sups, level: float) -> float:
     return float(sups[min(int(math.ceil(m * level)), m) - 1])
 
 
-def _draw_z(seed: int, count: int) -> np.ndarray:
-    return np.random.default_rng(seed).standard_normal(count)
-
-
-def multiplier_sup_draw(
-    design: Design,
-    split: SplitDesign | None,
-    table: KernelTable,
-    nu_curve,
-    grid: np.ndarray,
-    h: float,
-    seed: int,
-    b_n: float = 1.0,
-) -> float:
-    """One supremum draw of the multiplier proxy process over ``grid``.
-
-    Without a split this is the plain process h^beta/sqrt(n a_n h) *
-    sum_j Z_j K((w_j-x)/h); nu_curve is not used.  With a split it is the
-    studentized process: kept points enter with their gap weights and
-    nu-weights, truncated to |j| <= n b_n, and the sum is divided by
-    nu(x).
-    """
-    n, a_n = design.n, design.a_n
-    beta = table.beta
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    z = _draw_z(seed, design.size)
-    if split is None:
-        km = table((design.points[None, :] - grid[:, None]) / h)
-        proc = (h**beta / math.sqrt(n * a_n * h)) * (km @ z)
-        return float(np.max(np.abs(proc)))
-    keep = split.kept[np.abs(split.kept) <= int(n * b_n)]
-    sel = np.isin(split.kept, keep)
-    pts = split.kept_positions[sel]
-    gaps = split.gap_weights[sel]
-    nu_w = np.asarray(nu_curve(pts), dtype=float)
-    nu_g = np.asarray(nu_curve(grid), dtype=float)
-    km = table((pts[None, :] - grid[:, None]) / h)
-    pref = math.sqrt(n * a_n * h ** (1.0 + 2.0 * beta)) / h
-    proc = pref * (km @ (gaps * nu_w * z[keep + n])) / nu_g
-    return float(np.max(np.abs(proc)))
-
-
 def _sup_batch(core_t: np.ndarray, nu_g: np.ndarray, coef: float, draws: int,
                root_seed: int) -> np.ndarray:
-    """All supremum draws; draw i uses generator seed root_seed + i."""
+    """Supremum draws of |coef * sum_j Z_j core_t[j, x]| / nu_g(x) over x.
+
+    Row j of ``core_t`` belongs to design point j; a point left out of
+    the process has a zero row, so every point keeps its own Z_j.  Draw i
+    uses generator seed root_seed + i.
+    """
     npts = core_t.shape[0]
     z = np.empty((draws, npts))
     for i in range(draws):
-        z[i] = _draw_z(root_seed + i, npts)
+        z[i] = np.random.default_rng(root_seed + i).standard_normal(npts)
     return np.max(np.abs(coef * (z @ core_t)) / nu_g[None, :], axis=1)
 
 
@@ -215,8 +177,7 @@ _WS_KEEP = 3
 
 @dataclass
 class _Workspace:
-    grid: np.ndarray
-    spacing: float
+    eg: EvalGrid
     table: KernelTable
     taper_table: KernelTable
     kg: np.ndarray
@@ -275,9 +236,7 @@ def _workspace(
     table = kernel_table(h, noise, spec, span=span)
     taper_table = kernel_table(h, NoError(), spec, span=span)
     eg = make_eval_grid(interval, n, a_n, h, refine)
-    grid = eg.points
-
-    kg = table((w[None, :] - grid[:, None]) / h)
+    kg = table((w[None, :] - eg.points[:, None]) / h)
     clamp_lo = -1.0 / a_n + _CLAMP_FACTOR * h
     clamp_hi = 1.0 / a_n - _CLAMP_FACTOR * h
     if clamp_lo >= clamp_hi:
@@ -312,8 +271,7 @@ def _workspace(
     wt_w, sw_w = epan(w)
 
     ws = _Workspace(
-        grid=grid,
-        spacing=eg.spacing,
+        eg=eg,
         table=table,
         taper_table=taper_table,
         kg=kg,
@@ -392,24 +350,32 @@ def _assumption_check(n: int, a_n: float, h: float, beta: float) -> None:
 
 
 def _assemble(
-    ws: _Workspace,
     sample: RegressionSample,
     request: BandRequest,
-    nu_w: np.ndarray,
-    nu_g: np.ndarray,
     beta: float,
+    eg: EvalGrid,
+    km: np.ndarray,
+    est_w: np.ndarray,
+    mult_w: np.ndarray,
+    nu_g: np.ndarray,
 ) -> BandResult:
+    """Band from the grid x design kernel matrix ``km``.
+
+    ghat sums the responses with the estimator weights ``est_w``; the
+    multiplier process weights design point j by ``mult_w[j]`` (its
+    estimator weight times nuhat at w_j) and is studentized by ``nu_g``.
+    """
     design = sample.design
     n, a_n, h = design.n, design.a_n, request.h
-    ghat = ws.kg @ (design.weights * sample.responses) / h
+    ghat = km @ (est_w * sample.responses) / h
     coef = h**beta / math.sqrt(n * a_n * h)
-    core = ws.kg * (nu_w * n * a_n * design.weights)[None, :]
+    core = km * (mult_w * n * a_n)[None, :]
     sups = _sup_batch(core.T, nu_g, coef, request.draws, request.seed)
     q = quantile(sups, 1.0 - request.alpha)
     denom = math.sqrt(n * a_n) * h ** (0.5 + beta)
     half = q * nu_g / denom
     return BandResult(
-        grid=ws.grid,
+        grid=eg.points,
         ghat=ghat,
         nuhat=nu_g,
         quantile=q,
@@ -420,7 +386,7 @@ def _assemble(
         alpha=request.alpha,
         draws=request.draws,
         seed=request.seed,
-        spacing=ws.spacing,
+        spacing=eg.spacing,
     )
 
 
@@ -447,8 +413,9 @@ def build_band(
         nu_w, nu_g = _band_variance_field(sample, ws, noise, request.h)
     else:
         nu_w = np.asarray(nu_hat(design.points), dtype=float)
-        nu_g = np.asarray(nu_hat(ws.grid), dtype=float)
-    return _assemble(ws, sample, request, nu_w, nu_g, noise.beta)
+        nu_g = np.asarray(nu_hat(ws.eg.points), dtype=float)
+    return _assemble(sample, request, noise.beta, ws.eg, ws.kg,
+                     design.weights, design.weights * nu_w, nu_g)
 
 
 def build_band_extension(
@@ -464,9 +431,10 @@ def build_band_extension(
 
     The default path reuses the studentized machinery of build_band on
     the full sample; the removal-based construction that backs the
-    theory is available with ``split=True`` (gap-weighted estimator on
-    the kept points, variance curve from the removed singletons,
-    truncated multiplier process).
+    theory is available with ``split=True``: the same assembly over a
+    reweighted design, with gap weights on the kept points and zero on
+    the removed ones, the multiplier process truncated to |j| <= n b_n,
+    and the variance curve estimated from the removed singletons.
     """
     if noise.smoothness_class != "W":
         raise ValueError(
@@ -479,8 +447,7 @@ def build_band_extension(
 
     design = sample.design
     n, a_n, h = design.n, design.a_n, request.h
-    beta = noise.beta
-    _assumption_check(n, a_n, h, beta)
+    _assumption_check(n, a_n, h, noise.beta)
     sd = build_split(design, d_n)
     if b_n is None:
         b_n = default_b_n(n, a_n)
@@ -488,43 +455,17 @@ def build_band_extension(
         sample, interval=request.interval, mask=sd.removed + n
     )
     eg = make_eval_grid(request.interval, n, a_n, h)
-    span = (design.points[-1] - design.points[0]) / h + 2.0
-    table = kernel_table(h, noise, spec, span=span)
+    w = design.points
+    table = kernel_table(h, noise, spec, span=(w[-1] - w[0]) / h + 2.0)
+    km = table((w[None, :] - eg.points[:, None]) / h)
 
-    jmax = int(n * b_n)
-    sel = np.abs(sd.kept) <= jmax
-    pts = sd.kept_positions[sel]
-    gaps = sd.gap_weights[sel]
-    rows = sd.kept[sel] + n
-    km_est = table((sd.kept_positions[None, :] - eg.points[:, None]) / h)
-    ghat = km_est @ (sd.gap_weights * sample.responses[sd.kept + n]) / h
-    km = table((pts[None, :] - eg.points[:, None]) / h)
-    nu_w = nu_curve(pts)
-    nu_g = nu_curve(eg.points)
-    pref = math.sqrt(n * a_n * h ** (1.0 + 2.0 * beta)) / h
-    core_t = (km * (gaps * nu_w)[None, :]).T
-    npts = design.size
-    sups = np.empty(request.draws)
-    for i in range(request.draws):
-        z = _draw_z(request.seed + i, npts)
-        sups[i] = np.max(np.abs(pref * (core_t.T @ z[rows])) / nu_g)
-    q = quantile(sups, 1.0 - request.alpha)
-    denom = math.sqrt(n * a_n) * h ** (0.5 + beta)
-    half = q * nu_g / denom
-    return BandResult(
-        grid=eg.points,
-        ghat=ghat,
-        nuhat=nu_g,
-        quantile=q,
-        half_width=half,
-        lower=ghat - half,
-        upper=ghat + half,
-        h=h,
-        alpha=request.alpha,
-        draws=request.draws,
-        seed=request.seed,
-        spacing=eg.spacing,
-    )
+    est_w = np.zeros(design.size)
+    est_w[sd.kept + n] = sd.gap_weights
+    carry = (est_w > 0.0) & (np.abs(np.arange(-n, n + 1)) <= int(n * b_n))
+    mult_w = np.zeros(design.size)
+    mult_w[carry] = est_w[carry] * nu_curve(w[carry])
+    return _assemble(sample, request, noise.beta, eg, km, est_w, mult_w,
+                     nu_curve(eg.points))
 
 
 def write_band(result: BandResult, csv_path, sidecar_path=None) -> None:

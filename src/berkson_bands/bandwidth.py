@@ -16,6 +16,7 @@ import numpy as np
 from .bands import make_eval_grid
 from .design import RegressionSample
 from .deconv_kernel import TaperSpec, kernel_table
+from .estimator import estimate_g
 from .noise_models import NoiseModel
 
 __all__ = [
@@ -113,17 +114,6 @@ def make_kernel_factory(noise: NoiseModel, spec: TaperSpec, design):
     return factory
 
 
-def _estimate_on(sample: RegressionSample, h: float, table, grid: np.ndarray,
-                 block: int = 2048) -> np.ndarray:
-    w = sample.design.points
-    coef = sample.design.weights * sample.responses
-    out = np.empty(len(grid))
-    for s in range(0, len(grid), block):
-        gb = grid[s : s + block]
-        out[s : s + len(gb)] = table((w[None, :] - gb[:, None]) / h) @ coef / h
-    return out
-
-
 def lepski_select(
     sample: RegressionSample,
     config: LepskiConfig,
@@ -153,7 +143,7 @@ def lepski_select(
     def est(k: int, on_l: int) -> np.ndarray:
         key = (k, on_l)
         if key not in cache:
-            cache[key] = _estimate_on(sample, hs[k], tables[k], grids[on_l])
+            cache[key] = estimate_g(sample, hs[k], grids[on_l], tables[k]).values
         return cache[key]
 
     log_n = math.log(n)

@@ -20,7 +20,6 @@ from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 
 __all__ = [
     "EstimateCurve",
-    "phi_gamma_hat",
     "estimate_g",
     "estimate_g_fourier",
     "oracle_gamma",
@@ -38,15 +37,6 @@ class EstimateCurve:
     values: np.ndarray
     h: float
     beta: float
-
-
-def phi_gamma_hat(sample: RegressionSample, t) -> complex | np.ndarray:
-    """Empirical Fourier transform sum_j weight_j Y_j exp(i t w_j)."""
-    t = np.asarray(t, dtype=float)
-    w = sample.design.points
-    coef = sample.design.weights * sample.responses
-    out = np.exp(1j * np.multiply.outer(t, w)) @ coef
-    return complex(out) if out.ndim == 0 else out
 
 
 def _check_grid(design: Design, h: float, grid: np.ndarray) -> None:
@@ -101,7 +91,8 @@ def estimate_g_fourier(
 
     Integrates exp(-i omega x) phi_k(omega h) phi_gamma_hat(omega) /
     charfn(-omega) over the taper's frequency band with a trapezoid rule,
-    chunked to bound memory.
+    chunked to bound memory; phi_gamma_hat(omega) = sum_j weight_j Y_j
+    exp(i omega w_j) is the empirical transform.
     """
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bands import BandRequest, build_band
+from .bandwidth import TABLE_PRESETS
 from .deconv_kernel import TaperSpec
 from .design import RegressionSample, build_regular
 from .noise_models import NoiseModel, make_noise
@@ -25,7 +26,6 @@ __all__ = [
     "g_a",
     "g_b",
     "SIGNALS",
-    "signal_eval",
     "Scenario",
     "RepRecord",
     "ScenarioReport",
@@ -59,17 +59,6 @@ def g_b(x) -> np.ndarray:
 
 
 SIGNALS = {"g_a": g_a, "g_b": g_b}
-
-
-def signal_eval(signal, x):
-    """Evaluate a named or custom signal at x."""
-    if callable(signal):
-        return signal(x)
-    if signal in SIGNALS:
-        return SIGNALS[signal](x)
-    raise ValueError(
-        f"unknown signal {signal!r}; known: {sorted(SIGNALS)} or a callable"
-    )
 
 
 @dataclass(frozen=True)
@@ -195,20 +184,15 @@ def _run_rep(scenario: Scenario, rep: int):
     return rec, band.spacing, extra
 
 
-def run_scenario(
-    scenario: Scenario, workers: int | None = None, inner_parallel: bool = False
-) -> ScenarioReport:
+def run_scenario(scenario: Scenario, workers: int | None = None) -> ScenarioReport:
     """Execute all reps and aggregate coverage and width.
 
     ``workers`` > 1 distributes reps over a process pool with per-rep
     derived seeds (results identical to the serial run).  Inner draw
-    parallelism is delegated to the BLAS layer; ``inner_parallel`` is
-    accepted so callers can request it when outer workers are saturated,
-    but it does not spawn extra processes.  A keyboard interrupt stops
+    parallelism is left to the BLAS layer.  A keyboard interrupt stops
     the loop and returns the completed reps with the interrupted flag
     set.
     """
-    del inner_parallel
     start = time.perf_counter()
     records: list[RepRecord] = []
     spacing = 0.0
@@ -312,17 +296,7 @@ def scenario_from_file(path) -> Scenario:
 
 def _table_scenarios() -> dict[str, Scenario]:
     out: dict[str, Scenario] = {}
-    presets = {
-        ("g_a", 100, 0.1): 0.25,
-        ("g_a", 100, 0.05): 0.24,
-        ("g_a", 750, 0.1): 0.21,
-        ("g_a", 750, 0.05): 0.12,
-        ("g_b", 100, 0.1): 0.20,
-        ("g_b", 100, 0.05): 0.22,
-        ("g_b", 750, 0.1): 0.22,
-        ("g_b", 750, 0.05): 0.11,
-    }
-    for (sig, n, s), h in presets.items():
+    for (sig, n, s), h in TABLE_PRESETS.items():
         tag = f"{sig.replace('_', '')}_n{n}_s{int(round(100 * s)):02d}"
         out[tag] = Scenario(
             signal=sig, n=n, sigma=s, sigma_delta=s, h=h, seed=20_240_501

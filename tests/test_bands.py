@@ -19,7 +19,6 @@ from berkson_bands import (
     estimate_nu,
     g_a,
     make_eval_grid,
-    multiplier_sup_draw,
     quantile,
     write_band,
 )
@@ -31,6 +30,7 @@ from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, table_for
 pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
 
 REQ = BandRequest(interval=(-0.7, 0.6), h=0.25, alpha=0.05, draws=250, seed=42)
+MIX_REQ = BandRequest(interval=(-0.7, 0.6), h=0.59, alpha=0.05, draws=150, seed=2)
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +39,57 @@ def s200():
     rng = np.random.default_rng(3)
     y = g_a(d.points + LAP01.sample(rng, d.size)) + 0.1 * rng.standard_normal(d.size)
     return RegressionSample(design=d, responses=y)
+
+
+@pytest.fixture(scope="module")
+def mix100():
+    d100 = build_regular(100, A_N)
+    rng = np.random.default_rng(8)
+    y = g_a(d100.points + MIX.sample(rng, d100.size)) \
+        + 0.1 * rng.standard_normal(d100.size)
+    return RegressionSample(design=d100, responses=y)
+
+
+def draw_z(seed, draws, size):
+    """The multipliers _sup_batch draws: row i is draw i, column j point j."""
+    z = np.empty((draws, size))
+    for i in range(draws):
+        z[i] = np.random.default_rng(seed + i).standard_normal(size)
+    return z
+
+
+def split_reference(sample, req, b_n=None, nu_curve=None):
+    """(qhat, ghat, half-width) of the split band, written out directly.
+
+    ghat sums the kept points with their gap weights; the process sums
+    the kept points with |j| <= n b_n, weighted by gap * nu, over their
+    own multipliers, and is divided by nu on the grid.
+    """
+    d, h, beta = sample.design, req.h, MIX.beta
+    n = d.n
+    sd = build_split(d, None)
+    if b_n is None:
+        b_n = default_b_n(n, A_N)
+    if nu_curve is None:
+        nu_curve = estimate_nu(sample, interval=req.interval, mask=sd.removed + n)
+    tab = table_for(d, h, MIX, TAPER_W)
+    grid = make_eval_grid(req.interval, n, A_N, h).points
+    ghat = tab((sd.kept_positions[None, :] - grid[:, None]) / h) @ (
+        sd.gap_weights * sample.responses[sd.kept + n]) / h
+    sel = np.abs(sd.kept) <= int(n * b_n)
+    pts = sd.kept_positions[sel]
+    km = tab((pts[None, :] - grid[:, None]) / h)
+    nu_g = nu_curve(grid)
+    pref = math.sqrt(n * A_N * h ** (1.0 + 2.0 * beta)) / h
+    z = draw_z(req.seed, req.draws, d.size)[:, sd.kept[sel] + n]
+    proc = pref * (z @ (km * (sd.gap_weights[sel] * nu_curve(pts))).T) / nu_g
+    q = quantile(np.max(np.abs(proc), axis=1), 1.0 - req.alpha)
+    half = q * nu_g / (math.sqrt(n * A_N) * h ** (0.5 + beta))
+    return q, ghat, half
+
+
+def assert_close(got, want, rel=1e-10):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
 
 
 def test_eval_grid_meets_density_bound():
@@ -69,22 +120,31 @@ def test_quantile_is_ceil_order_statistic():
         quantile(np.array([]), 0.5)
 
 
-def test_forced_zero_multipliers_give_zero_supremum(monkeypatch):
+def plain_core(d, h, grid):
+    """Unstudentized process h^beta/sqrt(n a_n h) sum_j Z_j K((w_j-x)/h)."""
+    tab = table_for(d, h, LAP01, TAPER_S)
+    core_t = tab((d.points[:, None] - grid[None, :]) / h)
+    return core_t, h**LAP01.beta / math.sqrt(d.n * A_N * h)
+
+
+def test_sup_draws_scale_exactly_with_coef():
     d = build_regular(200, A_N)
-    tab = table_for(d, 0.25, LAP01, TAPER_S)
-    monkeypatch.setattr(bands_mod, "_draw_z", lambda seed, count: np.zeros(count))
-    val = multiplier_sup_draw(d, None, tab, None, np.array([0.0, 0.3]), 0.25, 1)
-    assert val == 0.0
+    grid = np.array([0.0, 0.3])
+    core_t, coef = plain_core(d, 0.25, grid)
+    ones = np.ones(len(grid))
+    base = bands_mod._sup_batch(core_t, ones, coef, 50, 1)
+    assert np.all(base > 0.0)
+    # powers of two scale without rounding
+    for c in (0.0, 0.5, -2.0, 4.0):
+        scaled = bands_mod._sup_batch(core_t, ones, c * coef, 50, 1)
+        assert np.array_equal(scaled, abs(c) * base)
 
 
 def test_quantile_stabilizes_in_draw_count():
     d = build_regular(200, A_N)
-    tab = table_for(d, 0.25, LAP01, TAPER_S)
     grid = make_eval_grid((-0.7, 0.6), 200, A_N, 0.25).points
-    sups = np.array([
-        multiplier_sup_draw(d, None, tab, None, grid, 0.25, 1234 + i)
-        for i in range(1000)
-    ])
+    core_t, coef = plain_core(d, 0.25, grid)
+    sups = bands_mod._sup_batch(core_t, np.ones(len(grid)), coef, 1000, 1234)
     q_small = quantile(sups[:250], 0.95)
     q_large = quantile(sups, 0.95)
     rng = np.random.default_rng(0)
@@ -144,49 +204,48 @@ def test_split_band_reconstruction_on_constant_responses():
     req = BandRequest(interval=(-0.7, 0.6), h=0.32, alpha=0.05, draws=150, seed=11)
     res = build_band_extension(s_const, req, MIX, split=True)
 
-    sd = build_split(d100, None)
-    b_n = default_b_n(100, A_N)
-    tab = table_for(d100, 0.32, MIX, TAPER_W)
-    grid = make_eval_grid((-0.7, 0.6), 100, A_N, 0.32)
-    nu_curve = estimate_nu(s_const, interval=(-0.7, 0.6), mask=sd.removed + 100)
-    sups = np.array([
-        multiplier_sup_draw(d100, sd, tab, nu_curve, grid.points, 0.32,
-                            11 + i, b_n=b_n)
-        for i in range(150)
-    ])
-    assert quantile(sups, 0.95) == res.quantile
-
-    ghat = tab((sd.kept_positions[None, :] - grid.points[:, None]) / 0.32) @ (
-        sd.gap_weights * s_const.responses[sd.kept + 100]) / 0.32
+    q, ghat, _ = split_reference(s_const, req)
+    assert res.quantile == pytest.approx(q, rel=1e-10)
     assert np.max(np.abs(ghat - res.ghat)) < 1e-12
 
     def unit(x):
         return np.ones_like(np.atleast_1d(np.asarray(x, dtype=float)))
 
-    sups_unit = np.array([
-        multiplier_sup_draw(d100, sd, tab, unit, grid.points, 0.32,
-                            11 + i, b_n=b_n)
-        for i in range(150)
-    ])
     # studentization cancels any constant variance curve
-    assert quantile(sups_unit, 0.95) == pytest.approx(res.quantile, rel=1e-10)
+    q_unit, _, _ = split_reference(s_const, req, nu_curve=unit)
+    assert q_unit == pytest.approx(res.quantile, rel=1e-10)
     assert np.ptp(res.nuhat) == 0.0
     assert res.nuhat[0] == pytest.approx(1e-8, rel=1e-9)
 
 
-def test_extension_defaults_to_standard_band():
-    d100 = build_regular(100, A_N)
-    rng = np.random.default_rng(8)
-    y = g_a(d100.points + MIX.sample(rng, d100.size)) \
-        + 0.1 * rng.standard_normal(d100.size)
-    s = RegressionSample(design=d100, responses=y)
-    req = BandRequest(interval=(-0.7, 0.6), h=0.59, alpha=0.05, draws=150, seed=2)
-    ext = build_band_extension(s, req, MIX)
-    std = build_band(s, req, MIX)
+@pytest.mark.parametrize("b_n", [None, 0.5])
+def test_split_band_matches_reference_formula(mix100, b_n):
+    res = build_band_extension(mix100, MIX_REQ, MIX, split=True, b_n=b_n)
+    q, ghat, half = split_reference(mix100, MIX_REQ, b_n=b_n)
+    assert res.quantile == pytest.approx(q, rel=1e-10)
+    assert_close(res.ghat, ghat)
+    assert_close(res.half_width, half)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_band_is_scale_equivariant(mix100, split):
+    base = build_band_extension(mix100, MIX_REQ, MIX, split=split)
+    for c in (-2.0, 0.5, 3.0):
+        scaled = RegressionSample(design=mix100.design,
+                                  responses=c * mix100.responses)
+        res = build_band_extension(scaled, MIX_REQ, MIX, split=split)
+        assert res.quantile == pytest.approx(base.quantile, rel=1e-10)
+        assert_close(res.ghat, c * base.ghat)
+        assert_close(res.half_width, abs(c) * base.half_width)
+
+
+def test_extension_defaults_to_standard_band(mix100):
+    ext = build_band_extension(mix100, MIX_REQ, MIX)
+    std = build_band(mix100, MIX_REQ, MIX)
     assert np.array_equal(ext.lower, std.lower)
     assert ext.quantile == std.quantile
-    split_one = build_band_extension(s, req, MIX, split=True)
-    split_two = build_band_extension(s, req, MIX, split=True)
+    split_one = build_band_extension(mix100, MIX_REQ, MIX, split=True)
+    split_two = build_band_extension(mix100, MIX_REQ, MIX, split=True)
     assert np.array_equal(split_one.lower, split_two.lower)
     assert np.array_equal(split_one.lower, split_one.ghat - split_one.half_width)
     assert np.all(split_one.half_width > 0.0)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from berkson_bands import (
     generate_sample,
     oracle_gamma,
     oracle_nu2,
+    preset_h,
     run_scenario,
 )
 from berkson_bands.simulation import load_summary, scenario_from_dict, scenario_from_file
@@ -56,6 +58,14 @@ def test_preset_scenario_table():
     assert SCENARIOS["mix_ga_n100"].density == "mixture"
     assert SCENARIOS["mix_ga_n100"].sigma_delta == 0.05
     assert len(SCENARIOS) == 10
+
+
+def test_table_scenarios_use_the_preset_bandwidths():
+    tags = [t for t in SCENARIOS if re.fullmatch(r"g[ab]_n\d+_s\d+", t)]
+    assert len(tags) == 8
+    for tag in tags:
+        sc = SCENARIOS[tag]
+        assert sc.h == preset_h(sc.signal, sc.n, sc.sigma), tag
 
 
 def test_scenario_validation():
