@@ -157,13 +157,11 @@ def _sup_batch(core_t: np.ndarray, nu_g: np.ndarray, coef: float, draws: int,
     """Supremum draws of |coef * sum_j Z_j core_t[j, x]| / nu_g(x) over x.
 
     Row j of ``core_t`` belongs to design point j; a point left out of
-    the process has a zero row, so every point keeps its own Z_j.  Draw i
-    uses generator seed root_seed + i.
+    the process has a zero row, so every point keeps its own Z_j.  All
+    draws come from one generator seeded with SeedSequence(root_seed), so
+    different seeds give independent streams.
     """
-    npts = core_t.shape[0]
-    z = np.empty((draws, npts))
-    for i in range(draws):
-        z[i] = np.random.default_rng(root_seed + i).standard_normal(npts)
+    z = np.random.default_rng(root_seed).standard_normal((draws, core_t.shape[0]))
     return np.max(np.abs(coef * (z @ core_t)) / nu_g[None, :], axis=1)
 
 

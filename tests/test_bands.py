@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ import berkson_bands.bands as bands_mod
 from berkson_bands import (
     BandRequest,
     RegressionSample,
+    SCENARIOS,
     build_band,
     build_band_extension,
     build_regular,
     build_split,
     estimate_nu,
     g_a,
+    generate_sample,
     make_eval_grid,
     quantile,
     write_band,
@@ -52,10 +55,7 @@ def mix100():
 
 def draw_z(seed, draws, size):
     """The multipliers _sup_batch draws: row i is draw i, column j point j."""
-    z = np.empty((draws, size))
-    for i in range(draws):
-        z[i] = np.random.default_rng(seed + i).standard_normal(size)
-    return z
+    return np.random.default_rng(seed).standard_normal((draws, size))
 
 
 def split_reference(sample, req, b_n=None, nu_curve=None):
@@ -153,6 +153,15 @@ def test_quantile_stabilizes_in_draw_count():
         for _ in range(400)
     ])
     assert abs(q_small - q_large) < 2.0 * float(np.std(boot))
+
+
+def test_neighbouring_seeds_draw_independent_quantiles():
+    sc = SCENARIOS["ga_n100_s10"]
+    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
+    req = BandRequest(interval=sc.interval, h=sc.h, draws=sc.draws)
+    qs = {build_band(sample, replace(req, seed=s), sc.noise()).quantile
+          for s in range(4)}
+    assert len(qs) == 4
 
 
 def test_band_is_insensitive_to_grid_refinement(s200):
