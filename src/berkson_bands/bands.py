@@ -459,7 +459,7 @@ def build_band_extension(
 
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights
-    carry = (est_w > 0.0) & (np.abs(np.arange(-n, n + 1)) <= int(n * b_n))
+    carry = sd.kept[np.abs(sd.kept) <= int(n * b_n)] + n
     mult_w = np.zeros(design.size)
     mult_w[carry] = est_w[carry] * nu_curve(w[carry])
     return _assemble(sample, request, noise.beta, eg, km, est_w, mult_w,

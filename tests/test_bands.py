@@ -53,11 +53,6 @@ def mix100():
     return RegressionSample(design=d100, responses=y)
 
 
-def draw_z(seed, draws, size):
-    """The multipliers _sup_batch draws: row i is draw i, column j point j."""
-    return np.random.default_rng(seed).standard_normal((draws, size))
-
-
 def split_reference(sample, req, b_n=None, nu_curve=None):
     """(qhat, ghat, half-width) of the split band, written out directly.
 
@@ -81,7 +76,9 @@ def split_reference(sample, req, b_n=None, nu_curve=None):
     km = tab((pts[None, :] - grid[:, None]) / h)
     nu_g = nu_curve(grid)
     pref = math.sqrt(n * A_N * h ** (1.0 + 2.0 * beta)) / h
-    z = draw_z(req.seed, req.draws, d.size)[:, sd.kept[sel] + n]
+    # the engine's stream: row i is draw i, column j is design point j
+    z = np.random.default_rng(req.seed).standard_normal((req.draws, d.size))
+    z = z[:, sd.kept[sel] + n]
     proc = pref * (z @ (km * (sd.gap_weights[sel] * nu_curve(pts))).T) / nu_g
     q = quantile(np.max(np.abs(proc), axis=1), 1.0 - req.alpha)
     half = q * nu_g / (math.sqrt(n * A_N) * h ** (0.5 + beta))
