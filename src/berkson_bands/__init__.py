@@ -23,7 +23,6 @@ from .bandwidth import (
     LepskiResult,
     default_lepski_config,
     lepski_select,
-    make_kernel_factory,
     preset_h,
     undersmooth,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "LepskiResult",
     "default_lepski_config",
     "lepski_select",
-    "make_kernel_factory",
     "preset_h",
     "undersmooth",
     "KernelTable",

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import threading
 import warnings
 from dataclasses import dataclass
@@ -26,10 +27,10 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .deconv_kernel import KernelTable, TaperSpec, kernel_table
+from .deconv_kernel import TaperSpec, kernel_table
 from .design import Design, RegressionSample, build_split, default_b_n
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
-from .variance_estimation import VarianceCurve, estimate_nu
+from .variance_estimation import estimate_nu
 
 __all__ = [
     "BandRequest",
@@ -52,6 +53,10 @@ _XE_POINTS = 900
 _CLAMP_FACTOR = 1.2
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class BandRequest:
     interval: tuple[float, float]
@@ -66,10 +71,16 @@ class BandRequest:
             raise ValueError(f"invalid interval [{a}, {b}]")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.h <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.h}")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ValueError(
+                f"bandwidth must be positive and finite, got {self.h}")
+        if not _is_int(self.draws):
+            raise ValueError(f"draws must be an integer, got {self.draws!r}")
         if self.draws < 1:
             raise ValueError(f"need at least one draw, got {self.draws}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(
+                f"seed must be a non-negative integer, got {self.seed!r}")
         if self.draws < 100:
             warnings.warn(
                 f"only {self.draws} multiplier draws; quantiles will be "
@@ -176,8 +187,6 @@ _WS_KEEP = 3
 @dataclass
 class _Workspace:
     eg: EvalGrid
-    table: KernelTable
-    taper_table: KernelTable
     kg: np.ndarray
     ke: np.ndarray
     k2w: np.ndarray
@@ -216,7 +225,8 @@ def _workspace(
     key = (
         design.n,
         design.a_n,
-        hash(design.points.tobytes()),
+        design.points.tobytes(),
+        design.weights.tobytes(),
         noise,
         spec,
         round(h, 15),
@@ -230,7 +240,7 @@ def _workspace(
 
     n, a_n = design.n, design.a_n
     w = design.points
-    span = (w[-1] - w[0]) / h + 2.0
+    span = design.kernel_span(h)
     table = kernel_table(h, noise, spec, span=span)
     taper_table = kernel_table(h, NoError(), spec, span=span)
     eg = make_eval_grid(interval, n, a_n, h, refine)
@@ -270,8 +280,6 @@ def _workspace(
 
     ws = _Workspace(
         eg=eg,
-        table=table,
-        taper_table=taper_table,
         kg=kg,
         ke=ke,
         k2w=k2w,
@@ -331,7 +339,8 @@ def _band_variance_field(
         vmod = np.maximum(vm - np.maximum(spur1 - spur2, 0.0), 0.0)
 
     vw = np.maximum(vmod + s2min, _NW_FLOOR_FRAC * v_nw_w)
-    floor2 = sc2 / 4.0
+    # the absolute floor keeps constant responses from giving 0/0
+    floor2 = max(sc2 / 4.0, 1e-16)
     nu_w = np.sqrt(np.maximum((ws.k2w @ vw) / ws.k2sw, floor2))
     nu_g = np.sqrt(np.maximum((ws.k2g @ vw) / ws.k2sg, floor2))
     return nu_w, nu_g
@@ -393,25 +402,18 @@ def build_band(
     request: BandRequest,
     noise: NoiseModel,
     taper: TaperSpec | None = None,
-    nu_hat: VarianceCurve | None = None,
     grid_refine: int = 1,
 ) -> BandResult:
     """Uniform confidence band for g over the requested interval.
 
-    With ``nu_hat`` omitted the calibrated variance field is estimated
-    from the sample; a supplied curve is used at both the design points
-    and the grid instead.  ``grid_refine`` tightens the evaluation grid
-    for audits.
+    The calibrated variance field is estimated from the sample.
+    ``grid_refine`` tightens the evaluation grid for audits.
     """
     design = sample.design
     spec = taper if taper is not None else default_taper(noise)
     _assumption_check(design.n, design.a_n, request.h, noise.beta)
     ws = _workspace(design, noise, spec, request.h, request.interval, grid_refine)
-    if nu_hat is None:
-        nu_w, nu_g = _band_variance_field(sample, ws, noise, request.h)
-    else:
-        nu_w = np.asarray(nu_hat(design.points), dtype=float)
-        nu_g = np.asarray(nu_hat(ws.eg.points), dtype=float)
+    nu_w, nu_g = _band_variance_field(sample, ws, noise, request.h)
     return _assemble(sample, request, noise.beta, ws.eg, ws.kg,
                      design.weights, design.weights * nu_w, nu_g)
 
@@ -423,16 +425,14 @@ def build_band_extension(
     taper: TaperSpec | None = None,
     d_n: int | None = None,
     b_n: float | None = None,
-    split: bool = False,
 ) -> BandResult:
-    """Band for oscillating (weakly ordinary smooth) error laws.
+    """Split band for oscillating (weakly ordinary smooth) error laws.
 
-    The default path reuses the studentized machinery of build_band on
-    the full sample; the removal-based construction that backs the
-    theory is available with ``split=True``: the same assembly over a
-    reweighted design, with gap weights on the kept points and zero on
-    the removed ones, the multiplier process truncated to |j| <= n b_n,
-    and the variance curve estimated from the removed singletons.
+    The removal-based construction that backs the theory: the assembly
+    of build_band over a reweighted design, with gap weights on the kept
+    points and zero on the removed ones, the multiplier process truncated
+    to |j| <= n b_n, and the variance curve estimated from the removed
+    singletons.  build_band itself serves every error law.
     """
     if noise.smoothness_class != "W":
         raise ValueError(
@@ -440,9 +440,6 @@ def build_band_extension(
             "build_band for smooth-class laws"
         )
     spec = taper if taper is not None else default_taper(noise)
-    if not split:
-        return build_band(sample, request, noise, taper=spec)
-
     design = sample.design
     n, a_n, h = design.n, design.a_n, request.h
     _assumption_check(n, a_n, h, noise.beta)
@@ -454,7 +451,7 @@ def build_band_extension(
     )
     eg = make_eval_grid(request.interval, n, a_n, h)
     w = design.points
-    table = kernel_table(h, noise, spec, span=(w[-1] - w[0]) / h + 2.0)
+    table = kernel_table(h, noise, spec, span=design.kernel_span(h))
     km = table((w[None, :] - eg.points[:, None]) / h)
 
     est_w = np.zeros(design.size)
@@ -466,11 +463,12 @@ def build_band_extension(
                      nu_curve(eg.points))
 
 
-def write_band(result: BandResult, csv_path, sidecar_path=None) -> None:
-    """Write the band as CSV plus a JSON sidecar with the run parameters."""
+def write_band(result: BandResult, csv_path) -> None:
+    """Write the band as CSV plus a JSON sidecar with the run parameters.
+
+    The sidecar sits next to the CSV with the suffix ``.json``.
+    """
     csv_path = Path(csv_path)
-    if sidecar_path is None:
-        sidecar_path = csv_path.with_suffix(".json")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("x,ghat,nuhat,lower,upper\n")
         for row in zip(
@@ -485,6 +483,6 @@ def write_band(result: BandResult, csv_path, sidecar_path=None) -> None:
         "seed": result.seed,
         "spacing": result.spacing,
     }
-    with open(sidecar_path, "w", encoding="utf-8") as fh:
+    with open(csv_path.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")

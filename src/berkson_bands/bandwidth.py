@@ -23,7 +23,6 @@ __all__ = [
     "LepskiConfig",
     "LepskiResult",
     "default_lepski_config",
-    "make_kernel_factory",
     "lepski_select",
     "undersmooth",
     "preset_h",
@@ -56,8 +55,6 @@ class LepskiConfig:
     k_l: int
     k_u: int
     C_L: float
-    beta: float
-    a_n: float
 
     def __post_init__(self) -> None:
         if self.k_l >= self.k_u:
@@ -66,8 +63,6 @@ class LepskiConfig:
             )
         if self.C_L <= 0:
             raise ValueError(f"C_L must be positive, got {self.C_L}")
-        if self.beta < 0 or self.a_n <= 0:
-            raise ValueError("beta must be >= 0 and a_n > 0")
 
     def bandwidths(self) -> list[float]:
         return [2.0 ** (-k) for k in range(self.k_l, self.k_u + 1)]
@@ -101,39 +96,33 @@ def default_lepski_config(
     k_l = max(0, round(math.log2(1.0 / rate)))
     k_u = min(int(math.floor(math.log2(n))), k_l + max_depth)
     k_u = max(k_u, k_l + 1)
-    return LepskiConfig(k_l=k_l, k_u=k_u, C_L=C_L, beta=beta, a_n=a_n)
-
-
-def make_kernel_factory(noise: NoiseModel, spec: TaperSpec, design):
-    """Factory h -> kernel table spanning the whole design at that h."""
-
-    def factory(h: float):
-        span = (design.points[-1] - design.points[0]) / h + 2.0
-        return kernel_table(h, noise, spec, span=span)
-
-    return factory
+    return LepskiConfig(k_l=k_l, k_u=k_u, C_L=C_L)
 
 
 def lepski_select(
     sample: RegressionSample,
     config: LepskiConfig,
-    kernel_factory,
+    noise: NoiseModel,
+    spec: TaperSpec,
     interval: tuple[float, float],
 ) -> LepskiResult:
     """Select h along the dyadic grid by pairwise deviation tests.
 
     k is admissible when sup_x |ghat(x;h_k) - ghat(x;h_l)| stays below
     C_L ((log n)/(n a_n h_l^(1+2 beta)))^(1/2) for every l from k to
-    k_u; the smallest admissible k wins.  Sup-norms are taken over
-    ``interval`` on the evaluation grid of the finer bandwidth of each
-    pair.  When no k is admissible the finest bandwidth is returned with
-    the flag set.
+    k_u; the smallest admissible k wins, with beta from ``noise`` and
+    a_n from the sample's design.  Sup-norms are taken over ``interval``
+    on the evaluation grid of the finer bandwidth of each pair.  When no
+    k is admissible the finest bandwidth is returned with the flag set.
     """
     design = sample.design
-    n, a_n = design.n, config.a_n
+    n, a_n = design.n, design.a_n
     ks = list(range(config.k_l, config.k_u + 1))
     hs = {k: 2.0 ** (-k) for k in ks}
-    tables = {k: kernel_factory(hs[k]) for k in ks}
+    tables = {
+        k: kernel_table(hs[k], noise, spec, span=design.kernel_span(hs[k]))
+        for k in ks
+    }
     # containment must hold at the coarsest bandwidth too
     make_eval_grid(interval, n, a_n, hs[config.k_l])
 
@@ -153,7 +142,7 @@ def lepski_select(
         ok = True
         for l in range(k, config.k_u + 1):
             tau = config.C_L * math.sqrt(
-                log_n / (n * a_n * hs[l] ** (1.0 + 2.0 * config.beta))
+                log_n / (n * a_n * hs[l] ** (1.0 + 2.0 * noise.beta))
             )
             dev = float(np.max(np.abs(est(k, l) - est(l, l))))
             deviations.append((k, l, dev, tau))

@@ -60,6 +60,10 @@ class Design:
         """Interval on which estimation at bandwidth h is supported."""
         return (-1.0 / self.a_n + h, 1.0 / self.a_n - h)
 
+    def kernel_span(self, h: float) -> float:
+        """Kernel-table span reaching every design point from any x in it."""
+        return (self.points[-1] - self.points[0]) / h + 2.0
+
 
 @dataclass(frozen=True)
 class RegressionSample:

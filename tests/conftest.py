@@ -13,5 +13,4 @@ MIX = make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3)
 
 def table_for(design, h, noise, spec):
     """Kernel table wide enough to reach every design point at bandwidth h."""
-    span = (design.points[-1] - design.points[0]) / h + 2.0
-    return kernel_table(h, noise, spec, span=span)
+    return kernel_table(h, noise, spec, span=design.kernel_span(h))

@@ -12,6 +12,8 @@ import pytest
 import berkson_bands.bands as bands_mod
 from berkson_bands import (
     BandRequest,
+    Design,
+    NoError,
     RegressionSample,
     SCENARIOS,
     build_band,
@@ -208,7 +210,7 @@ def test_split_band_reconstruction_on_constant_responses():
     d100 = build_regular(100, A_N)
     s_const = RegressionSample(design=d100, responses=np.full(d100.size, 3.0))
     req = BandRequest(interval=(-0.7, 0.6), h=0.32, alpha=0.05, draws=150, seed=11)
-    res = build_band_extension(s_const, req, MIX, split=True)
+    res = build_band_extension(s_const, req, MIX)
 
     q, ghat, _ = split_reference(s_const, req)
     assert res.quantile == pytest.approx(q, rel=1e-10)
@@ -226,7 +228,7 @@ def test_split_band_reconstruction_on_constant_responses():
 
 @pytest.mark.parametrize("b_n", [None, 0.5])
 def test_split_band_matches_reference_formula(mix100, b_n):
-    res = build_band_extension(mix100, MIX_REQ, MIX, split=True, b_n=b_n)
+    res = build_band_extension(mix100, MIX_REQ, MIX, b_n=b_n)
     q, ghat, half = split_reference(mix100, MIX_REQ, b_n=b_n)
     assert res.quantile == pytest.approx(q, rel=1e-10)
     assert_close(res.ghat, ghat)
@@ -235,23 +237,20 @@ def test_split_band_matches_reference_formula(mix100, b_n):
 
 @pytest.mark.parametrize("split", [False, True])
 def test_band_is_scale_equivariant(mix100, split):
-    base = build_band_extension(mix100, MIX_REQ, MIX, split=split)
+    build = build_band_extension if split else build_band
+    base = build(mix100, MIX_REQ, MIX)
     for c in (-2.0, 0.5, 3.0):
         scaled = RegressionSample(design=mix100.design,
                                   responses=c * mix100.responses)
-        res = build_band_extension(scaled, MIX_REQ, MIX, split=split)
+        res = build(scaled, MIX_REQ, MIX)
         assert res.quantile == pytest.approx(base.quantile, rel=1e-10)
         assert_close(res.ghat, c * base.ghat)
         assert_close(res.half_width, abs(c) * base.half_width)
 
 
-def test_extension_defaults_to_standard_band(mix100):
-    ext = build_band_extension(mix100, MIX_REQ, MIX)
-    std = build_band(mix100, MIX_REQ, MIX)
-    assert np.array_equal(ext.lower, std.lower)
-    assert ext.quantile == std.quantile
-    split_one = build_band_extension(mix100, MIX_REQ, MIX, split=True)
-    split_two = build_band_extension(mix100, MIX_REQ, MIX, split=True)
+def test_split_band_is_deterministic(mix100):
+    split_one = build_band_extension(mix100, MIX_REQ, MIX)
+    split_two = build_band_extension(mix100, MIX_REQ, MIX)
     assert np.array_equal(split_one.lower, split_two.lower)
     assert np.array_equal(split_one.lower, split_one.ghat - split_one.half_width)
     assert np.all(split_one.half_width > 0.0)
@@ -262,10 +261,31 @@ def test_extension_requires_oscillating_law(s200):
         build_band_extension(s200, REQ, LAP01)
 
 
-def test_supplied_variance_curve_is_used_verbatim(s200):
-    curve = estimate_nu(s200, interval=(-0.7, 0.6))
-    res = build_band(s200, REQ, LAP01, nu_hat=curve)
-    assert np.array_equal(res.nuhat, curve(res.grid))
+def test_workspace_cache_separates_designs_by_weights():
+    d = build_regular(100, A_N)
+    reweighted = Design(n=d.n, a_n=d.a_n, points=d.points,
+                        weights=d.weights * np.linspace(0.5, 1.5, d.size))
+    rng = np.random.default_rng(5)
+    y = g_a(d.points + LAP01.sample(rng, d.size)) + 0.1 * rng.standard_normal(d.size)
+    build_band(RegressionSample(design=d, responses=y), REQ, LAP01)
+    sample = RegressionSample(design=reweighted, responses=y)
+    warm = build_band(sample, REQ, LAP01)
+    bands_mod._WS_CACHE.clear()
+    cold = build_band(sample, REQ, LAP01)
+    assert np.array_equal(warm.nuhat, cold.nuhat)
+    assert warm.quantile == cold.quantile
+
+
+@pytest.mark.parametrize("noise,level", [(LAP01, 0.0), (NoError(), 3.0)],
+                         ids=["laplace", "no_error"])
+def test_constant_responses_give_a_finite_band(noise, level):
+    d = build_regular(100, A_N)
+    sample = RegressionSample(design=d, responses=np.full(d.size, level))
+    res = build_band(sample, REQ, noise)
+    assert math.isfinite(res.quantile) and res.quantile > 0.0
+    assert res.nuhat == pytest.approx(np.full(len(res.grid), 1e-8), rel=1e-12)
+    assert np.all(np.isfinite(res.lower)) and np.all(np.isfinite(res.upper))
+    assert np.all(res.half_width > 0.0)
 
 
 def test_small_sample_bandwidth_triggers_regime_warning(s200):
@@ -287,9 +307,16 @@ def test_request_validation_and_low_draw_warning():
         BandRequest(interval=(0.5, -0.5), h=0.2)
     with pytest.raises(ValueError, match="alpha must be in"):
         BandRequest(interval=(-0.5, 0.5), h=0.2, alpha=1.5)
-    with pytest.raises(ValueError, match="bandwidth must be positive"):
-        BandRequest(interval=(-0.5, 0.5), h=0.0)
+    for h in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            BandRequest(interval=(-0.5, 0.5), h=h)
     with pytest.raises(ValueError, match="at least one draw"):
         BandRequest(interval=(-0.5, 0.5), h=0.2, draws=0)
+    for draws in (2.5, True):
+        with pytest.raises(ValueError, match="draws must be an integer"):
+            BandRequest(interval=(-0.5, 0.5), h=0.2, draws=draws)
+    for seed in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="seed must be a non-negative"):
+            BandRequest(interval=(-0.5, 0.5), h=0.2, seed=seed)
     with pytest.warns(UserWarning, match="quantiles will be"):
         BandRequest(interval=(-0.5, 0.5), h=0.2, draws=50)

@@ -13,7 +13,6 @@ from berkson_bands import (
     default_lepski_config,
     g_a,
     lepski_select,
-    make_kernel_factory,
     preset_h,
     undersmooth,
 )
@@ -49,16 +48,16 @@ def test_default_config_spans_a_dyadic_range():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="k_l < k_u"):
-        LepskiConfig(k_l=3, k_u=3, C_L=1.0, beta=2.0, a_n=A_N)
+        LepskiConfig(k_l=3, k_u=3, C_L=1.0)
     with pytest.raises(ValueError, match="C_L must be positive"):
-        LepskiConfig(k_l=1, k_u=2, C_L=0.0, beta=2.0, a_n=A_N)
+        LepskiConfig(k_l=1, k_u=2, C_L=0.0)
 
 
 def test_selection_on_flat_responses_keeps_coarsest_bandwidth():
     d = build_regular(200, A_N)
     s = RegressionSample(design=d, responses=np.full(d.size, 3.0))
     cfg = default_lepski_config(200, LAP01.beta)
-    res = lepski_select(s, cfg, make_kernel_factory(LAP01, TAPER_S, d), (-0.7, 0.6))
+    res = lepski_select(s, cfg, LAP01, TAPER_S, (-0.7, 0.6))
     assert (res.k, res.h, res.flag) == (cfg.k_l, 0.5, False)
     assert all(dev <= tau for _, _, dev, tau in res.deviations)
 
@@ -66,9 +65,8 @@ def test_selection_on_flat_responses_keeps_coarsest_bandwidth():
 def test_huge_threshold_accepts_coarsest_bandwidth():
     s = noisy_sample(200, seed=0)
     cfg = default_lepski_config(200, LAP01.beta)
-    big = LepskiConfig(k_l=cfg.k_l, k_u=cfg.k_u, C_L=1e12, beta=LAP01.beta, a_n=A_N)
-    res = lepski_select(s, big, make_kernel_factory(LAP01, TAPER_S, s.design),
-                        (-0.7, 0.6))
+    big = LepskiConfig(k_l=cfg.k_l, k_u=cfg.k_u, C_L=1e12)
+    res = lepski_select(s, big, LAP01, TAPER_S, (-0.7, 0.6))
     assert res.k == cfg.k_l
     assert not res.flag
 
@@ -78,16 +76,14 @@ def test_selection_requires_containment_at_coarsest_bandwidth():
     s = RegressionSample(design=d, responses=np.zeros(d.size))
     cfg = default_lepski_config(200, LAP01.beta)
     with pytest.raises(ValueError, match="exceeds the identifiable range"):
-        lepski_select(s, cfg, make_kernel_factory(LAP01, TAPER_S, d), (-1.2, 1.2))
+        lepski_select(s, cfg, LAP01, TAPER_S, (-1.2, 1.2))
 
 
 @pytest.mark.slow
 def test_selection_is_stable_across_seeds():
-    d = build_regular(750, A_N)
     cfg = default_lepski_config(750, LAP01.beta)
-    factory = make_kernel_factory(LAP01, TAPER_S, d)
     ks = [
-        lepski_select(noisy_sample(750, seed), cfg, factory, (-0.7, 0.6)).k
+        lepski_select(noisy_sample(750, seed), cfg, LAP01, TAPER_S, (-0.7, 0.6)).k
         for seed in range(10)
     ]
     assert max(ks.count(k) for k in set(ks)) >= 8
@@ -100,10 +96,3 @@ def test_undersmoothing_divides_by_log_n():
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         undersmooth(0.0, 100)
 
-
-def test_kernel_factory_covers_design_span():
-    d = build_regular(100, A_N)
-    tab = make_kernel_factory(LAP01, TAPER_S, d)(0.25)
-    reach = (d.points[-1] - d.points[0]) / 0.25
-    assert tab.span >= reach
-    tab(reach)  # inside the tabulated span, must not raise

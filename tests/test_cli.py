@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from berkson_bands import RegressionSample, build_regular, g_a, save_sample
-from berkson_bands.cli import ConfigError, RunConfig, _threads, parse_and_dispatch
+from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
 from conftest import A_N, LAP01
 
@@ -78,6 +78,8 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
     assert "mutually exclusive" in capsys.readouterr().err
     assert parse_and_dispatch(common + ["--h", "0.25", "--split"] + out) == 2
     assert "oscillating error law" in capsys.readouterr().err
+    assert parse_and_dispatch(common + ["--h", "0.25", "--seed", "-1"] + out) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
     assert parse_and_dispatch(["band", "--input", str(tmp_path / "missing.csv"),
                                "--density", "laplace", "--sigma-delta", "0.1",
                                "--h", "0.25"] + out) == 2
@@ -138,9 +140,9 @@ def test_threads_resolution(monkeypatch):
         _threads(ns)
 
 
-def test_config_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        RunConfig.from_dict({"nonsense": 1})
+def test_config_rejects_unknown_keys(capsys):
+    assert parse_and_dispatch(["selftest", "--nonsense", "1"]) == 2
+    assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs(tmp_path):

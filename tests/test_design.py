@@ -12,12 +12,13 @@ from berkson_bands import (
     build_from_density,
     build_regular,
     build_split,
+    kernel_table,
     load_sample,
     save_sample,
 )
 from berkson_bands.design import default_b_n, default_d_n
 
-from conftest import A_N
+from conftest import A_N, LAP01, TAPER_S
 
 
 def test_regular_design_layout():
@@ -30,6 +31,15 @@ def test_regular_design_layout():
     lo, hi = d.identifiable_range(0.25)
     assert lo == pytest.approx(-1.0 / A_N + 0.25)
     assert hi == pytest.approx(1.0 / A_N - 0.25)
+
+
+def test_kernel_span_covers_design_span():
+    d = build_regular(100, A_N)
+    reach = (d.points[-1] - d.points[0]) / 0.25
+    assert d.kernel_span(0.25) == reach + 2.0
+    tab = kernel_table(0.25, LAP01, TAPER_S, span=d.kernel_span(0.25))
+    assert tab.span >= reach
+    tab(reach)  # inside the tabulated span, must not raise
 
 
 def test_design_validation():
