@@ -28,7 +28,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .deconv_kernel import TaperSpec, kernel_table
-from .design import Design, RegressionSample, build_split, default_b_n
+from .design import Design, RegressionSample, build_split, default_b_n, write_columns
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 from .variance_estimation import estimate_nu
 
@@ -57,6 +57,13 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_interval(interval) -> tuple[float, float]:
+    a, b = interval
+    if not b >= a:
+        raise ValueError(f"invalid interval [{a}, {b}]")
+    return a, b
+
+
 @dataclass(frozen=True)
 class BandRequest:
     interval: tuple[float, float]
@@ -66,9 +73,7 @@ class BandRequest:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        a, b = self.interval
-        if not b >= a:
-            raise ValueError(f"invalid interval [{a}, {b}]")
+        _check_interval(self.interval)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if not (math.isfinite(self.h) and self.h > 0):
@@ -137,7 +142,7 @@ def make_eval_grid(
     ``refine`` tightens the spacing bound by that factor; it exists so
     grid-sufficiency can be audited against finer grids.
     """
-    a, b = interval
+    a, b = _check_interval(interval)
     lo = -1.0 / a_n + h
     hi = 1.0 / a_n - h
     if a < lo - 1e-12 or b > hi + 1e-12:
@@ -327,14 +332,14 @@ def _band_variance_field(
         vmod = np.zeros(len(w))
     else:
         ge = ws.ke @ (wts * y) / h
-        gi = CubicSpline(ws.xe, ge)
-        gw = gi(ws.wd)
+        avar = (ws.ke**2) @ (wts**2 * v_nw_w) / h**2
+        # one spline through both pilot curves, read at the same points
+        both = CubicSpline(ws.xe, np.column_stack((ge, avar)))(ws.wd)
+        gw = both[..., 0]
         m1 = np.trapezoid(gw * ws.fw, ws.dgrid, axis=1)
         m2 = np.trapezoid(gw**2 * ws.fw, ws.dgrid, axis=1)
         vm = np.maximum(m2 - m1**2, 0.0)
-        avar = (ws.ke**2) @ (wts**2 * v_nw_w) / h**2
-        ai = CubicSpline(ws.xe, avar)
-        spur1 = np.trapezoid(ai(ws.wd) * ws.fw, ws.dgrid, axis=1)
+        spur1 = np.trapezoid(both[..., 1] * ws.fw, ws.dgrid, axis=1)
         spur2 = ws.kfw2_w2 @ v_nw_w / h**2
         vmod = np.maximum(vm - np.maximum(spur1 - spur2, 0.0), 0.0)
 
@@ -469,12 +474,8 @@ def write_band(result: BandResult, csv_path) -> None:
     The sidecar sits next to the CSV with the suffix ``.json``.
     """
     csv_path = Path(csv_path)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("x,ghat,nuhat,lower,upper\n")
-        for row in zip(
-            result.grid, result.ghat, result.nuhat, result.lower, result.upper
-        ):
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    write_columns(csv_path, "x,ghat,nuhat,lower,upper", result.grid,
+                  result.ghat, result.nuhat, result.lower, result.upper)
     meta = {
         "quantile": result.quantile,
         "h": result.h,

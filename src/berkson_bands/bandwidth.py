@@ -29,6 +29,12 @@ __all__ = [
     "TABLE_PRESETS",
 ]
 
+# Defaults of the Lepski rule: threshold constant, smoothness of the
+# adaptation range, and the most dyadic steps below the coarse end.
+_C_L = 1.0
+_M_BAR = 4.0
+_MAX_DEPTH = 5
+
 # Bandwidths used by the reference scenarios, keyed (signal, n, sigma).
 TABLE_PRESETS: dict[tuple[str, int, float], float] = {
     ("g_a", 100, 0.1): 0.25,
@@ -77,26 +83,19 @@ class LepskiResult:
     # each record is (k, l, sup deviation, threshold tau_l)
 
 
-def default_lepski_config(
-    n: int,
-    beta: float,
-    a_n: float = 2.0 / 3.0,
-    C_L: float = 1.0,
-    m_bar: float = 4.0,
-    max_depth: int = 5,
-) -> LepskiConfig:
+def default_lepski_config(n: int, beta: float, a_n: float = 2.0 / 3.0) -> LepskiConfig:
     """Dyadic grid bounds matched to the adaptation range.
 
-    The coarse end tracks ((log n)/(n a_n))^(1/(beta+m_bar)); the fine
-    end tracks 1/n but is capped at ``max_depth`` steps below the coarse
+    The coarse end tracks ((log n)/(n a_n))^(1/(beta+_M_BAR)); the fine
+    end tracks 1/n but is capped at ``_MAX_DEPTH`` steps below the coarse
     end, since estimates at very small h cost far more than the rule can
-    use.
+    use.  The threshold constant is ``_C_L``.
     """
-    rate = (math.log(n) / (n * a_n)) ** (1.0 / (beta + m_bar))
+    rate = (math.log(n) / (n * a_n)) ** (1.0 / (beta + _M_BAR))
     k_l = max(0, round(math.log2(1.0 / rate)))
-    k_u = min(int(math.floor(math.log2(n))), k_l + max_depth)
+    k_u = min(int(math.floor(math.log2(n))), k_l + _MAX_DEPTH)
     k_u = max(k_u, k_l + 1)
-    return LepskiConfig(k_l=k_l, k_u=k_u, C_L=C_L)
+    return LepskiConfig(k_l=k_l, k_u=k_u, C_L=_C_L)
 
 
 def lepski_select(

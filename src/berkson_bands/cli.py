@@ -27,7 +27,7 @@ from .bands import (
 )
 from .bandwidth import default_lepski_config, lepski_select, undersmooth
 from .deconv_kernel import TaperSpec, kernel_eval, kernel_table
-from .design import build_regular, load_sample
+from .design import build_regular, load_sample, write_columns
 from .estimator import estimate_g
 from .noise_models import Laplace, LaplaceMixture, make_noise
 from .simulation import (
@@ -79,7 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--undersmooth", action="store_true")
         sp.add_argument("--interval", type=float, nargs=2,
                         default=(-0.7, 0.6), metavar=("A", "B"))
-        sp.add_argument("--seed", type=int, default=0)
         add_noise_flags(sp)
         add_taper_flags(sp)
 
@@ -91,6 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_estimation_flags(sp)
     sp.add_argument("--alpha", type=float, default=0.05)
     sp.add_argument("--M", type=int, default=250)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--d-n", type=int, dest="d_n")
     sp.add_argument("--b-n", type=float, dest="b_n")
     sp.add_argument("--split", action="store_true")
@@ -164,24 +164,13 @@ def _load_input(args: argparse.Namespace):
     if not path.exists():
         raise ConfigError(f"--input file not found: {path}")
     try:
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except Exception as exc:
-        raise ConfigError(f"--input {path}: cannot parse CSV ({exc})") from exc
-    rows = raw.shape[0]
-    if rows % 2 == 0 or rows < 3:
-        raise ConfigError(
-            f"--input {path}: expected an odd number of design rows "
-            f"(2n+1), got {rows}"
-        )
-    n = (rows - 1) // 2
-    design = build_regular(n, args.a_n)
-    try:
-        return load_sample(path, design)
+        return load_sample(path, args.a_n)
     except ValueError as exc:
         raise ConfigError(f"--input {path}: {exc}") from exc
 
 
-def _resolve_h(args: argparse.Namespace, sample, noise, taper) -> float:
+def _resolve_h(args: argparse.Namespace, sample, noise, taper,
+               interval: tuple[float, float]) -> float:
     if args.h is not None and args.bandwidth is not None:
         raise ConfigError("--h and --bandwidth are mutually exclusive")
     if args.h is not None:
@@ -203,7 +192,7 @@ def _resolve_h(args: argparse.Namespace, sample, noise, taper) -> float:
         h = SCENARIOS[name].h
     elif args.bandwidth == "lepski":
         config = default_lepski_config(sample.design.n, noise.beta, args.a_n)
-        h = lepski_select(sample, config, noise, taper, tuple(args.interval)).h
+        h = lepski_select(sample, config, noise, taper, interval).h
     else:
         raise ConfigError(
             f"--bandwidth must be fixed:<value>, preset:<scenario>, or "
@@ -224,20 +213,31 @@ def _emit(payload: dict, json_out: bool) -> None:
             print(f"{k}: {v}")
 
 
-def _cmd_estimate(args: argparse.Namespace) -> int:
+def _prepare(args: argparse.Namespace):
+    """Interval, error law, taper, sample, bandwidth and grid of a request.
+
+    Every input of ``estimate`` and ``band`` is read and checked here.
+    """
+    a, b = args.interval
+    if not b >= a:
+        raise ConfigError(f"--interval A B needs A <= B, got {a} {b}")
     noise = _noise_from(args)
     taper = _taper_from(args, noise)
     sample = _load_input(args)
-    h = _resolve_h(args, sample, noise, taper)
-    design = sample.design
-    grid = make_eval_grid(tuple(args.interval), design.n, design.a_n, h).points
-    table = kernel_table(h, noise, taper, span=design.kernel_span(h))
+    h = _resolve_h(args, sample, noise, taper, (a, b))
+    try:
+        grid = make_eval_grid((a, b), sample.design.n, sample.design.a_n, h)
+    except ValueError as exc:
+        raise ConfigError(f"--interval/--h: {exc}") from exc
+    return (a, b), noise, taper, sample, h, grid.points
+
+
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    _, noise, taper, sample, h, grid = _prepare(args)
+    table = kernel_table(h, noise, taper, span=sample.design.kernel_span(h))
     curve = estimate_g(sample, h, grid, table)
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("x,ghat\n")
-        for x, v in zip(curve.grid, curve.values):
-            fh.write(f"{x:.10g},{v:.10g}\n")
+    write_columns(out, "x,ghat", curve.grid, curve.values)
     _emit(
         {"op": "estimate", "out": str(out), "h": h,
          "points": len(curve.grid)},
@@ -247,17 +247,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_band(args: argparse.Namespace) -> int:
-    noise = _noise_from(args)
-    taper = _taper_from(args, noise)
-    sample = _load_input(args)
-    h = _resolve_h(args, sample, noise, taper)
+    interval, noise, taper, sample, h, _ = _prepare(args)
     try:
         request = BandRequest(
-            interval=tuple(args.interval), h=h, alpha=args.alpha,
-            draws=args.M, seed=args.seed,
+            interval=interval, h=h, alpha=args.alpha, draws=args.M,
+            seed=args.seed,
         )
     except ValueError as exc:
-        raise ConfigError(f"--interval/--h/--alpha/--M/--seed: {exc}") from exc
+        raise ConfigError(f"--alpha/--M/--seed: {exc}") from exc
     if args.split or args.d_n is not None or args.b_n is not None:
         if noise.smoothness_class != "W":
             raise ConfigError(
@@ -303,13 +300,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"--scenario {name!r} is neither a preset "
             f"({', '.join(sorted(SCENARIOS))}) nor a file"
         )
-    updates = {}
-    if args.R is not None:
-        updates["reps"] = args.R
-    if args.M is not None:
-        updates["draws"] = args.M
-    if args.seed is not None:
-        updates["seed"] = args.seed
+    flags = {"reps": args.R, "draws": args.M, "seed": args.seed}
+    updates = {k: v for k, v in flags.items() if v is not None}
     if updates:
         try:
             scenario = dataclasses.replace(scenario, **updates)
@@ -345,10 +337,7 @@ def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--grid-len/--span: {exc}") from exc
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("u,K\n")
-        for u, v in zip(table.grid, table.values):
-            fh.write(f"{u:.10g},{v:.10g}\n")
+    write_columns(out, "u,K", table.grid, table.values)
     _emit(
         {"op": "kernel-dump", "out": str(out), "h": args.h,
          "span": table.span, "points": len(table.grid)},

@@ -26,7 +26,11 @@ __all__ = [
     "default_b_n",
     "load_sample",
     "save_sample",
+    "write_columns",
 ]
+
+# Largest deviation of a sample file's w column from the regular design.
+_W_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -186,8 +190,12 @@ def build_split(design: Design, d_n: int | None = None) -> SplitDesign:
     )
 
 
-def load_sample(path, design: Design, tol: float = 1e-9) -> RegressionSample:
-    """Read a (w, Y) CSV with header and validate w against ``design``."""
+def load_sample(path, a_n: float) -> RegressionSample:
+    """Read a (w, Y) CSV with header on the regular design build_regular(n, a_n).
+
+    n comes from the row count, which must be 2n+1 with n >= 1; the w
+    column must match the design points within ``_W_TOL``.
+    """
     ws, ys = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -197,18 +205,25 @@ def load_sample(path, design: Design, tol: float = 1e-9) -> RegressionSample:
         for row in reader:
             if not row:
                 continue
+            if len(row) < 2:
+                raise ValueError(
+                    f"{path}: line {reader.line_num} has {len(row)} field; "
+                    f"expected w and Y"
+                )
             ws.append(float(row[0]))
             ys.append(float(row[1]))
-    w = np.asarray(ws)
-    if len(w) != design.size:
+    rows = len(ws)
+    if rows % 2 == 0 or rows < 3:
         raise ValueError(
-            f"{path}: {len(w)} rows for a design of size {design.size}"
+            f"{path}: expected an odd number of design rows (2n+1, at least 3), "
+            f"got {rows}"
         )
-    dev = np.max(np.abs(w - design.points))
-    if dev > tol:
+    design = build_regular((rows - 1) // 2, a_n)
+    dev = np.max(np.abs(np.asarray(ws) - design.points))
+    if not dev <= _W_TOL:  # also catches NaN in w
         raise ValueError(
             f"{path}: design points deviate from the configured design "
-            f"by {dev:.3e} (tolerance {tol:.1e})"
+            f"by {dev:.3e} (tolerance {_W_TOL:.1e})"
         )
     return RegressionSample(design=design, responses=np.asarray(ys))
 
@@ -219,3 +234,11 @@ def save_sample(sample: RegressionSample, path) -> None:
         writer.writerow(["w", "Y"])
         for w, y in zip(sample.design.points, sample.responses):
             writer.writerow([f"{w:.17g}", f"{y:.17g}"])
+
+
+def write_columns(path, header: str, *columns) -> None:
+    """Write equal-length numeric columns as CSV, every value as ``.10g``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")

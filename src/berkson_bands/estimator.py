@@ -30,6 +30,13 @@ __all__ = [
     "oracle_variance",
 ]
 
+# Frequency nodes of estimate_g_fourier's trapezoid rule, and how many
+# it holds in memory at once.
+_N_OMEGA = 1 << 15
+_OMEGA_BLOCK = 1024
+# Design points per chunk of the quadrature profiles.
+_W_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class EstimateCurve:
@@ -84,8 +91,6 @@ def estimate_g_fourier(
     grid,
     noise: NoiseModel,
     spec: TaperSpec,
-    n_omega: int = 1 << 15,
-    block: int = 1024,
 ) -> EstimateCurve:
     """Frequency-domain evaluation of ghat; mutual check for estimate_g.
 
@@ -101,14 +106,14 @@ def estimate_g_fourier(
     w = sample.design.points
     coef = sample.design.weights * sample.responses
     om_max = spec.cutoff / h
-    om = np.linspace(0.0, om_max, n_omega + 1)
+    om = np.linspace(0.0, om_max, _N_OMEGA + 1)
     dw = om[1] - om[0]
-    trap = np.full(n_omega + 1, dw)
+    trap = np.full(_N_OMEGA + 1, dw)
     trap[0] = trap[-1] = 0.5 * dw
     out = np.zeros(len(grid))
-    for start in range(0, n_omega + 1, block):
-        ob = om[start : start + block]
-        tb = trap[start : start + block]
+    for start in range(0, _N_OMEGA + 1, _OMEGA_BLOCK):
+        ob = om[start : start + _OMEGA_BLOCK]
+        tb = trap[start : start + _OMEGA_BLOCK]
         eb = np.exp(1j * ob[:, None] * w[None, :]) @ coef
         fb = phi_k(ob * h, spec) / noise.charfn(-ob)
         cb = tb * fb * eb
@@ -188,19 +193,19 @@ def _simpson_rule(noise: NoiseModel, step: float = 1e-3):
     return d, wt
 
 
-def gamma_profile(g, noise: NoiseModel, w, block: int = 256) -> np.ndarray:
+def gamma_profile(g, noise: NoiseModel, w) -> np.ndarray:
     """Vectorized gamma over a grid of w values (bulk quadrature path)."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if isinstance(noise, NoError):
         return np.asarray(g(w), dtype=float)
     d, wt = _simpson_rule(noise)
     out = np.empty(len(w))
-    for s in range(0, len(w), block):
-        out[s : s + block] = g(w[s : s + block, None] + d[None, :]) @ wt
+    for s in range(0, len(w), _W_BLOCK):
+        out[s : s + _W_BLOCK] = g(w[s : s + _W_BLOCK, None] + d[None, :]) @ wt
     return out
 
 
-def nu2_profile(g, noise: NoiseModel, sigma2: float, w, block: int = 256) -> np.ndarray:
+def nu2_profile(g, noise: NoiseModel, sigma2: float, w) -> np.ndarray:
     """Vectorized nu^2 over a grid of w values."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if isinstance(noise, NoError):
@@ -208,10 +213,10 @@ def nu2_profile(g, noise: NoiseModel, sigma2: float, w, block: int = 256) -> np.
     d, wt = _simpson_rule(noise)
     m1 = np.empty(len(w))
     m2 = np.empty(len(w))
-    for s in range(0, len(w), block):
-        gv = g(w[s : s + block, None] + d[None, :])
-        m1[s : s + block] = gv @ wt
-        m2[s : s + block] = (gv**2) @ wt
+    for s in range(0, len(w), _W_BLOCK):
+        gv = g(w[s : s + _W_BLOCK, None] + d[None, :])
+        m1[s : s + _W_BLOCK] = gv @ wt
+        m2[s : s + _W_BLOCK] = (gv**2) @ wt
     return np.maximum(m2 - m1**2, 0.0) + sigma2
 
 

@@ -9,6 +9,7 @@ representative band.
 from __future__ import annotations
 
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -16,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import BandRequest, build_band
+from .bands import BandRequest, _is_int, build_band, make_eval_grid
 from .bandwidth import TABLE_PRESETS
 from .deconv_kernel import TaperSpec
-from .design import RegressionSample, build_regular
+from .design import RegressionSample, build_regular, write_columns
 from .noise_models import NoiseModel, make_noise
 
 __all__ = [
@@ -84,25 +85,24 @@ class Scenario:
             raise ValueError(
                 f"signal must be one of {sorted(SIGNALS)}, got {self.signal!r}"
             )
-        if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
-        if self.sigma < 0 or self.sigma_delta < 0:
-            raise ValueError("sigma and sigma_delta must be >= 0")
-        if self.h <= 0 or self.a_n <= 0:
-            raise ValueError("h and a_n must be positive")
-        if self.reps < 0 or self.draws < 1:
-            raise ValueError("need reps >= 0 and draws >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
-        a, b = self.interval
-        lo = -1.0 / self.a_n + self.h
-        hi = 1.0 / self.a_n - self.h
-        if a < lo - 1e-12 or b > hi + 1e-12 or a > b:
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        if not _is_int(self.reps) or self.reps < 0:
             raise ValueError(
-                f"interval [{a}, {b}] must lie in the identifiable range "
-                f"[{lo:.4g}, {hi:.4g}] at h={self.h}"
-            )
+                f"reps must be a non-negative integer, got {self.reps!r}")
+        if not (math.isfinite(self.a_n) and self.a_n > 0):
+            raise ValueError(f"a_n must be positive and finite, got {self.a_n}")
+        if not (0 <= self.sigma < math.inf and 0 <= self.sigma_delta < math.inf):
+            raise ValueError("sigma and sigma_delta must be finite and >= 0")
+        # h, alpha, draws, seed and the interval are the band request's
+        self.request(self.seed)
+        make_eval_grid(self.interval, self.n, self.a_n, self.h)
         self.noise()  # validates the density spec eagerly
+
+    def request(self, seed: int) -> BandRequest:
+        """Band request of one replication, drawing with ``seed``."""
+        return BandRequest(interval=self.interval, h=self.h, alpha=self.alpha,
+                           draws=self.draws, seed=seed)
 
     def noise(self) -> NoiseModel:
         """Error-law object for this scenario.
@@ -160,14 +160,8 @@ def _run_rep(scenario: Scenario, rep: int):
         np.random.SeedSequence((scenario.seed, rep, 1)).generate_state(1)[0]
     )
     sample = generate_sample(scenario, data_seed)
-    request = BandRequest(
-        interval=scenario.interval,
-        h=scenario.h,
-        alpha=scenario.alpha,
-        draws=scenario.draws,
-        seed=band_seed,
-    )
-    band = build_band(sample, request, scenario.noise(), taper=scenario.taper)
+    band = build_band(sample, scenario.request(band_seed), scenario.noise(),
+                      taper=scenario.taper)
     g_true = SIGNALS[scenario.signal](band.grid)
     rec = RepRecord(
         rep=rep, covered=band.covers(g_true), width=band.mean_width
@@ -239,10 +233,10 @@ def export_report(report: ScenarioReport, out_dir) -> None:
     """Write reps.csv, summary.json, and band.csv under ``out_dir``."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "reps.csv", "w", encoding="utf-8") as fh:
-        fh.write("rep,covered,width\n")
-        for r in report.records:
-            fh.write(f"{r.rep},{int(r.covered)},{r.width:.10g}\n")
+    recs = report.records
+    write_columns(out / "reps.csv", "rep,covered,width",
+                  [r.rep for r in recs], [int(r.covered) for r in recs],
+                  [r.width for r in recs])
     sc = report.scenario
     summary = {
         "scenario": {
@@ -261,14 +255,10 @@ def export_report(report: ScenarioReport, out_dir) -> None:
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    with open(out / "band.csv", "w", encoding="utf-8") as fh:
-        fh.write("x,g,ghat,lower,upper\n")
-        rep = report.representative
-        if rep is not None:
-            for row in zip(
-                rep["x"], rep["g"], rep["ghat"], rep["lower"], rep["upper"]
-            ):
-                fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+    keys = ("x", "g", "ghat", "lower", "upper")
+    rep = report.representative
+    cols = [] if rep is None else [rep[k] for k in keys]
+    write_columns(out / "band.csv", ",".join(keys), *cols)
 
 
 def load_summary(out_dir) -> dict:

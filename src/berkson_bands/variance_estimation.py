@@ -26,7 +26,6 @@ class VarianceCurve:
     residuals: np.ndarray
     h_v: float
     floor: float
-    interval: tuple[float, float]
     degenerate: bool = False
 
     def variance(self, x):
@@ -75,11 +74,10 @@ def estimate_nu(
     h_v: float | None = None,
     interval: tuple[float, float] | None = None,
     mask: np.ndarray | None = None,
-    floor_override: float | None = None,
 ) -> VarianceCurve:
     """Smoothed standard-deviation curve from pseudo squared residuals.
 
-    ``mask`` selects the subsequence of observations to use (the held-out
+    ``mask`` holds the positions of the observations to use (the held-out
     split of the extension); residuals pair consecutive selected points.
     The default bandwidth is (b-a) * n_points^(-1/5) over the requested
     interval, and the floor is max(sigma_hat/2, 1e-8) with sigma_hat the
@@ -88,15 +86,10 @@ def estimate_nu(
     w = sample.design.points
     y = sample.responses
     if mask is not None:
-        mask = np.asarray(mask)
-        if mask.dtype == bool:
-            idx = np.flatnonzero(mask)
-        else:
-            idx = np.asarray(mask, dtype=int)
+        idx = np.asarray(mask, dtype=int)
         if len(idx) < 2:
             raise ValueError("mask must select at least two observations")
-        w = w[idx]
-        y = y[idx]
+        w, y = w[idx], y[idx]
     if interval is None:
         interval = (float(w[0]), float(w[-1]))
     a, b = interval
@@ -120,15 +113,11 @@ def estimate_nu(
             RuntimeWarning,
             stacklevel=2,
         )
-    if floor_override is not None:
-        floor = floor_override
-    else:
-        floor = max(np.sqrt(mean_r) / 2.0, 1e-8)
+    floor = max(np.sqrt(mean_r) / 2.0, 1e-8)
     return VarianceCurve(
         midpoints=mids,
         residuals=r,
         h_v=float(h_v),
         floor=float(floor),
-        interval=(float(a), float(b)),
         degenerate=degenerate,
     )

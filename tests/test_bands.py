@@ -103,6 +103,8 @@ def test_eval_grid_meets_density_bound():
 def test_eval_grid_range_and_degeneracy():
     with pytest.raises(ValueError, match="exceeds the identifiable range"):
         make_eval_grid((-0.7, 0.6), 100, A_N, 0.85)
+    with pytest.raises(ValueError, match="invalid interval"):
+        make_eval_grid((0.5, -0.5), 100, A_N, 0.25)
     eg = make_eval_grid((0.2, 0.2), 100, A_N, 0.25)
     assert eg.points.tolist() == [0.2]
     assert eg.spacing == 0.0

@@ -80,6 +80,16 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
     assert "oscillating error law" in capsys.readouterr().err
     assert parse_and_dispatch(common + ["--h", "0.25", "--seed", "-1"] + out) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
+    reversed_interval = ["--interval", "0.5", "-0.5"]
+    assert parse_and_dispatch(["estimate"] + common[1:] + ["--h", "0.2"]
+                              + reversed_interval + out) == 2
+    assert "--interval" in capsys.readouterr().err
+    assert parse_and_dispatch(common + ["--bandwidth", "lepski"]
+                              + reversed_interval + out) == 2
+    assert "--interval" in capsys.readouterr().err
+    assert parse_and_dispatch(["estimate"] + common[1:] + ["--h", "0.25",
+                              "--interval", "-1.4", "1.4"] + out) == 2
+    assert "identifiable range" in capsys.readouterr().err
     assert parse_and_dispatch(["band", "--input", str(tmp_path / "missing.csv"),
                                "--density", "laplace", "--sigma-delta", "0.1",
                                "--h", "0.25"] + out) == 2
@@ -106,6 +116,17 @@ def test_simulate_runs_scenario_files(tmp_path, capsys):
     assert parse_and_dispatch(["simulate", "--scenario", "nope",
                                "--out", str(tmp_path / "s3")]) == 2
     assert "neither a preset" in capsys.readouterr().err
+    for field, value, message in (("draws", 120.5, "draws must be an integer"),
+                                  ("reps", 2.5, "reps must be a non-negative"),
+                                  ("seed", -1, "seed must be a non-negative")):
+        bad.write_text(json.dumps({**scen, field: value}))
+        assert parse_and_dispatch(["simulate", "--scenario", str(bad),
+                                   "--out", str(tmp_path / "s5")]) == 2
+        assert message in capsys.readouterr().err
+    assert parse_and_dispatch(["simulate", "--scenario", "ga_n100_s10",
+                               "--reps", "1", "--seed", "-1",
+                               "--out", str(tmp_path / "s6")]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_simulate_accepts_preset_names_with_overrides(tmp_path):

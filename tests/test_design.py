@@ -16,6 +16,7 @@ from berkson_bands import (
     load_sample,
     save_sample,
 )
+from berkson_bands.cli import parse_and_dispatch
 from berkson_bands.design import default_b_n, default_d_n
 
 from conftest import A_N, LAP01, TAPER_S
@@ -124,21 +125,34 @@ def test_sample_file_round_trip(tmp_path):
     y = np.sin(np.arange(d.size, dtype=float))
     path = tmp_path / "sample.csv"
     save_sample(RegressionSample(design=d, responses=y), path)
-    back = load_sample(path, d)
+    back = load_sample(path, A_N)
     assert np.array_equal(back.responses, y)
     assert np.array_equal(back.design.points, d.points)
 
 
-def test_load_rejects_malformed_files(tmp_path):
+def test_load_rejects_malformed_files(tmp_path, capsys):
     d = build_regular(3, A_N)
     path = tmp_path / "bad.csv"
     path.write_text("")
     with pytest.raises(ValueError, match="two-column"):
-        load_sample(path, d)
+        load_sample(path, A_N)
     path.write_text("w,Y\n0.0,1.0\n")
-    with pytest.raises(ValueError, match="rows for a design of size"):
-        load_sample(path, d)
+    with pytest.raises(ValueError, match="odd number of design rows"):
+        load_sample(path, A_N)
     rows = "\n".join(f"{w + 0.001:.6f},1.0" for w in d.points)
     path.write_text("w,Y\n" + rows + "\n")
     with pytest.raises(ValueError, match="deviate from the configured design"):
-        load_sample(path, d)
+        load_sample(path, A_N)
+    good = [f"{w:.17g},1.0" for w in d.points]
+    cli = ["estimate", "--input", str(path), "--density", "none", "--h", "0.5",
+           "--interval", "-0.1", "0.1", "--out", str(tmp_path / "e.csv")]
+    for bad_rows, message in (
+        (good[:3] + ["0.5"] + good[4:], "line 5 has 1 field"),
+        (good[:3] + ["nan,1.0"] + good[4:], "deviate from the configured design"),
+    ):
+        path.write_text("w,Y\n" + "\n".join(bad_rows) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_sample(path, A_N)
+        assert parse_and_dispatch(cli) == 2
+        err = capsys.readouterr().err
+        assert "--input" in err and message in err

@@ -78,6 +78,14 @@ def test_scenario_validation():
         Scenario(**{**base, "h": 1.0})
     with pytest.raises(ValueError, match="unknown noise kind"):
         Scenario(**{**base, "density": "gauss"})
+    with pytest.raises(ValueError, match="draws must be an integer"):
+        Scenario(**{**base, "draws": 120.5})
+    with pytest.raises(ValueError, match="reps must be a non-negative integer"):
+        Scenario(**{**base, "reps": 2.5})
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        Scenario(**{**base, "seed": -1})
+    with pytest.raises(ValueError, match="invalid interval"):
+        Scenario(**{**base, "interval": (0.5, -0.5)})
 
 
 def test_noise_resolution():

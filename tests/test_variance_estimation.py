@@ -78,20 +78,13 @@ def test_constant_responses_reduce_curve_to_floor():
     assert np.array_equal(curve(np.linspace(-0.5, 0.5, 7)), np.full(7, 1e-8))
 
 
-def test_floor_override_bounds_the_curve():
-    curve = estimate_nu(sample_from(300, seed=1), floor_override=0.5)
-    assert curve.floor == 0.5
-    assert np.all(curve(np.linspace(-1.0, 1.0, 9)) >= 0.5)
-
-
-def test_mask_accepts_positions_or_booleans():
+def test_mask_selects_positions():
     s = sample_from(300, seed=1)
     pos = np.arange(0, s.design.size, 7)
-    flags = np.zeros(s.design.size, dtype=bool)
-    flags[pos] = True
-    xs = np.linspace(-1.0, 1.0, 9)
-    assert np.array_equal(estimate_nu(s, mask=pos)(xs),
-                          estimate_nu(s, mask=flags)(xs))
+    w, y = s.design.points[pos], s.responses[pos]
+    curve = estimate_nu(s, mask=pos)
+    assert np.array_equal(curve.midpoints, 0.5 * (w[1:] + w[:-1]))
+    assert np.array_equal(curve.residuals, 0.5 * (y[1:] - y[:-1]) ** 2)
     with pytest.raises(ValueError, match="at least two observations"):
         estimate_nu(s, mask=np.array([4]))
 
