@@ -16,10 +16,10 @@ weights so its shape matches what the supremum actually feels.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
-import threading
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,9 +28,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .deconv_kernel import TaperSpec, kernel_table
-from .design import Design, RegressionSample, build_split, default_b_n, write_columns
+from .design import (Design, RegressionSample, build_split,
+                     check_identifiable, default_b_n, identifiable_range,
+                     ordered_interval, write_columns)
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
-from .variance_estimation import estimate_nu
+from .variance_estimation import (estimate_nu, midpoints, pseudo_residuals,
+                                  smoothing_bandwidth, smoothing_weights)
 
 __all__ = [
     "BandRequest",
@@ -57,13 +60,6 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def _check_interval(interval) -> tuple[float, float]:
-    a, b = interval
-    if not b >= a:
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    return a, b
-
-
 @dataclass(frozen=True)
 class BandRequest:
     interval: tuple[float, float]
@@ -73,7 +69,7 @@ class BandRequest:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_interval(self.interval)
+        object.__setattr__(self, "interval", ordered_interval(self.interval))
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
         if not (math.isfinite(self.h) and self.h > 0):
@@ -142,14 +138,8 @@ def make_eval_grid(
     ``refine`` tightens the spacing bound by that factor; it exists so
     grid-sufficiency can be audited against finer grids.
     """
-    a, b = _check_interval(interval)
-    lo = -1.0 / a_n + h
-    hi = 1.0 / a_n - h
-    if a < lo - 1e-12 or b > hi + 1e-12:
-        raise ValueError(
-            f"interval [{a}, {b}] exceeds the identifiable range "
-            f"[{lo:.4g}, {hi:.4g}] at h={h}"
-        )
+    a, b = ordered_interval(interval)
+    check_identifiable((a, b), a_n, h)
     if b == a:
         return EvalGrid(points=np.array([a], dtype=float), spacing=0.0)
     bound = math.sqrt(h) / (n * math.sqrt(a_n) * max(1, refine))
@@ -184,8 +174,7 @@ def _sup_batch(core_t: np.ndarray, nu_g: np.ndarray, coef: float, draws: int,
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-_WS_CACHE: dict[tuple, "_Workspace"] = {}
-_WS_LOCK = threading.Lock()
+# Workspaces kept in memory; one holds 141 MB at n = 750.
 _WS_KEEP = 3
 
 
@@ -219,50 +208,32 @@ def _noise_delta_grid(noise: NoiseModel):
     return None
 
 
+@functools.lru_cache(maxsize=_WS_KEEP)
 def _workspace(
     design: Design,
     noise: NoiseModel,
     spec: TaperSpec,
     h: float,
     interval: tuple[float, float],
-    refine: int = 1,
+    refine: int,
 ) -> _Workspace:
-    key = (
-        design.n,
-        design.a_n,
-        design.points.tobytes(),
-        design.weights.tobytes(),
-        noise,
-        spec,
-        round(h, 15),
-        (round(interval[0], 15), round(interval[1], 15)),
-        refine,
-    )
-    with _WS_LOCK:
-        hit = _WS_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     n, a_n = design.n, design.a_n
     w = design.points
     span = design.kernel_span(h)
     table = kernel_table(h, noise, spec, span=span)
     taper_table = kernel_table(h, NoError(), spec, span=span)
     eg = make_eval_grid(interval, n, a_n, h, refine)
-    kg = table((w[None, :] - eg.points[:, None]) / h)
-    clamp_lo = -1.0 / a_n + _CLAMP_FACTOR * h
-    clamp_hi = 1.0 / a_n - _CLAMP_FACTOR * h
+    kg = table.matrix(eg.points, w)
+    clamp_lo, clamp_hi = identifiable_range(a_n, _CLAMP_FACTOR * h)
     if clamp_lo >= clamp_hi:
         raise ValueError(f"bandwidth h={h} too large for the design span")
     xe = np.linspace(clamp_lo, clamp_hi, _XE_POINTS)
-    ke = table((w[None, :] - xe[:, None]) / h)
-    pair = table((w[None, :] - w[:, None]) / h)
-    k2w = pair**2
+    ke = table.matrix(xe, w)
+    k2w = table.matrix(w, w) ** 2
     k2sw = np.maximum(k2w.sum(axis=1), 1e-300)
     k2g = kg**2
     k2sg = np.maximum(k2g.sum(axis=1), 1e-300)
-    kfw = taper_table((w[None, :] - w[:, None]) / h)
-    kfw2_w2 = kfw**2 * (design.weights**2)[None, :]
+    kfw2_w2 = taper_table.matrix(w, w) ** 2 * (design.weights**2)[None, :]
 
     dgrid = _noise_delta_grid(noise)
     if dgrid is None:
@@ -272,18 +243,18 @@ def _workspace(
         fw = fw / np.trapezoid(fw, dgrid)
         wd = np.clip(w[:, None] + dgrid[None, :], clamp_lo, clamp_hi)
 
-    wmid = 0.5 * (w[:-1] + w[1:])
-    hv = (interval[1] - interval[0]) * design.size ** (-0.2)
+    mids = midpoints(w)
+    hv = smoothing_bandwidth(interval, design.size)
+    try:
+        wt_e, sw_e = smoothing_weights(mids, xe, hv)
+        wt_w, sw_w = smoothing_weights(mids, w, hv)
+    except ValueError as exc:
+        raise ValueError(
+            f"interval [{interval[0]}, {interval[1]}] is too short for the "
+            f"local variance estimate: {exc}"
+        ) from None
 
-    def epan(targets):
-        u = (wmid[None, :] - targets[:, None]) / hv
-        wts = np.maximum(1.0 - u**2, 0.0)
-        return wts, np.maximum(wts.sum(axis=1), 1e-300)
-
-    wt_e, sw_e = epan(xe)
-    wt_w, sw_w = epan(w)
-
-    ws = _Workspace(
+    return _Workspace(
         eg=eg,
         kg=kg,
         ke=ke,
@@ -301,16 +272,9 @@ def _workspace(
         wt_w=wt_w,
         sw_w=sw_w,
     )
-    with _WS_LOCK:
-        if len(_WS_CACHE) >= _WS_KEEP:
-            _WS_CACHE.pop(next(iter(_WS_CACHE)))
-        _WS_CACHE[key] = ws
-    return ws
 
 
-def _band_variance_field(
-    sample: RegressionSample, ws: _Workspace, noise: NoiseModel, h: float
-):
+def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     """Calibrated variance field evaluated at design points and on the grid.
 
     Pieces: v_nw, the difference-based local variance; vmod, the variance
@@ -322,7 +286,7 @@ def _band_variance_field(
     w = sample.design.points
     wts = sample.design.weights
     y = sample.responses
-    r = 0.5 * (y[1:] - y[:-1]) ** 2
+    r = pseudo_residuals(y)
     v_nw_e = (ws.wt_e @ r) / ws.sw_e
     v_nw_w = (ws.wt_w @ r) / ws.sw_w
     s2min = float(np.min(v_nw_e))
@@ -418,7 +382,7 @@ def build_band(
     spec = taper if taper is not None else default_taper(noise)
     _assumption_check(design.n, design.a_n, request.h, noise.beta)
     ws = _workspace(design, noise, spec, request.h, request.interval, grid_refine)
-    nu_w, nu_g = _band_variance_field(sample, ws, noise, request.h)
+    nu_w, nu_g = _band_variance_field(sample, ws, request.h)
     return _assemble(sample, request, noise.beta, ws.eg, ws.kg,
                      design.weights, design.weights * nu_w, nu_g)
 
@@ -456,8 +420,7 @@ def build_band_extension(
     )
     eg = make_eval_grid(request.interval, n, a_n, h)
     w = design.points
-    table = kernel_table(h, noise, spec, span=design.kernel_span(h))
-    km = table((w[None, :] - eg.points[:, None]) / h)
+    km = kernel_table(h, noise, spec, span=design.kernel_span(h)).matrix(eg.points, w)
 
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights

@@ -118,20 +118,18 @@ def lepski_select(
     n, a_n = design.n, design.a_n
     ks = list(range(config.k_l, config.k_u + 1))
     hs = {k: 2.0 ** (-k) for k in ks}
+    # the coarsest bandwidth comes first, where the interval check is tightest
+    grids = {k: make_eval_grid(interval, n, a_n, hs[k]).points for k in ks}
     tables = {
         k: kernel_table(hs[k], noise, spec, span=design.kernel_span(hs[k]))
         for k in ks
     }
-    # containment must hold at the coarsest bandwidth too
-    make_eval_grid(interval, n, a_n, hs[config.k_l])
-
-    grids = {k: make_eval_grid(interval, n, a_n, hs[k]).points for k in ks}
     cache: dict[tuple[int, int], np.ndarray] = {}
 
     def est(k: int, on_l: int) -> np.ndarray:
         key = (k, on_l)
         if key not in cache:
-            cache[key] = estimate_g(sample, hs[k], grids[on_l], tables[k]).values
+            cache[key] = estimate_g(sample, grids[on_l], tables[k]).values
         return cache[key]
 
     log_n = math.log(n)

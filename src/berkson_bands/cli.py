@@ -44,6 +44,14 @@ class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
 
 
+def positive_real(text: str) -> float:
+    """Flag type for a positive finite real; argparse names the flag."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="berkson-bands",
@@ -72,7 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_estimation_flags(sp):
         sp.add_argument("--input", required=True,
                         help="CSV with header w,Y")
-        sp.add_argument("--a-n", type=float, default=2.0 / 3.0, dest="a_n")
+        sp.add_argument("--a-n", type=positive_real, default=2.0 / 3.0,
+                        dest="a_n")
         sp.add_argument("--h", type=float)
         sp.add_argument("--bandwidth",
                         help="fixed:<value> | preset:<scenario> | lepski")
@@ -105,10 +114,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("kernel-dump", help="tabulate the deconvolution kernel")
-    sp.add_argument("--h", type=float, required=True)
+    sp.add_argument("--h", type=positive_real, required=True)
     add_noise_flags(sp)
     add_taper_flags(sp)
-    sp.add_argument("--a-n", type=float, default=2.0 / 3.0, dest="a_n")
+    sp.add_argument("--a-n", type=positive_real, default=2.0 / 3.0, dest="a_n")
     sp.add_argument("--grid-len", type=int, default=1 << 14, dest="grid_len")
     sp.add_argument("--span", type=float)
     sp.add_argument("--out", default="kernel.csv")
@@ -192,7 +201,10 @@ def _resolve_h(args: argparse.Namespace, sample, noise, taper,
         h = SCENARIOS[name].h
     elif args.bandwidth == "lepski":
         config = default_lepski_config(sample.design.n, noise.beta, args.a_n)
-        h = lepski_select(sample, config, noise, taper, interval).h
+        try:
+            h = lepski_select(sample, config, noise, taper, interval).h
+        except ValueError as exc:
+            raise ConfigError(f"--interval: {exc}") from exc
     else:
         raise ConfigError(
             f"--bandwidth must be fixed:<value>, preset:<scenario>, or "
@@ -235,7 +247,7 @@ def _prepare(args: argparse.Namespace):
 def _cmd_estimate(args: argparse.Namespace) -> int:
     _, noise, taper, sample, h, grid = _prepare(args)
     table = kernel_table(h, noise, taper, span=sample.design.kernel_span(h))
-    curve = estimate_g(sample, h, grid, table)
+    curve = estimate_g(sample, grid, table)
     out = Path(args.out)
     write_columns(out, "x,ghat", curve.grid, curve.values)
     _emit(
@@ -327,8 +339,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     noise = _noise_from(args)
     taper = _taper_from(args, noise)
-    if not args.h > 0:
-        raise ConfigError(f"--h must be a positive real, got {args.h}")
     try:
         table = kernel_table(
             args.h, noise, taper, grid_len=args.grid_len, span=args.span,
@@ -387,7 +397,7 @@ def _selftest_checks() -> list[dict]:
     coef = h**noise.beta / math.sqrt(n * a_n * h)
     worst = 0.0
     for x0 in (-0.5, 0.0, 0.5):
-        kvec = table((design.points - x0) / h)
+        kvec = table.matrix(x0, design.points)[0]
         target = coef**2 * float(kvec @ kvec)
         # the band's draw engine at one point with nu = 1: sup = |process|
         sups = _sup_batch(kvec[:, None], np.ones(1), coef, 8000, 7)

@@ -6,12 +6,14 @@ Fourier transform undoes the Berkson smoothing up to that frequency.
 
 Two evaluation routes are provided: an adaptive-quadrature reference
 (slow, per point) and a tabulation computed with one discrete Fourier
-transform plus cubic interpolation (fast, cached).
+transform plus cubic interpolation (fast, memoized).  The table owns the
+scaled argument (w - x)/h: KernelTable.matrix gives the kernel matrix
+between evaluation points and design points at the table's bandwidth.
 """
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +31,9 @@ _N_T = 8192
 # Cubic interpolation error budget for off-grid kernel reads; the table
 # step is refined until (5/384) du^4 sup|K''''| stays below this.
 _INTERP_BUDGET = 1e-7
+# Tables kept in memory: one CLI request needs six for Lepski selection
+# plus the band's error-law and taper tables.
+_TABLES_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,11 @@ class KernelTable:
             )
         return self._spline(np.clip(u, -self.span, self.span))
 
+    def matrix(self, x, points) -> np.ndarray:
+        """K((points_j - x_i)/h; h) at the table's h, one row per x_i."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self((points[None, :] - x[:, None]) / self.h)
+
 
 def _integrand_samples(spec: TaperSpec, noise: NoiseModel, h: float):
     s = spec.cutoff
@@ -112,10 +122,8 @@ def _integrand_samples(spec: TaperSpec, noise: NoiseModel, h: float):
     return t, f, dt
 
 
-def kernel_eval(
-    u: float, h: float, noise: NoiseModel, spec: TaperSpec, tol: float = 1e-9
-) -> float:
-    """Adaptive-quadrature reference value of K(u;h).
+def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float:
+    """Adaptive-quadrature reference value of K(u;h), to about 1e-10.
 
     Splits at the bridge knot and uses a cosine-weighted rule; this is the
     slow path the fast table is checked against.
@@ -130,16 +138,13 @@ def kernel_eval(
     total = 0.0
     for lo, hi in ((0.0, 0.5 * s), (0.5 * s, s)):
         val, _ = quad(
-            f, lo, hi, weight="cos", wvar=float(u), epsabs=0.1 * tol, limit=400
+            f, lo, hi, weight="cos", wvar=float(u), epsabs=1e-10, limit=400
         )
         total += val
     return total / math.pi
 
 
-_TABLE_CACHE: dict[tuple, KernelTable] = {}
-_TABLE_LOCK = threading.Lock()
-
-
+@functools.lru_cache(maxsize=_TABLES_KEPT)
 def kernel_table(
     h: float,
     noise: NoiseModel,
@@ -155,22 +160,17 @@ def kernel_table(
     asks for it, so off-grid reads stay within the 1e-6 agreement budget
     against kernel_eval.  The default span 4/(a_n h) covers every scaled
     argument (w_j - x)/h a band evaluation can produce.  Tables are
-    memoized; the cache key includes all construction parameters.
+    memoized, the last ``_TABLES_KEPT`` per process; the cache key is the
+    arguments exactly as passed.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     if grid_len < 256 or grid_len & (grid_len - 1):
         raise ValueError(f"grid_len must be a power of two >= 256, got {grid_len}")
     if span is None:
         span = 4.0 / (a_n * h)
-    if span <= 0:
+    if not span > 0:
         raise ValueError(f"span must be positive, got {span}")
-
-    key = (spec, noise, float(h), int(grid_len), round(float(span), 12))
-    with _TABLE_LOCK:
-        hit = _TABLE_CACHE.get(key)
-    if hit is not None:
-        return hit
 
     t, f, dt = _integrand_samples(spec, noise, h)
     # Rigorous bound sup|K''''| <= (1/pi) int t^4 |f| dt drives the step.
@@ -191,7 +191,7 @@ def kernel_table(
     right = half[: m_max + 1]
     grid = np.arange(-m_max, m_max + 1) * du
     values = np.concatenate((right[:0:-1], right))
-    table = KernelTable(
+    return KernelTable(
         h=float(h),
         beta=float(noise.beta),
         grid=grid,
@@ -200,6 +200,3 @@ def kernel_table(
         spec=spec,
         noise=noise,
     )
-    with _TABLE_LOCK:
-        _TABLE_CACHE.setdefault(key, table)
-    return table

@@ -33,9 +33,37 @@ __all__ = [
 _W_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+def ordered_interval(interval) -> tuple[float, float]:
+    """``interval`` as two floats a <= b; raises for a reversed one."""
+    a, b = (float(v) for v in interval)
+    if not b >= a:
+        raise ValueError(f"invalid interval [{a}, {b}]")
+    return a, b
+
+
+def identifiable_range(a_n: float, h: float) -> tuple[float, float]:
+    """Points at least h inside the design span [-1/a_n, 1/a_n]."""
+    return (-1.0 / a_n + h, 1.0 / a_n - h)
+
+
+def check_identifiable(interval, a_n: float, h: float) -> None:
+    """Raise unless ``interval`` lies in the identifiable range at h."""
+    a, b = interval
+    lo, hi = identifiable_range(a_n, h)
+    if a < lo - 1e-12 or b > hi + 1e-12:
+        raise ValueError(
+            f"interval [{a}, {b}] exceeds the identifiable range "
+            f"[{lo:.4g}, {hi:.4g}] at h={h}"
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class Design:
-    """2n+1 ordered design points with their quadrature weights."""
+    """2n+1 ordered design points with their quadrature weights.
+
+    The arrays are read-only copies, and designs compare and hash by
+    value, so a design can key a cache.
+    """
 
     n: int
     a_n: float
@@ -43,14 +71,28 @@ class Design:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("points", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if self.a_n <= 0:
-            raise ValueError(f"need a_n > 0, got {self.a_n}")
+        if not (math.isfinite(self.a_n) and self.a_n > 0):
+            raise ValueError(f"need a_n > 0 and finite, got {self.a_n}")
         if len(self.points) != 2 * self.n + 1 or len(self.weights) != 2 * self.n + 1:
             raise ValueError("points and weights must have length 2n+1")
-        if np.any(np.diff(self.points) <= 0):
-            raise ValueError("design points must be strictly increasing")
+        if not (np.all(np.isfinite(self.points))
+                and np.all(np.diff(self.points) > 0)):
+            raise ValueError("design points must be finite and strictly increasing")
+
+    def _key(self) -> tuple:
+        return (self.n, self.a_n, self.points.tobytes(), self.weights.tobytes())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Design) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def size(self) -> int:
@@ -62,7 +104,7 @@ class Design:
 
     def identifiable_range(self, h: float) -> tuple[float, float]:
         """Interval on which estimation at bandwidth h is supported."""
-        return (-1.0 / self.a_n + h, 1.0 / self.a_n - h)
+        return identifiable_range(self.a_n, h)
 
     def kernel_span(self, h: float) -> float:
         """Kernel-table span reaching every design point from any x in it."""
@@ -118,23 +160,16 @@ def build_regular(n: int, a_n: float = 2.0 / 3.0) -> Design:
     return Design(n=n, a_n=a_n, points=points, weights=weights)
 
 
-def build_from_density(
-    n: int,
-    a_n: float,
-    density,
-    upper: float | None = None,
-) -> Design:
+def build_from_density(n: int, a_n: float, density) -> Design:
     """Design with positive points at the j/(n+1) quantiles of ``density``.
 
-    ``density`` is a nonnegative function on [0, upper] (default upper
-    1/a_n); it is normalized internally.  Points are mirrored to the
-    negative axis around w_0 = 0, and each point carries the weight
-    1/(n f(w_j)) of the adjusted estimator.  The weight at w_0 = 0 uses
+    ``density`` is a nonnegative function on [0, 1/a_n]; it is normalized
+    internally.  Points are mirrored to the negative axis around w_0 = 0,
+    and each point carries the weight 1/(n f(w_j)) of the adjusted estimator.  The weight at w_0 = 0 uses
     f(0) as well; the handling of the centre point under a general density
     is a modelling choice, not something the construction forces.
     """
-    if upper is None:
-        upper = 1.0 / a_n
+    upper = 1.0 / a_n
     grid = np.linspace(0.0, upper, 16385)
     vals = np.asarray([density(x) for x in grid], dtype=float)
     if np.any(vals < 0):
@@ -201,13 +236,13 @@ def load_sample(path, a_n: float) -> RegressionSample:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or len(header) < 2:
-            raise ValueError(f"{path}: expected a two-column (w, Y) CSV with header")
+            raise ValueError("expected a two-column (w, Y) CSV with header")
         for row in reader:
             if not row:
                 continue
             if len(row) < 2:
                 raise ValueError(
-                    f"{path}: line {reader.line_num} has {len(row)} field; "
+                    f"line {reader.line_num} has {len(row)} field; "
                     f"expected w and Y"
                 )
             ws.append(float(row[0]))
@@ -215,14 +250,14 @@ def load_sample(path, a_n: float) -> RegressionSample:
     rows = len(ws)
     if rows % 2 == 0 or rows < 3:
         raise ValueError(
-            f"{path}: expected an odd number of design rows (2n+1, at least 3), "
+            f"expected an odd number of design rows (2n+1, at least 3), "
             f"got {rows}"
         )
     design = build_regular((rows - 1) // 2, a_n)
     dev = np.max(np.abs(np.asarray(ws) - design.points))
     if not dev <= _W_TOL:  # also catches NaN in w
         raise ValueError(
-            f"{path}: design points deviate from the configured design "
+            f"design points deviate from the configured design "
             f"by {dev:.3e} (tolerance {_W_TOL:.1e})"
         )
     return RegressionSample(design=design, responses=np.asarray(ys))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .deconv_kernel import KernelTable, TaperSpec, phi_k
-from .design import Design, RegressionSample
+from .design import Design, RegressionSample, check_identifiable
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 
 __all__ = [
@@ -34,8 +34,10 @@ __all__ = [
 # it holds in memory at once.
 _N_OMEGA = 1 << 15
 _OMEGA_BLOCK = 1024
-# Design points per chunk of the quadrature profiles.
+# Design points per chunk of the quadrature profiles, and the node
+# spacing of their Simpson rule.
 _W_BLOCK = 256
+_SIMPSON_STEP = 1e-3
 
 
 @dataclass(frozen=True)
@@ -47,42 +49,25 @@ class EstimateCurve:
 
 
 def _check_grid(design: Design, h: float, grid: np.ndarray) -> None:
-    lo, hi = design.identifiable_range(h)
-    tol = 1e-12
-    if grid.size and (grid.min() < lo - tol or grid.max() > hi + tol):
-        raise ValueError(
-            f"evaluation points must lie in the identifiable range "
-            f"[{lo:.4g}, {hi:.4g}] for h={h}"
-        )
+    if grid.size:
+        check_identifiable((grid.min(), grid.max()), design.a_n, h)
 
 
 def estimate_g(
-    sample: RegressionSample, h: float, grid, table: KernelTable
+    sample: RegressionSample, grid, table: KernelTable
 ) -> EstimateCurve:
-    """Kernel-sum evaluation of ghat(.;h) on ``grid`` (authoritative route)."""
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    if abs(table.h - h) > 1e-12:
-        raise ValueError(f"kernel table built for h={table.h}, not h={h}")
+    """Kernel-sum evaluation of ghat(.;h) on ``grid`` at the table's h."""
+    h = table.h
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     _check_grid(sample.design, h, grid)
     w = sample.design.points
-    if grid.size:
-        extremes = np.array([grid.min(), grid.max()])
-        needed = float(np.max(np.abs(w[None, :] - extremes[:, None]))) / h
-        if needed > table.span:
-            raise ValueError(
-                f"kernel table span {table.span:.4g} does not cover scaled "
-                f"arguments up to {needed:.4g}; enlarge the span"
-            )
     coef = sample.design.weights * sample.responses
     vals = np.empty(grid.shape)
     block = max(1, int(2**22 // max(1, w.size)))
     for s in range(0, grid.size, block):
-        gb = grid[s : s + block]
-        vals[s : s + gb.size] = table((w[None, :] - gb[:, None]) / h) @ coef
+        vals[s : s + block] = table.matrix(grid[s : s + block], w) @ coef
     vals /= h
-    return EstimateCurve(grid=grid, values=vals, h=float(h), beta=table.beta)
+    return EstimateCurve(grid=grid, values=vals, h=h, beta=table.beta)
 
 
 def estimate_g_fourier(
@@ -124,31 +109,32 @@ def estimate_g_fourier(
     )
 
 
-def _tail_halfwidth(noise: NoiseModel) -> float:
+def _law_pieces(noise: NoiseModel) -> list[tuple[float, float]]:
+    """The error law's effective support, split at the density's kinks."""
     if isinstance(noise, Laplace):
-        return 31.0 / noise.a
-    if isinstance(noise, LaplaceMixture):
-        return noise.mu + 31.0 / noise.a
-    return 0.0
+        tail = 31.0 / noise.a
+    elif isinstance(noise, LaplaceMixture):
+        tail = noise.mu + 31.0 / noise.a
+    else:
+        tail = 0.0
+    edges = sorted({-tail, *noise.density_kinks(), tail})
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _law_integral(fn, noise: NoiseModel) -> float:
+    """int fn(d) f(d) dd over the error law by adaptive quadrature."""
+    return sum(
+        quad(lambda d: fn(d) * float(noise.density(d)), lo, hi,
+             epsabs=1e-10, limit=200)[0]
+        for lo, hi in _law_pieces(noise)
+    )
 
 
 def oracle_gamma(g, noise: NoiseModel, w: float) -> float:
     """Smoothed regression gamma(w) = int g(w+d) f(d) dd by quadrature."""
     if isinstance(noise, NoError):
         return float(g(w))
-    tail = _tail_halfwidth(noise)
-    pts = sorted({-tail, *noise.density_kinks(), tail})
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, _ = quad(
-            lambda d: float(g(w + d)) * float(noise.density(d)),
-            lo,
-            hi,
-            epsabs=1e-10,
-            limit=200,
-        )
-        total += val
-    return total
+    return _law_integral(lambda d: float(g(w + d)), noise)
 
 
 def oracle_nu2(g, noise: NoiseModel, sigma2: float, w: float) -> float:
@@ -158,28 +144,14 @@ def oracle_nu2(g, noise: NoiseModel, sigma2: float, w: float) -> float:
     if isinstance(noise, NoError):
         return float(sigma2)
     gam = oracle_gamma(g, noise, w)
-    tail = _tail_halfwidth(noise)
-    pts = sorted({-tail, *noise.density_kinks(), tail})
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        val, _ = quad(
-            lambda d: (float(g(w + d)) - gam) ** 2 * float(noise.density(d)),
-            lo,
-            hi,
-            epsabs=1e-10,
-            limit=200,
-        )
-        total += val
-    return total + sigma2
+    return _law_integral(lambda d: (float(g(w + d)) - gam) ** 2, noise) + sigma2
 
 
-def _simpson_rule(noise: NoiseModel, step: float = 1e-3):
+def _simpson_rule(noise: NoiseModel):
     """Kink-aligned composite-Simpson nodes and weights over the error law."""
-    tail = _tail_halfwidth(noise)
-    edges = sorted({-tail, *noise.density_kinks(), tail})
     nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        m = max(2, int(math.ceil((hi - lo) / step / 2)) * 2)
+    for lo, hi in _law_pieces(noise):
+        m = max(2, int(math.ceil((hi - lo) / _SIMPSON_STEP / 2)) * 2)
         x = np.linspace(lo, hi, m + 1)
         wts = np.empty(m + 1)
         wts[0] = wts[-1] = 1.0
@@ -221,26 +193,21 @@ def nu2_profile(g, noise: NoiseModel, sigma2: float, w) -> np.ndarray:
 
 
 def oracle_mean(
-    g, noise: NoiseModel, design: Design, h: float, x, table: KernelTable
+    g, noise: NoiseModel, design: Design, x, table: KernelTable
 ) -> np.ndarray:
-    """Exact E[ghat(x;h)]: the estimator applied to the noiseless gamma."""
+    """Exact E[ghat(x;h)] at the table's h: the estimator applied to gamma."""
     gamma = gamma_profile(g, noise, design.points)
     sample = RegressionSample(design=design, responses=gamma)
-    return estimate_g(sample, h, x, table).values
+    return estimate_g(sample, x, table).values
 
 
 def oracle_variance(
-    g,
-    noise: NoiseModel,
-    sigma2: float,
-    design: Design,
-    h: float,
-    x,
-    table: KernelTable,
+    g, noise: NoiseModel, sigma2: float, design: Design, x, table: KernelTable
 ) -> np.ndarray:
-    """Exact Var[ghat(x;h)] = sum_j (weight_j/h)^2 nu^2(w_j) K(...)^2."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    """Exact Var[ghat(x;h)] = sum_j (weight_j/h)^2 nu^2(w_j) K(...)^2.
+
+    h is the table's bandwidth.
+    """
     nu2 = nu2_profile(g, noise, sigma2, design.points)
-    args = (design.points[None, :] - x[:, None]) / h
-    km = table(args)
-    return (km**2 * (design.weights / h) ** 2) @ nu2
+    km = table.matrix(x, design.points)
+    return (km**2 * (design.weights / table.h) ** 2) @ nu2

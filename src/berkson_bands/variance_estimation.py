@@ -5,6 +5,8 @@ sigma.  estimate_sigma2 recovers the average level from first
 differences; estimate_nu smooths the pseudo squared residuals
 (Y_{j+1}-Y_j)^2/2 with a Nadaraya-Watson/Epanechnikov local average and
 floors the result away from zero, as the band construction requires.
+The band's difference-based local variance uses the same pieces:
+midpoints, pseudo_residuals, smoothing_bandwidth and smoothing_weights.
 """
 from __future__ import annotations
 
@@ -13,9 +15,42 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import RegressionSample
+from .design import RegressionSample, ordered_interval
 
 __all__ = ["VarianceCurve", "estimate_sigma2", "estimate_nu"]
+
+
+def midpoints(w: np.ndarray) -> np.ndarray:
+    """Midpoints (w_j + w_{j+1})/2, where the pseudo-residuals sit."""
+    return 0.5 * (w[1:] + w[:-1])
+
+
+def pseudo_residuals(y: np.ndarray) -> np.ndarray:
+    """Pseudo squared residuals (Y_{j+1} - Y_j)^2 / 2."""
+    return 0.5 * (y[1:] - y[:-1]) ** 2
+
+
+def smoothing_bandwidth(interval: tuple[float, float], size: int) -> float:
+    """Default local-variance bandwidth (b - a) * size^(-1/5)."""
+    a, b = interval
+    return max((b - a), 1e-12) * size ** (-0.2)
+
+
+def smoothing_weights(mids: np.ndarray, x, h_v: float):
+    """Epanechnikov weights of ``mids`` around each x, and their row sums.
+
+    Raises when the window around some x holds no midpoint.
+    """
+    u = (mids[None, :] - x[:, None]) / h_v
+    wts = np.maximum(1.0 - u**2, 0.0)
+    sums = wts.sum(axis=1)
+    empty = int(np.count_nonzero(sums <= 0.0))
+    if empty:
+        raise ValueError(
+            f"empty smoothing window at {empty} of {len(sums)} evaluation "
+            f"points; increase h_v (currently {h_v:.4g})"
+        )
+    return wts, sums
 
 
 @dataclass(frozen=True)
@@ -31,14 +66,7 @@ class VarianceCurve:
     def variance(self, x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        u = (self.midpoints[None, :] - x[:, None]) / self.h_v
-        wts = np.maximum(1.0 - u**2, 0.0)
-        sums = wts.sum(axis=1)
-        if np.any(sums <= 0.0):
-            raise ValueError(
-                f"empty smoothing window at some evaluation points; "
-                f"increase h_v (currently {self.h_v:.4g})"
-            )
+        wts, sums = smoothing_weights(self.midpoints, x, self.h_v)
         out = np.maximum(wts @ self.residuals / sums, self.floor**2)
         return float(out[0]) if scalar else out
 
@@ -56,8 +84,7 @@ def estimate_sigma2(sample: RegressionSample) -> float:
     y = sample.responses
     if len(y) < 2:
         raise ValueError("need at least two responses")
-    diffs = np.diff(y)
-    est = 0.5 * float(np.mean(diffs**2))
+    est = float(np.mean(pseudo_residuals(y)))
     if est == 0.0:
         warnings.warn(
             "constant responses: noise level estimate degenerates to "
@@ -92,13 +119,11 @@ def estimate_nu(
         w, y = w[idx], y[idx]
     if interval is None:
         interval = (float(w[0]), float(w[-1]))
-    a, b = interval
-    if not b >= a:
-        raise ValueError(f"invalid interval [{a}, {b}]")
-    r = 0.5 * (y[1:] - y[:-1]) ** 2
-    mids = 0.5 * (w[1:] + w[:-1])
+    interval = ordered_interval(interval)
+    r = pseudo_residuals(y)
+    mids = midpoints(w)
     if h_v is None:
-        h_v = max((b - a), 1e-12) * len(w) ** (-0.2)
+        h_v = smoothing_bandwidth(interval, len(w))
     spacing = float(np.max(np.diff(w))) if len(w) > 1 else 0.0
     if h_v <= 0.5 * spacing:
         raise ValueError(

@@ -269,13 +269,37 @@ def test_workspace_cache_separates_designs_by_weights():
                         weights=d.weights * np.linspace(0.5, 1.5, d.size))
     rng = np.random.default_rng(5)
     y = g_a(d.points + LAP01.sample(rng, d.size)) + 0.1 * rng.standard_normal(d.size)
+    twin = build_regular(100, A_N)
+    assert d == twin and hash(d) == hash(twin)
+    assert d != reweighted
     build_band(RegressionSample(design=d, responses=y), REQ, LAP01)
     sample = RegressionSample(design=reweighted, responses=y)
     warm = build_band(sample, REQ, LAP01)
-    bands_mod._WS_CACHE.clear()
+    bands_mod._workspace.cache_clear()
     cold = build_band(sample, REQ, LAP01)
     assert np.array_equal(warm.nuhat, cold.nuhat)
     assert warm.quantile == cold.quantile
+    info = bands_mod._workspace.cache_info()
+    assert info.currsize <= info.maxsize == 3
+
+
+def test_list_interval_builds_the_same_band(s200):
+    listed = replace(REQ, interval=[-0.7, 0.6])
+    assert listed.interval == REQ.interval
+    got, want = build_band(s200, listed, LAP01), build_band(s200, REQ, LAP01)
+    assert np.array_equal(got.lower, want.lower)
+    assert np.array_equal(got.upper, want.upper)
+
+
+def test_too_short_interval_raises_instead_of_a_zero_variance_band():
+    sc = SCENARIOS["ga_n100_s10"]
+    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
+    short = BandRequest(interval=(0.09, 0.11), h=sc.h)
+    with pytest.raises(ValueError,
+                       match=r"interval \[0.09, 0.11\].*empty smoothing window"):
+        build_band(sample, short, sc.noise())
+    res = build_band(sample, replace(short, interval=(0.08, 0.12)), sc.noise())
+    assert np.all(res.nuhat > 1e-8)
 
 
 @pytest.mark.parametrize("noise,level", [(LAP01, 0.0), (NoError(), 3.0)],

@@ -90,10 +90,37 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
     assert parse_and_dispatch(["estimate"] + common[1:] + ["--h", "0.25",
                               "--interval", "-1.4", "1.4"] + out) == 2
     assert "identifiable range" in capsys.readouterr().err
+    assert parse_and_dispatch(common + ["--bandwidth", "lepski", "--interval",
+                                        "-1.4", "1.4"] + out) == 2
+    err = capsys.readouterr().err
+    assert "--interval" in err and "identifiable range" in err
+    for argv in (common + ["--h", "0.25", "--a-n", "nan"],
+                 ["kernel-dump", "--h", "0.25", "--density", "none",
+                  "--a-n", "nan"],
+                 ["kernel-dump", "--h", "0.25", "--density", "none",
+                  "--a-n", "-1"]):
+        assert parse_and_dispatch(argv + out) == 2
+        assert "--a-n" in capsys.readouterr().err
     assert parse_and_dispatch(["band", "--input", str(tmp_path / "missing.csv"),
                                "--density", "laplace", "--sigma-delta", "0.1",
                                "--h", "0.25"] + out) == 2
     assert "not found" in capsys.readouterr().err
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("w,Y\n-1,0\n0.1,0\n1,0\n")
+    assert parse_and_dispatch(common[:2] + [str(shifted)] + common[3:]
+                              + ["--h", "0.25"] + out) == 2
+    err = capsys.readouterr().err
+    assert "--input" in err and err.count(str(shifted)) == 1
+
+
+def test_band_on_a_too_short_interval_writes_nothing(data_csv, tmp_path, capsys):
+    out = tmp_path / "short.csv"
+    assert parse_and_dispatch(["band", "--input", str(data_csv), "--density",
+                               "laplace", "--sigma-delta", "0.1", "--h", "0.25",
+                               "--interval", "0.09", "0.11",
+                               "--out", str(out)]) == 1
+    assert "interval [0.09, 0.11]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_runs_scenario_files(tmp_path, capsys):

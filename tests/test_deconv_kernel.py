@@ -101,6 +101,11 @@ def test_tables_are_memoized():
     one = kernel_table(0.25, LAP01, TAPER_S, span=8.0)
     two = kernel_table(0.25, LAP01, TAPER_S, span=8.0)
     assert one is two
+    bound = kernel_table.cache_info().maxsize
+    for i in range(bound):  # the coarsest grid keeps these builds cheap
+        kernel_table(0.25, LAP01, TAPER_S, grid_len=256, span=9.0 + i)
+    assert kernel_table.cache_info().currsize <= bound
+    assert kernel_table(0.25, LAP01, TAPER_S, span=8.0) is not one
 
 
 def test_table_argument_validation():
@@ -111,8 +116,11 @@ def test_table_argument_validation():
         kernel_table(0.25, LAP01, TAPER_S, grid_len=300, span=8.0)
     with pytest.raises(ValueError, match="power of two"):
         kernel_table(0.25, LAP01, TAPER_S, grid_len=128, span=8.0)
-    with pytest.raises(ValueError):
-        kernel_table(0.25, LAP01, TAPER_S, span=-1.0)
+    for span in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="span must be positive"):
+            kernel_table(0.25, LAP01, TAPER_S, span=span)
+    with pytest.raises(ValueError, match="bandwidth must be positive"):
+        kernel_table(float("nan"), LAP01, TAPER_S, span=8.0)
 
 
 def _squared_norm(h, noise, spec):

@@ -48,12 +48,17 @@ def test_design_validation():
     wts = np.ones(5)
     with pytest.raises(ValueError, match="need n >= 1"):
         Design(n=0, a_n=1.0, points=np.zeros(1), weights=np.ones(1))
-    with pytest.raises(ValueError, match="need a_n > 0"):
-        Design(n=2, a_n=0.0, points=pts, weights=wts)
+    for a_n in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="need a_n > 0 and finite"):
+            Design(n=2, a_n=a_n, points=pts, weights=wts)
+    with pytest.raises(ValueError, match="need a_n > 0 and finite"):
+        build_regular(3, float("nan"))
     with pytest.raises(ValueError, match="length 2n\\+1"):
         Design(n=2, a_n=1.0, points=np.arange(4.0), weights=np.ones(4))
     with pytest.raises(ValueError, match="strictly increasing"):
         Design(n=2, a_n=1.0, points=np.zeros(5), weights=wts)
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        Design(n=2, a_n=1.0, points=np.array([np.nan, 0, 1, 2, 3.0]), weights=wts)
 
 
 def test_sample_validation():

@@ -42,12 +42,12 @@ def test_estimator_recovers_signal_from_smooth_profile():
     s750 = RegressionSample(design=d750,
                             responses=gamma_profile(g_a, LAP01, d750.points))
     t21 = table_for(d750, 0.21, LAP01, TAPER_S)
-    e750 = float(np.max(np.abs(estimate_g(s750, 0.21, grid, t21).values - g_a(grid))))
+    e750 = float(np.max(np.abs(estimate_g(s750, grid, t21).values - g_a(grid))))
     d1500 = build_regular(1500, A_N)
     s1500 = RegressionSample(design=d1500,
                              responses=gamma_profile(g_a, LAP01, d1500.points))
     t105 = table_for(d1500, 0.105, LAP01, TAPER_S)
-    e1500 = float(np.max(np.abs(estimate_g(s1500, 0.105, grid, t105).values
+    e1500 = float(np.max(np.abs(estimate_g(s1500, grid, t105).values
                                 - g_a(grid))))
     assert e750 < 0.0055
     assert e1500 < e750
@@ -59,7 +59,7 @@ def test_fourier_route_matches_direct_summation():
         design=d200, responses=np.random.default_rng(7).standard_normal(d200.size))
     grid = np.linspace(-0.7, 0.6, 161)
     t25 = table_for(d200, 0.25, LAP01, TAPER_S)
-    direct = estimate_g(s200, 0.25, grid, t25).values
+    direct = estimate_g(s200, grid, t25).values
     fourier = estimate_g_fourier(s200, 0.25, grid, LAP01, TAPER_S).values
     assert np.max(np.abs(direct - fourier)) < 1e-6
 
@@ -74,7 +74,7 @@ def test_estimator_is_linear_in_responses():
 
     def fit(y):
         return estimate_g(RegressionSample(design=d, responses=y),
-                          0.3, grid, tab).values
+                          grid, tab).values
 
     combo = fit(2.0 * y1 - 0.5 * y2)
     assert np.allclose(combo, 2.0 * fit(y1) - 0.5 * fit(y2), rtol=0, atol=1e-10)
@@ -86,8 +86,8 @@ def test_oracle_mean_equals_estimate_on_expected_responses():
     t25 = table_for(d200, 0.25, LAP01, TAPER_S)
     s = RegressionSample(design=d200,
                          responses=gamma_profile(g_a, LAP01, d200.points))
-    direct = estimate_g(s, 0.25, grid, t25).values
-    oracle = oracle_mean(g_a, LAP01, d200, 0.25, grid, t25)
+    direct = estimate_g(s, grid, t25).values
+    oracle = oracle_mean(g_a, LAP01, d200, grid, t25)
     assert np.max(np.abs(direct - oracle)) < 1e-12
 
 
@@ -98,7 +98,7 @@ def test_error_free_bias_shrinks_with_bandwidth():
     for h in (0.4, 0.2, 0.1):
         tab = table_for(d4k, h, NoError(), TAPER_S)
         errs.append(float(np.max(np.abs(
-            oracle_mean(g_a, NoError(), d4k, h, xs, tab) - g_a(xs)))))
+            oracle_mean(g_a, NoError(), d4k, xs, tab) - g_a(xs)))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
 
@@ -107,13 +107,13 @@ def test_variance_oracle_matches_monte_carlo():
     d200 = build_regular(200, A_N)
     t25 = table_for(d200, 0.25, LAP01, TAPER_S)
     # the estimator at x=0 is the fixed linear form Y @ coefs
-    coefs = d200.weights * t25(d200.points / 0.25) / 0.25
+    coefs = d200.weights * t25.matrix(0.0, d200.points)[0] / 0.25
     rng = np.random.default_rng(2024)
     reps = 2000
     delta = LAP01.sample(rng, (reps, d200.size))
     eps = 0.1 * rng.standard_normal((reps, d200.size))
     responses = g_a(d200.points[None, :] + delta) + eps
     mc = float(np.var(responses @ coefs, ddof=1))
-    oracle = float(oracle_variance(g_a, LAP01, 0.01, d200, 0.25,
+    oracle = float(oracle_variance(g_a, LAP01, 0.01, d200,
                                    np.array([0.0]), t25)[0])
     assert abs(mc / oracle - 1.0) < 0.10
