@@ -40,7 +40,6 @@ from .design import (
 from .estimator import (
     EstimateCurve,
     estimate_g,
-    estimate_g_fourier,
     gamma_profile,
     nu2_profile,
     oracle_gamma,
@@ -101,7 +100,6 @@ __all__ = [
     "save_sample",
     "EstimateCurve",
     "estimate_g",
-    "estimate_g_fourier",
     "gamma_profile",
     "nu2_profile",
     "oracle_gamma",

@@ -33,7 +33,8 @@ from .design import (Design, RegressionSample, build_split,
                      ordered_interval, write_columns)
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 from .variance_estimation import (estimate_nu, midpoints, pseudo_residuals,
-                                  smoothing_bandwidth, smoothing_weights)
+                                  shortest_interval, smoothing_bandwidth,
+                                  smoothing_weights)
 
 __all__ = [
     "BandRequest",
@@ -249,9 +250,12 @@ def _workspace(
         wt_e, sw_e = smoothing_weights(mids, xe, hv)
         wt_w, sw_w = smoothing_weights(mids, w, hv)
     except ValueError as exc:
+        shortest = max(shortest_interval(mids, xe, design.size),
+                       shortest_interval(mids, w, design.size))
         raise ValueError(
             f"interval [{interval[0]}, {interval[1]}] is too short for the "
-            f"local variance estimate: {exc}"
+            f"local variance estimate: {exc}; use an interval longer than "
+            f"{shortest:.6g}"
         ) from None
 
     return _Workspace(

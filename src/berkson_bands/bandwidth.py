@@ -2,7 +2,9 @@
 
 The adaptive rule compares estimates along the dyadic grid h_k = 2^(-k)
 and picks the largest bandwidth whose estimate stays within a deviation
-threshold of every finer one.  Presets reproduce the bandwidths used by
+threshold of every finer one.  Its estimates come from spectral kernel
+operators that share one frequency rule and one data transform, so the
+rule builds no kernel table.  Presets reproduce the bandwidths used by
 the reference simulation scenarios, which were chosen by inspection and
 are shipped as data rather than re-derived.
 """
@@ -15,8 +17,8 @@ import numpy as np
 
 from .bands import make_eval_grid
 from .design import RegressionSample
-from .deconv_kernel import TaperSpec, kernel_table
-from .estimator import estimate_g
+from .deconv_kernel import (SpectralKernel, TaperSpec, fourier_sums,
+                            spectral_kernels)
 from .noise_models import NoiseModel
 
 __all__ = [
@@ -98,6 +100,27 @@ def default_lepski_config(n: int, beta: float, a_n: float = 2.0 / 3.0) -> Lepski
     return LepskiConfig(k_l=k_l, k_u=k_u, C_L=_C_L)
 
 
+def _estimate_on(
+    sample: RegressionSample,
+    grid: np.ndarray,
+    kernels: list[SpectralKernel],
+    spectrum: np.ndarray,
+) -> np.ndarray:
+    """ghat(grid; h) of every kernel, one row each, from one Fourier sum.
+
+    The kernels come from one spectral_kernels call, ordered by
+    decreasing h, so the last one's nodes hold every other's as a
+    leading part; ``spectrum`` is its transform of ``sample``'s weighted
+    responses.
+    """
+    nodes = kernels[-1].omega
+    coeffs = np.zeros((nodes.size, len(kernels)), dtype=complex)
+    for i, op in enumerate(kernels):
+        r = op.omega.size
+        coeffs[:r, i] = op.factor * spectrum[:r] / op.h
+    return fourier_sums(grid, nodes, coeffs).T
+
+
 def lepski_select(
     sample: RegressionSample,
     config: LepskiConfig,
@@ -120,17 +143,21 @@ def lepski_select(
     hs = {k: 2.0 ** (-k) for k in ks}
     # the coarsest bandwidth comes first, where the interval check is tightest
     grids = {k: make_eval_grid(interval, n, a_n, hs[k]).points for k in ks}
-    tables = {
-        k: kernel_table(hs[k], noise, spec, span=design.kernel_span(hs[k]))
-        for k in ks
-    }
-    cache: dict[tuple[int, int], np.ndarray] = {}
+    kernels = dict(zip(ks, spectral_kernels(
+        [hs[k] for k in ks], noise, spec, design.reach(interval))))
+    # the finest bandwidth's nodes are the whole rule
+    spectrum = kernels[config.k_u].transform(
+        design.points, design.weights * sample.responses
+    )
+    on_grid: dict[int, dict[int, np.ndarray]] = {}
 
     def est(k: int, on_l: int) -> np.ndarray:
-        key = (k, on_l)
-        if key not in cache:
-            cache[key] = estimate_g(sample, grids[on_l], tables[k]).values
-        return cache[key]
+        if on_l not in on_grid:
+            coarser = [j for j in ks if j <= on_l]
+            rows = _estimate_on(sample, grids[on_l],
+                                [kernels[j] for j in coarser], spectrum)
+            on_grid[on_l] = dict(zip(coarser, rows))
+        return on_grid[on_l][k]
 
     log_n = math.log(n)
     deviations: list[tuple[int, int, float, float]] = []

@@ -26,8 +26,9 @@ from .bands import (
     write_band,
 )
 from .bandwidth import default_lepski_config, lepski_select, undersmooth
-from .deconv_kernel import TaperSpec, kernel_eval, kernel_table
-from .design import build_regular, load_sample, write_columns
+from .deconv_kernel import (TaperSpec, kernel_eval, kernel_table,
+                            spectral_kernels)
+from .design import RegressionSample, build_regular, load_sample, write_columns
 from .estimator import estimate_g
 from .noise_models import Laplace, LaplaceMixture, make_noise
 from .simulation import (
@@ -245,9 +246,10 @@ def _prepare(args: argparse.Namespace):
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
-    _, noise, taper, sample, h, grid = _prepare(args)
-    table = kernel_table(h, noise, taper, span=sample.design.kernel_span(h))
-    curve = estimate_g(sample, grid, table)
+    interval, noise, taper, sample, h, grid = _prepare(args)
+    reach = sample.design.reach(interval)
+    (kernel,) = spectral_kernels([h], noise, taper, reach)
+    curve = estimate_g(sample, grid, kernel)
     out = Path(args.out)
     write_columns(out, "x,ghat", curve.grid, curve.values)
     _emit(
@@ -394,6 +396,20 @@ def _selftest_checks() -> list[dict]:
     spec = TaperSpec(kind="damped_cutoff", cutoff=5.5)
     design = build_regular(n, a_n)
     table = kernel_table(h, noise, spec, span=design.kernel_span(h))
+
+    interval = (-0.7, 0.6)
+    grid = make_eval_grid(interval, n, a_n, h).points
+    sample = RegressionSample(
+        design=design,
+        responses=np.random.default_rng(7).standard_normal(design.size),
+    )
+    (kernel,) = spectral_kernels([h], noise, spec, design.reach(interval))
+    spectral = estimate_g(sample, grid, kernel)
+    tabled = estimate_g(sample, grid, table)
+    err = float(np.max(np.abs(spectral.values - tabled.values))
+                / np.max(np.abs(tabled.values)))
+    record("spectral operator vs table", err, 1e-6)
+
     coef = h**noise.beta / math.sqrt(n * a_n * h)
     worst = 0.0
     for x0 in (-0.5, 0.0, 0.5):

@@ -4,11 +4,16 @@ K(w;h) = (1/2pi) int exp(-itw) phi_k(t) / charfn(-t/h) dt. The taper
 phi_k is supported on [-cutoff, cutoff]; dividing by the error law's
 Fourier transform undoes the Berkson smoothing up to that frequency.
 
-Two evaluation routes are provided: an adaptive-quadrature reference
-(slow, per point) and a tabulation computed with one discrete Fourier
-transform plus cubic interpolation (fast, memoized).  The table owns the
-scaled argument (w - x)/h: KernelTable.matrix gives the kernel matrix
-between evaluation points and design points at the table's bandwidth.
+Three evaluation routes are provided:
+- an adaptive-quadrature reference (slow, per point);
+- a tabulation computed with one discrete Fourier transform plus cubic
+  interpolation (memoized), which the band uses.  The table owns the
+  scaled argument (w - x)/h: KernelTable.matrix gives the kernel matrix
+  between evaluation points and design points at the table's bandwidth;
+- a spectral operator, which the Lepski rule and the CLI's estimate
+  use.  The kernel is band-limited, so a kernel sum over the design is a
+  Gauss-Legendre sum over the frequency band [0, cutoff/h] of the data's
+  Fourier transform; it forms no table, spline or grid x design matrix.
 """
 from __future__ import annotations
 
@@ -19,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
+from scipy.special import roots_legendre
 
 from .noise_models import NoiseModel, NoError
 
-__all__ = ["TaperSpec", "KernelTable", "phi_k", "kernel_eval", "kernel_table"]
+__all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_eval",
+           "kernel_table", "spectral_kernels", "fourier_sums"]
 
 # Samples of the integrand on [0, cutoff] for the tabulation transform.
 # The integrand has vanishing one-sided derivatives at both endpoints, so
@@ -31,9 +38,18 @@ _N_T = 8192
 # Cubic interpolation error budget for off-grid kernel reads; the table
 # step is refined until (5/384) du^4 sup|K''''| stays below this.
 _INTERP_BUDGET = 1e-7
-# Tables kept in memory: one CLI request needs six for Lepski selection
-# plus the band's error-law and taper tables.
+# Tables kept in memory: a band needs its error-law and taper tables, and
+# a test run or a simulation builds bands at several bandwidths in turn.
 _TABLES_KEPT = 8
+# Elements of the largest temporary array of a kernel sum.
+_BLOCK_ELEMS = 1 << 22
+# Gauss-Legendre nodes of the spectral operator on a frequency panel
+# [lo, hi]: _NODES_PER_TURN per 2 pi of the phase (hi - lo) * rate, plus
+# _PANEL_NODES (see spectral_kernels).  The operator then matches
+# kernel_eval to 1e-12 relative for both shipped error laws at h from 1/2
+# to 1/64, well inside the tables' 1e-7 interpolation budget.
+_NODES_PER_TURN = 3
+_PANEL_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -62,6 +78,11 @@ class TaperSpec:
                 f"flat_radius must be in (0,1), got {self.flat_radius}"
             )
 
+    @property
+    def knot(self) -> float:
+        """Fraction of the cutoff where the bridge down to 0 starts."""
+        return self.flat_radius if self.kind == "smooth_poly" else 0.5
+
 
 def _smoothstep_fall(s):
     """C^2 descent from 1 at s<=0 to 0 at s>=1 (quintic smoothstep)."""
@@ -72,13 +93,13 @@ def _smoothstep_fall(s):
 def phi_k(t, spec: TaperSpec):
     """Evaluate the taper; symmetric, bounded by 1, zero beyond the cutoff."""
     r = np.abs(np.asarray(t, dtype=float)) / spec.cutoff
+    bridge = _smoothstep_fall((r - spec.knot) / (1.0 - spec.knot))
     if spec.kind == "smooth_poly":
-        d = spec.flat_radius
-        return _smoothstep_fall((r - d) / (1.0 - d))
+        return bridge
     with np.errstate(divide="ignore"):
         damp = -np.expm1(-1.0 / np.square(r))
     damp = np.where(r == 0.0, 1.0, damp)
-    return damp * _smoothstep_fall((r - 0.5) / 0.5)
+    return damp * bridge
 
 
 @dataclass(frozen=True)
@@ -113,6 +134,19 @@ class KernelTable:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return self((points[None, :] - x[:, None]) / self.h)
 
+    def kernel_sum(self, x, points, coef) -> np.ndarray:
+        """sum_j coef_j K((points_j - x_i)/h; h) for each x_i.
+
+        The kernel matrix is formed in blocks of rows of at most
+        ``_BLOCK_ELEMS`` entries.
+        """
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        vals = np.empty(x.shape)
+        block = max(1, int(_BLOCK_ELEMS // max(1, points.size)))
+        for s in range(0, x.size, block):
+            vals[s : s + block] = self.matrix(x[s : s + block], points) @ coef
+        return vals
+
 
 def _integrand_samples(spec: TaperSpec, noise: NoiseModel, h: float):
     s = spec.cutoff
@@ -126,7 +160,7 @@ def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float
     """Adaptive-quadrature reference value of K(u;h), to about 1e-10.
 
     Splits at the bridge knot and uses a cosine-weighted rule; this is the
-    slow path the fast table is checked against.
+    slow path the table and the spectral operator are checked against.
     """
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
@@ -136,7 +170,7 @@ def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float
         return phi_k(t, spec) / float(noise.charfn(-t / h))
 
     total = 0.0
-    for lo, hi in ((0.0, 0.5 * s), (0.5 * s, s)):
+    for lo, hi in ((0.0, spec.knot * s), (spec.knot * s, s)):
         val, _ = quad(
             f, lo, hi, weight="cos", wvar=float(u), epsabs=1e-10, limit=400
         )
@@ -200,3 +234,123 @@ def kernel_table(
         spec=spec,
         noise=noise,
     )
+
+
+@dataclass(frozen=True)
+class SpectralKernel:
+    """K(.;h) as a Gauss-Legendre sum over its frequency band [0, cutoff/h].
+
+    With T_r = sum_j c_j exp(i omega_r w_j) the data transform at the
+    nodes omega_r,
+
+        sum_j c_j K((w_j - x)/h; h) = sum_r factor_r Re(exp(-i omega_r x) T_r),
+
+    factor_r = h q_r phi_k(omega_r h) / (pi charfn(-omega_r)), where q_r
+    are the node rule's weights (see spectral_kernels).  ``kernel_sum``
+    has the contract of KernelTable.kernel_sum, for x on a uniform grid.
+    """
+
+    h: float
+    noise: NoiseModel
+    omega: np.ndarray
+    factor: np.ndarray
+
+    @property
+    def beta(self) -> float:
+        return float(self.noise.beta)
+
+    def transform(self, points, coef) -> np.ndarray:
+        """T_r = sum_j coef_j exp(i omega_r points_j), in blocks of nodes."""
+        out = np.empty(self.omega.size, dtype=complex)
+        block = max(1, _BLOCK_ELEMS // max(1, points.size))
+        for s in range(0, self.omega.size, block):
+            phase = np.outer(self.omega[s : s + block], points)
+            out[s : s + block] = np.cos(phase) @ coef + 1j * (
+                np.sin(phase) @ coef
+            )
+        return out
+
+    def kernel_sum(self, x, points, coef) -> np.ndarray:
+        """sum_j coef_j K((points_j - x_i)/h; h) for x on a uniform grid."""
+        spectrum = self.factor * self.transform(points, coef)
+        return fourier_sums(x, self.omega, spectrum[:, None])[:, 0]
+
+
+def spectral_kernels(
+    hs, noise: NoiseModel, spec: TaperSpec, reach: float
+) -> list[SpectralKernel]:
+    """Spectral operators of K(.;h) for every h in ``hs`` on one node rule.
+
+    The rule is Gauss-Legendre in the frequency omega = t/h on panels
+    whose edges are 0 and, for every h, the taper's knot and cutoff in
+    omega, spec.knot * cutoff / h and cutoff / h.  Each integrand is then
+    smooth on every panel, and each band [0, cutoff/h] is a union of
+    whole panels, so every operator's nodes lead the rule: the operator
+    of the smallest h holds them all, and its data transform serves the
+    others.  ``reach`` bounds |x - w| over the evaluation and design
+    points.  The integrand oscillates in omega at rates up to
+    reach + noise.ripple, so a panel [lo, hi] gets
+    ceil(3 (hi - lo) rate / 2 pi) + 24 nodes.
+    """
+    if not (math.isfinite(reach) and reach >= 0):
+        raise ValueError(f"reach must be non-negative and finite, got {reach}")
+    for h in hs:
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"bandwidth must be positive, got {h}")
+    rate = reach + noise.ripple
+    edges = sorted(
+        {0.0, *(spec.cutoff * f / h for h in hs for f in (spec.knot, 1.0))}
+    )
+    nodes, weights = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        m = _PANEL_NODES + math.ceil(
+            _NODES_PER_TURN * (hi - lo) * rate / (2.0 * math.pi)
+        )
+        x, q = roots_legendre(m)
+        nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+        weights.append(0.5 * (hi - lo) * q)
+    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
+    ops = []
+    for h in hs:
+        keep = nodes < spec.cutoff / h
+        omega = nodes[keep]
+        factor = (
+            h * weights[keep] * phi_k(omega * h, spec)
+            / (math.pi * noise.charfn(-omega))
+        )
+        ops.append(
+            SpectralKernel(h=float(h), noise=noise, omega=omega, factor=factor)
+        )
+    return ops
+
+
+def fourier_sums(x, omega, coeffs) -> np.ndarray:
+    """Re sum_r exp(-i omega_r x_i) coeffs[r, k] for x on a uniform grid.
+
+    The grid is cut into about sqrt(len(x)) blocks of about as many
+    consecutive points, which share their offsets from the block's first
+    point.  exp(-i omega x) = exp(-i omega x_block) exp(-i omega offset)
+    then costs two short columns of exponentials per node instead of one
+    per point, and the sums are one complex matrix product per chunk of
+    nodes.  No temporary holds more than ``_BLOCK_ELEMS`` entries beyond
+    the len(x) x K output.  Returns a len(x) x K array.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    m, kk = x.size, coeffs.shape[1]
+    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m)) points per block
+    step = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0
+    offsets = np.arange(b) * step
+    anchors = x[::b]
+    j = anchors.size
+    model = (anchors[:, None] + offsets[None, :]).ravel()[:m]
+    if np.max(np.abs(model - x)) > 1e-12 * max(1.0, float(np.max(np.abs(x)))):
+        raise ValueError("Fourier sums need a uniform grid")
+    out = np.zeros((b, j, kk))
+    rows = max(1, _BLOCK_ELEMS // (max(b, j) * kk))
+    for s in range(0, omega.size, rows):
+        om = omega[s : s + rows]
+        near = np.exp(-1j * np.outer(offsets, om))
+        far = np.exp(-1j * np.outer(anchors, om))[:, :, None]
+        rhs = (far * coeffs[s : s + rows]).transpose(1, 0, 2)
+        out += (near @ rhs.reshape(om.size, j * kk)).real.reshape(b, j, kk)
+    return out.transpose(1, 0, 2).reshape(j * b, kk)[:m]

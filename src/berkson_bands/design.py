@@ -110,6 +110,11 @@ class Design:
         """Kernel-table span reaching every design point from any x in it."""
         return (self.points[-1] - self.points[0]) / h + 2.0
 
+    def reach(self, interval) -> float:
+        """Largest distance from a point of ``interval`` to a design point."""
+        a, b = interval
+        return float(max(b - self.points[0], self.points[-1] - a))
+
 
 @dataclass(frozen=True)
 class RegressionSample:

@@ -2,7 +2,8 @@
 
 The estimator averages responses against the deconvolution kernel,
 ghat(x;h) = sum_j weight_j Y_j K((w_j - x)/h; h) / h, which undoes the
-smoothing gamma = g * f(-.) induced by the Berkson errors.  The oracles
+smoothing gamma = g * f(-.) induced by the Berkson errors.  The kernel
+sum comes from a kernel table or from the spectral operator.  The oracles
 compute gamma, the conditional variance nu^2, and the exact mean and
 variance of ghat by quadrature, for use as test references.
 """
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .deconv_kernel import KernelTable, TaperSpec, phi_k
+from .deconv_kernel import KernelTable, SpectralKernel
 from .design import Design, RegressionSample, check_identifiable
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 
 __all__ = [
     "EstimateCurve",
     "estimate_g",
-    "estimate_g_fourier",
     "oracle_gamma",
     "oracle_nu2",
     "gamma_profile",
@@ -30,10 +30,6 @@ __all__ = [
     "oracle_variance",
 ]
 
-# Frequency nodes of estimate_g_fourier's trapezoid rule, and how many
-# it holds in memory at once.
-_N_OMEGA = 1 << 15
-_OMEGA_BLOCK = 1024
 # Design points per chunk of the quadrature profiles, and the node
 # spacing of their Simpson rule.
 _W_BLOCK = 256
@@ -54,59 +50,19 @@ def _check_grid(design: Design, h: float, grid: np.ndarray) -> None:
 
 
 def estimate_g(
-    sample: RegressionSample, grid, table: KernelTable
+    sample: RegressionSample, grid, kernel: KernelTable | SpectralKernel
 ) -> EstimateCurve:
-    """Kernel-sum evaluation of ghat(.;h) on ``grid`` at the table's h."""
-    h = table.h
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    _check_grid(sample.design, h, grid)
-    w = sample.design.points
-    coef = sample.design.weights * sample.responses
-    vals = np.empty(grid.shape)
-    block = max(1, int(2**22 // max(1, w.size)))
-    for s in range(0, grid.size, block):
-        vals[s : s + block] = table.matrix(grid[s : s + block], w) @ coef
-    vals /= h
-    return EstimateCurve(grid=grid, values=vals, h=h, beta=table.beta)
+    """Kernel-sum evaluation of ghat(.;h) on ``grid`` at the kernel's h.
 
-
-def estimate_g_fourier(
-    sample: RegressionSample,
-    h: float,
-    grid,
-    noise: NoiseModel,
-    spec: TaperSpec,
-) -> EstimateCurve:
-    """Frequency-domain evaluation of ghat; mutual check for estimate_g.
-
-    Integrates exp(-i omega x) phi_k(omega h) phi_gamma_hat(omega) /
-    charfn(-omega) over the taper's frequency band with a trapezoid rule,
-    chunked to bound memory; phi_gamma_hat(omega) = sum_j weight_j Y_j
-    exp(i omega w_j) is the empirical transform.
+    A SpectralKernel needs a uniform grid, as make_eval_grid gives.
     """
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    h = kernel.h
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     _check_grid(sample.design, h, grid)
-    w = sample.design.points
     coef = sample.design.weights * sample.responses
-    om_max = spec.cutoff / h
-    om = np.linspace(0.0, om_max, _N_OMEGA + 1)
-    dw = om[1] - om[0]
-    trap = np.full(_N_OMEGA + 1, dw)
-    trap[0] = trap[-1] = 0.5 * dw
-    out = np.zeros(len(grid))
-    for start in range(0, _N_OMEGA + 1, _OMEGA_BLOCK):
-        ob = om[start : start + _OMEGA_BLOCK]
-        tb = trap[start : start + _OMEGA_BLOCK]
-        eb = np.exp(1j * ob[:, None] * w[None, :]) @ coef
-        fb = phi_k(ob * h, spec) / noise.charfn(-ob)
-        cb = tb * fb * eb
-        phase = np.exp(-1j * ob[:, None] * grid[None, :])
-        out += np.real(cb[None, :] @ phase).ravel()
-    return EstimateCurve(
-        grid=grid, values=out / math.pi, h=float(h), beta=float(noise.beta)
-    )
+    vals = kernel.kernel_sum(grid, sample.design.points, coef)
+    vals /= h
+    return EstimateCurve(grid=grid, values=vals, h=h, beta=kernel.beta)
 
 
 def _law_pieces(noise: NoiseModel) -> list[tuple[float, float]]:
@@ -192,22 +148,23 @@ def nu2_profile(g, noise: NoiseModel, sigma2: float, w) -> np.ndarray:
     return np.maximum(m2 - m1**2, 0.0) + sigma2
 
 
-def oracle_mean(
-    g, noise: NoiseModel, design: Design, x, table: KernelTable
-) -> np.ndarray:
-    """Exact E[ghat(x;h)] at the table's h: the estimator applied to gamma."""
-    gamma = gamma_profile(g, noise, design.points)
+def oracle_mean(g, design: Design, x, table: KernelTable) -> np.ndarray:
+    """Exact E[ghat(x;h)] at the table's h and error law.
+
+    The estimator applied to gamma.
+    """
+    gamma = gamma_profile(g, table.noise, design.points)
     sample = RegressionSample(design=design, responses=gamma)
     return estimate_g(sample, x, table).values
 
 
 def oracle_variance(
-    g, noise: NoiseModel, sigma2: float, design: Design, x, table: KernelTable
+    g, sigma2: float, design: Design, x, table: KernelTable
 ) -> np.ndarray:
     """Exact Var[ghat(x;h)] = sum_j (weight_j/h)^2 nu^2(w_j) K(...)^2.
 
-    h is the table's bandwidth.
+    h and the error law are the table's.
     """
-    nu2 = nu2_profile(g, noise, sigma2, design.points)
+    nu2 = nu2_profile(g, table.noise, sigma2, design.points)
     km = table.matrix(x, design.points)
     return (km**2 * (design.weights / table.h) ** 2) @ nu2

@@ -3,7 +3,9 @@
 Each law exposes its characteristic function, its Lebesgue density, a
 sampler, and the polynomial-decay envelope constants used by the
 deconvolution machinery: c_lower * (1+t^2)^(-beta/2) <= |charfn(t)| <=
-c_upper * (1+t^2)^(-beta/2).
+c_upper * (1+t^2)^(-beta/2).  ``ripple`` is the highest frequency at
+which 1/charfn oscillates, which sets how finely a quadrature over t
+must sample it.
 """
 from __future__ import annotations
 
@@ -46,6 +48,10 @@ class Laplace:
     @property
     def c_upper(self) -> float:
         return max(self.a**2, 1.0)
+
+    @property
+    def ripple(self) -> float:
+        return 0.0
 
     def charfn(self, t):
         t = np.asarray(t, dtype=float)
@@ -99,6 +105,19 @@ class LaplaceMixture:
     def c_upper(self) -> float:
         return max(self.a**2, 1.0)
 
+    @property
+    def ripple(self) -> float:
+        """Highest harmonic k mu of 1/charfn above 1e-10 of its mean.
+
+        1/(1 - lam + lam cos(mu t)) has harmonics at k mu of relative size
+        2 rho^k, rho = (1 - sqrt(1 - alpha^2))/alpha, alpha = lam/(1 - lam).
+        """
+        alpha = self.lam / (1.0 - self.lam)
+        if alpha == 0.0 or self.mu == 0.0:
+            return 0.0
+        rho = (1.0 - math.sqrt(1.0 - alpha**2)) / alpha
+        return self.mu * math.ceil(math.log(5e-11) / math.log(rho))
+
     def charfn(self, t):
         t = np.asarray(t, dtype=float)
         return (1.0 - self.lam + self.lam * np.cos(self.mu * t)) / (
@@ -138,6 +157,10 @@ class NoError:
 
     @property
     def sd(self) -> float:
+        return 0.0
+
+    @property
+    def ripple(self) -> float:
         return 0.0
 
     def charfn(self, t):

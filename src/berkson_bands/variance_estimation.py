@@ -6,7 +6,8 @@ differences; estimate_nu smooths the pseudo squared residuals
 (Y_{j+1}-Y_j)^2/2 with a Nadaraya-Watson/Epanechnikov local average and
 floors the result away from zero, as the band construction requires.
 The band's difference-based local variance uses the same pieces:
-midpoints, pseudo_residuals, smoothing_bandwidth and smoothing_weights.
+midpoints, pseudo_residuals, smoothing_bandwidth, smoothing_weights and
+shortest_interval.
 """
 from __future__ import annotations
 
@@ -36,6 +37,18 @@ def smoothing_bandwidth(interval: tuple[float, float], size: int) -> float:
     return max((b - a), 1e-12) * size ** (-0.2)
 
 
+def shortest_interval(mids: np.ndarray, x, size: int) -> float:
+    """Interval length that leaves no smoothing window around ``x`` empty.
+
+    The window around x holds a midpoint once h_v = length * size^(-1/5)
+    (smoothing_bandwidth) exceeds the distance from x to its nearest
+    midpoint, so any length above the returned one works.
+    """
+    i = np.clip(np.searchsorted(mids, x), 1, len(mids) - 1)
+    gap = np.minimum(np.abs(x - mids[i - 1]), np.abs(mids[i] - x))
+    return float(np.max(gap)) * size**0.2
+
+
 def smoothing_weights(mids: np.ndarray, x, h_v: float):
     """Epanechnikov weights of ``mids`` around each x, and their row sums.
 
@@ -47,8 +60,7 @@ def smoothing_weights(mids: np.ndarray, x, h_v: float):
     empty = int(np.count_nonzero(sums <= 0.0))
     if empty:
         raise ValueError(
-            f"empty smoothing window at {empty} of {len(sums)} evaluation "
-            f"points; increase h_v (currently {h_v:.4g})"
+            f"empty smoothing window at {empty} of {len(sums)} evaluation points"
         )
     return wts, sums
 

@@ -1,6 +1,8 @@
 """Shared frozen objects: reference error laws, tapers, and a table helper."""
 from __future__ import annotations
 
+import functools
+
 from berkson_bands import TaperSpec, kernel_table, laplace_from_sd, make_noise
 
 A_N = 2.0 / 3.0
@@ -11,6 +13,16 @@ LAP01 = laplace_from_sd(0.1)
 MIX = make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3)
 
 
+@functools.cache
+def _table(span, h, noise, spec):
+    return kernel_table(h, noise, spec, span=span)
+
+
 def table_for(design, h, noise, spec):
-    """Kernel table wide enough to reach every design point at bandwidth h."""
-    return kernel_table(h, noise, spec, span=design.kernel_span(h))
+    """Kernel table wide enough to reach every design point at bandwidth h.
+
+    Tables are kept for the whole test run, keyed by (span, h, law,
+    taper), so tables that kernel_table's bounded cache evicts are not
+    built again by later tests.
+    """
+    return _table(design.kernel_span(h), h, noise, spec)

@@ -139,7 +139,7 @@ def test_criterion_5_variance_sandwich(capsys):
     hi = 2.0 / (noise.c_lower * math.pi)
     scaled = []
     for x in (0.0, 0.3, 0.6):
-        var = float(oracle_variance(g_a, noise, 0.01, design, x, table)[0])
+        var = float(oracle_variance(g_a, 0.01, design, x, table)[0])
         nu2 = oracle_nu2(g_a, noise, 0.01, x)
         scaled.append(n * a_n * h ** (1 + 2 * noise.beta) * var / nu2)
     ok = all(lo <= j <= hi for j in scaled)
@@ -155,7 +155,7 @@ def test_criterion_6_smoothing_bias_decay(capsys):
     sups = []
     for h in (0.4, 0.2, 0.1):
         table = table_for(design, h, LAP01, TAPER_S)
-        vals = oracle_mean(g_a, LAP01, design, xs, table)
+        vals = oracle_mean(g_a, design, xs, table)
         sups.append(float(np.max(np.abs(vals - g_a(xs)))))
     ok = sups[0] > sups[1] > sups[2]
     shown = " > ".join(f"{s:.5f}" for s in sups)

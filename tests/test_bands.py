@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -296,9 +297,16 @@ def test_too_short_interval_raises_instead_of_a_zero_variance_band():
     sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
     short = BandRequest(interval=(0.09, 0.11), h=sc.h)
     with pytest.raises(ValueError,
-                       match=r"interval \[0.09, 0.11\].*empty smoothing window"):
+                       match=r"interval \[0.09, 0.11\].*empty smoothing window"
+                       ) as err:
         build_band(sample, short, sc.noise())
-    res = build_band(sample, replace(short, interval=(0.08, 0.12)), sc.noise())
+    message = str(err.value)
+    assert "h_v" not in message
+    length = float(re.search(r"longer than ([0-9.e+-]+)$", message).group(1))
+    assert 0.02 < length < 0.04
+    half = 0.5 * 1.001 * length
+    res = build_band(sample, replace(short, interval=(0.1 - half, 0.1 + half)),
+                     sc.noise())
     assert np.all(res.nuhat > 1e-8)
 
 

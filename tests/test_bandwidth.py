@@ -11,14 +11,16 @@ from berkson_bands import (
     RegressionSample,
     build_regular,
     default_lepski_config,
+    estimate_g,
     g_a,
     lepski_select,
+    make_eval_grid,
     preset_h,
     undersmooth,
 )
 from berkson_bands.bandwidth import TABLE_PRESETS
 
-from conftest import A_N, LAP01, TAPER_S
+from conftest import A_N, LAP01, TAPER_S, table_for
 
 
 def noisy_sample(n, seed):
@@ -77,6 +79,40 @@ def test_selection_requires_containment_at_coarsest_bandwidth():
     cfg = default_lepski_config(200, LAP01.beta)
     with pytest.raises(ValueError, match="exceeds the identifiable range"):
         lepski_select(s, cfg, LAP01, TAPER_S, (-1.2, 1.2))
+
+
+@pytest.mark.parametrize("c_l", [1.0, 0.02])
+def test_selection_agrees_with_the_table_route(c_l):
+    s = noisy_sample(200, seed=0)
+    d = s.design
+    base = default_lepski_config(200, LAP01.beta)
+    cfg = LepskiConfig(k_l=base.k_l, k_u=base.k_u, C_L=c_l)
+    interval = (-0.7, 0.6)
+    res = lepski_select(s, cfg, LAP01, TAPER_S, interval)
+    ests = {}
+
+    def table_dev(k, l):
+        for j in (k, l):
+            if (j, l) not in ests:
+                grid = make_eval_grid(interval, d.n, A_N, 2.0 ** -l).points
+                table = table_for(d, 2.0 ** -j, LAP01, TAPER_S)
+                ests[j, l] = estimate_g(s, grid, table).values
+        return float(np.max(np.abs(ests[k, l] - ests[l, l])))
+
+    for k, l, dev, _ in res.deviations:
+        assert abs(dev - table_dev(k, l)) <= 1e-6 * table_dev(k, l)
+
+    def tau(l):
+        h_l = 2.0 ** -l
+        return c_l * math.sqrt(
+            math.log(200) / (200 * A_N * h_l ** (1 + 2 * LAP01.beta)))
+
+    ks = range(cfg.k_l, cfg.k_u + 1)
+    table_k = next((k for k in ks if all(table_dev(k, l) <= tau(l)
+                                         for l in range(k, cfg.k_u + 1))),
+                   cfg.k_u)
+    assert res.k == table_k
+    assert res.k == (1 if c_l == 1.0 else 2)
 
 
 @pytest.mark.slow

@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from berkson_bands import RegressionSample, build_regular, g_a, save_sample
+from berkson_bands import (RegressionSample, build_regular, default_taper,
+                           estimate_g, g_a, load_sample, save_sample)
 from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
-from conftest import A_N, LAP01
+from conftest import A_N, LAP01, table_for
 
 pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
 
@@ -37,6 +38,11 @@ def test_estimate_writes_curve(data_csv, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,ghat"
     assert len(lines) > 100
+    # the CLI's spectral operator against the table route on the same grid
+    x, ghat = np.loadtxt(out, delimiter=",", skiprows=1).T
+    sample = load_sample(data_csv, A_N)
+    table = table_for(sample.design, 0.25, LAP01, default_taper(LAP01))
+    assert np.max(np.abs(ghat - estimate_g(sample, x, table).values)) < 1e-6
 
 
 def test_band_writes_csv_and_sidecar(data_csv, tmp_path):

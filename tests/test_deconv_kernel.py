@@ -1,4 +1,5 @@
-"""Deconvolution kernel: taper shapes, table accuracy, norm and tail bounds."""
+"""Deconvolution kernel: taper shapes, table and spectral operator accuracy,
+norm and tail bounds."""
 from __future__ import annotations
 
 import math
@@ -8,6 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, kernel_table, phi_k
+from berkson_bands.deconv_kernel import fourier_sums, spectral_kernels
 
 from conftest import LAP01, MIX, SMOOTH, TAPER_S, TAPER_W
 
@@ -67,6 +69,39 @@ def test_table_matches_direct_quadrature(noise, spec, h):
     err = max(abs(kernel_eval(float(u), h, noise, spec) - float(tab(u)))
               for u in args)
     assert err < 1e-6
+
+
+@pytest.mark.parametrize("noise,spec", [(LAP01, TAPER_S), (MIX, TAPER_W)],
+                         ids=["laplace", "mixture"])
+@pytest.mark.parametrize("h", [1 / 2, 1 / 16, 1 / 64])
+def test_spectral_operator_matches_direct_quadrature(noise, spec, h):
+    # one design point at 0 with coefficient 1: the kernel sum at x is K(-x/h)
+    x = np.linspace(-7.2, 7.2, 25) * h
+    (op,) = spectral_kernels([h], noise, spec, 7.2 * h)
+    got = op.kernel_sum(x, np.zeros(1), np.ones(1))
+    want = np.array([kernel_eval(float(-v / h), h, noise, spec) for v in x])
+    assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+def test_spectral_operator_shares_nodes_across_bandwidths():
+    hs = [2.0 ** -k for k in range(1, 7)]
+    ops = spectral_kernels(hs, MIX, TAPER_W, 2.2)
+    for op, h in zip(ops, hs):
+        assert op.h == h
+        assert TAPER_W.cutoff / (2 * h) < op.omega[-1] < TAPER_W.cutoff / h
+        assert np.array_equal(op.omega, ops[-1].omega[: op.omega.size])
+    with pytest.raises(ValueError, match="uniform grid"):
+        ops[0].kernel_sum(np.array([0.0, 0.1, 0.3]), np.zeros(1), np.ones(1))
+
+
+def test_fourier_sums_match_direct_evaluation():
+    rng = np.random.default_rng(3)
+    omega = np.sort(rng.uniform(0.0, 50.0, 40))
+    coeffs = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    for m in (1, 2, 7, 101):
+        x = np.linspace(-0.7, 0.6, m)
+        direct = np.real(np.exp(-1j * np.outer(x, omega)) @ coeffs)
+        assert np.max(np.abs(fourier_sums(x, omega, coeffs) - direct)) < 1e-12
 
 
 def test_kernel_eval_is_symmetric():

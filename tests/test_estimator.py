@@ -9,7 +9,6 @@ from berkson_bands import (
     RegressionSample,
     build_regular,
     estimate_g,
-    estimate_g_fourier,
     g_a,
     gamma_profile,
     nu2_profile,
@@ -18,6 +17,7 @@ from berkson_bands import (
     oracle_nu2,
     oracle_variance,
 )
+from berkson_bands.deconv_kernel import spectral_kernels
 
 from conftest import A_N, LAP01, TAPER_S, table_for
 
@@ -53,15 +53,16 @@ def test_estimator_recovers_signal_from_smooth_profile():
     assert e1500 < e750
 
 
-def test_fourier_route_matches_direct_summation():
+def test_spectral_route_matches_direct_summation():
     d200 = build_regular(200, A_N)
     s200 = RegressionSample(
         design=d200, responses=np.random.default_rng(7).standard_normal(d200.size))
     grid = np.linspace(-0.7, 0.6, 161)
     t25 = table_for(d200, 0.25, LAP01, TAPER_S)
     direct = estimate_g(s200, grid, t25).values
-    fourier = estimate_g_fourier(s200, 0.25, grid, LAP01, TAPER_S).values
-    assert np.max(np.abs(direct - fourier)) < 1e-6
+    (op,) = spectral_kernels([0.25], LAP01, TAPER_S, d200.reach((-0.7, 0.6)))
+    spectral = estimate_g(s200, grid, op).values
+    assert np.max(np.abs(direct - spectral)) < 1e-6
 
 
 def test_estimator_is_linear_in_responses():
@@ -87,7 +88,7 @@ def test_oracle_mean_equals_estimate_on_expected_responses():
     s = RegressionSample(design=d200,
                          responses=gamma_profile(g_a, LAP01, d200.points))
     direct = estimate_g(s, grid, t25).values
-    oracle = oracle_mean(g_a, LAP01, d200, grid, t25)
+    oracle = oracle_mean(g_a, d200, grid, t25)
     assert np.max(np.abs(direct - oracle)) < 1e-12
 
 
@@ -98,9 +99,21 @@ def test_error_free_bias_shrinks_with_bandwidth():
     for h in (0.4, 0.2, 0.1):
         tab = table_for(d4k, h, NoError(), TAPER_S)
         errs.append(float(np.max(np.abs(
-            oracle_mean(g_a, NoError(), d4k, xs, tab) - g_a(xs)))))
+            oracle_mean(g_a, d4k, xs, tab) - g_a(xs)))))
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-3
+
+
+def test_oracles_read_the_error_law_from_the_table():
+    d200 = build_regular(200, A_N)
+    x = np.array([0.0, 0.3])
+    free = table_for(d200, 0.25, NoError(), TAPER_S)
+    coefs = d200.weights * free.matrix(x, d200.points) / 0.25
+    # without covariate noise nu^2 is sigma^2 and gamma is g
+    assert np.allclose(oracle_variance(g_a, 0.01, d200, x, free),
+                       0.01 * np.sum(coefs**2, axis=1), rtol=1e-12, atol=0)
+    assert np.allclose(oracle_mean(g_a, d200, x, free), coefs @ g_a(d200.points),
+                       rtol=1e-12, atol=1e-14)
 
 
 def test_variance_oracle_matches_monte_carlo():
@@ -114,6 +127,5 @@ def test_variance_oracle_matches_monte_carlo():
     eps = 0.1 * rng.standard_normal((reps, d200.size))
     responses = g_a(d200.points[None, :] + delta) + eps
     mc = float(np.var(responses @ coefs, ddof=1))
-    oracle = float(oracle_variance(g_a, LAP01, 0.01, d200,
-                                   np.array([0.0]), t25)[0])
+    oracle = float(oracle_variance(g_a, 0.01, d200, np.array([0.0]), t25)[0])
     assert abs(mc / oracle - 1.0) < 0.10
