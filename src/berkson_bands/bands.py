@@ -13,6 +13,13 @@ acting on a pilot estimate of the regression, recentred by the
 estimator's own spurious-variation term, floored by a fraction of a
 difference-based local estimate, and smoothed with the squared kernel
 weights so its shape matches what the supremum actually feels.
+
+Every kernel matrix a band needs, between the grid, the pilot points or
+the design points and the design points, is held as low-rank factors
+from the spectral kernel operator (deconv_kernel.SpectralKernel.factors
+and squared_kernel): left @ basis.T, with basis on the design side.  A
+multiplier draw then costs (design + grid) x rank instead of design x
+grid, and no band builds a kernel table or a dense kernel matrix.
 """
 from __future__ import annotations
 
@@ -27,7 +34,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .deconv_kernel import TaperSpec, kernel_table
+from .deconv_kernel import TaperSpec, spectral_kernels, squared_kernel
 from .design import (Design, RegressionSample, build_split,
                      check_identifiable, default_b_n, identifiable_range,
                      ordered_interval, write_columns)
@@ -159,40 +166,64 @@ def quantile(sups, level: float) -> float:
     return float(sups[min(int(math.ceil(m * level)), m) - 1])
 
 
-def _sup_batch(core_t: np.ndarray, nu_g: np.ndarray, coef: float, draws: int,
-               root_seed: int) -> np.ndarray:
-    """Supremum draws of |coef * sum_j Z_j core_t[j, x]| / nu_g(x) over x.
+def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
+               coef: float, draws: int, root_seed: int) -> np.ndarray:
+    """Supremum draws of |coef * sum_j Z_j (core_t @ grid_t)[j, x]| / nu_g(x).
 
     Row j of ``core_t`` belongs to design point j; a point left out of
-    the process has a zero row, so every point keeps its own Z_j.  All
-    draws come from one generator seeded with SeedSequence(root_seed), so
-    different seeds give independent streams.
+    the process has a zero row, so every point keeps its own Z_j.  The
+    process goes through the rank of the factors, so a draw costs
+    (design + grid) x rank, not design x grid.  All draws come from one
+    generator seeded with SeedSequence(root_seed), so different seeds
+    give independent streams.
     """
     z = np.random.default_rng(root_seed).standard_normal((draws, core_t.shape[0]))
-    return np.max(np.abs(coef * (z @ core_t)) / nu_g[None, :], axis=1)
+    return np.max(np.abs(coef * ((z @ core_t) @ grid_t)) / nu_g[None, :], axis=1)
 
 
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-# Workspaces kept in memory; one holds 141 MB at n = 750.
+# Workspaces kept in memory; one holds 55 MB at n = 750: 29 MB of
+# local-variance smoothing weights, 15 MB of pilot read positions and
+# 11 MB of kernel factors.
 _WS_KEEP = 3
 
 
 @dataclass
 class _Workspace:
+    """Kernel factors and read positions of one band geometry.
+
+    Each kernel matrix is a product left @ basis.T with basis on the
+    design side (orthonormal columns) and left on the evaluation side:
+    K((w_j - x)/h) is kg @ basis.T on the grid and ke @ basis.T on xe;
+    K^2 is k2g and k2w (design rows) times basis2.T; the squared taper
+    kernel between design points is kt2w @ basis_t.T.  The pilot spline
+    is read at w_j + delta_d, clipped to xe's range, in the cell ``cell``
+    at ``offset`` past its left end, and fwt holds the trapezoid weights
+    times the error density over delta.  The pilot variance enters only
+    through its error-law moment, which is linear in the data: spur @ u
+    is that moment of the spline through (K^2 on xe) @ basis2 @ u.  An
+    error-free law has no pilot variance term, and the fields only it
+    needs (spur, basis_t, kt2w, cell, offset, fwt) are None.
+    """
+
     eg: EvalGrid
+    basis: np.ndarray
     kg: np.ndarray
     ke: np.ndarray
-    k2w: np.ndarray
-    k2sw: np.ndarray
+    basis2: np.ndarray
     k2g: np.ndarray
+    k2w: np.ndarray
+    spur: np.ndarray | None
     k2sg: np.ndarray
-    kfw2_w2: np.ndarray
+    k2sw: np.ndarray
+    basis_t: np.ndarray | None
+    kt2w: np.ndarray | None
     xe: np.ndarray
-    wd: np.ndarray | None
-    fw: np.ndarray | None
-    dgrid: np.ndarray | None
+    cell: np.ndarray | None
+    offset: np.ndarray | None
+    fwt: np.ndarray | None
     wt_e: np.ndarray
     sw_e: np.ndarray
     wt_w: np.ndarray
@@ -220,29 +251,34 @@ def _workspace(
 ) -> _Workspace:
     n, a_n = design.n, design.a_n
     w = design.points
-    span = design.kernel_span(h)
-    table = kernel_table(h, noise, spec, span=span)
-    taper_table = kernel_table(h, NoError(), spec, span=span)
     eg = make_eval_grid(interval, n, a_n, h, refine)
-    kg = table.matrix(eg.points, w)
     clamp_lo, clamp_hi = identifiable_range(a_n, _CLAMP_FACTOR * h)
     if clamp_lo >= clamp_hi:
         raise ValueError(f"bandwidth h={h} too large for the design span")
     xe = np.linspace(clamp_lo, clamp_hi, _XE_POINTS)
-    ke = table.matrix(xe, w)
-    k2w = table.matrix(w, w) ** 2
-    k2sw = np.maximum(k2w.sum(axis=1), 1e-300)
-    k2g = kg**2
-    k2sg = np.maximum(k2g.sum(axis=1), 1e-300)
-    kfw2_w2 = taper_table.matrix(w, w) ** 2 * (design.weights**2)[None, :]
+    # every evaluation point lies in the design span
+    reach = float(w[-1] - w[0])
+    (kernel,) = spectral_kernels([h], noise, spec, reach)
+    basis, (kg, ke) = kernel.factors(w, eg.points, xe)
+    basis2, (k2g, k2e, k2w) = squared_kernel(h, noise, spec, reach).factors(
+        w, eg.points, xe, w)
+    ones = basis2.T @ np.ones(design.size)
+    k2sg = np.maximum(k2g @ ones, 1e-300)
+    k2sw = np.maximum(k2w @ ones, 1e-300)
 
     dgrid = _noise_delta_grid(noise)
     if dgrid is None:
-        wd = fw = None
+        cell = offset = fwt = spur = basis_t = kt2w = None
     else:
         fw = noise.density(dgrid)
         fw = fw / np.trapezoid(fw, dgrid)
+        step = np.diff(dgrid)
+        fwt = fw * 0.5 * (np.append(step, 0.0) + np.insert(step, 0, 0.0))
         wd = np.clip(w[:, None] + dgrid[None, :], clamp_lo, clamp_hi)
+        cell = np.clip(np.searchsorted(xe, wd, side="right") - 1, 0, xe.size - 2)
+        offset = wd - xe[cell]
+        spur = _spline_moments(xe, k2e, cell, offset, fwt)
+        basis_t, (kt2w,) = squared_kernel(h, NoError(), spec, reach).factors(w, w)
 
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
@@ -259,23 +295,41 @@ def _workspace(
         ) from None
 
     return _Workspace(
-        eg=eg,
-        kg=kg,
-        ke=ke,
-        k2w=k2w,
-        k2sw=k2sw,
-        k2g=k2g,
-        k2sg=k2sg,
-        kfw2_w2=kfw2_w2,
-        xe=xe,
-        wd=wd,
-        fw=fw,
-        dgrid=dgrid,
-        wt_e=wt_e,
-        sw_e=sw_e,
-        wt_w=wt_w,
+        eg=eg, basis=basis, kg=kg, ke=ke, basis2=basis2, k2g=k2g, k2w=k2w,
+        spur=spur, k2sg=k2sg, k2sw=k2sw, basis_t=basis_t, kt2w=kt2w, xe=xe,
+        cell=cell, offset=offset, fwt=fwt, wt_e=wt_e, sw_e=sw_e, wt_w=wt_w,
         sw_w=sw_w,
     )
+
+
+def _spline_moments(xe, columns, cell, offset, fwt) -> np.ndarray:
+    """sum_d fwt_d s_k(w_j + delta_d) for s_k the CubicSpline through
+    column k of ``columns`` at xe, as a design x column matrix.
+
+    The read points are given by ``cell`` and ``offset`` as in
+    _Workspace.  The weight of each cell's power of the offset is
+    accumulated per design point, so no read point is evaluated.
+    """
+    rows, cells = cell.shape[0], xe.size - 1
+    flat = (np.arange(rows)[:, None] * cells + cell).ravel()
+    weight = np.broadcast_to(fwt, cell.shape)
+    out = np.zeros((rows, columns.shape[1]))
+    for c in CubicSpline(xe, columns).c[::-1]:  # constant term first
+        per_cell = np.bincount(flat, weight.ravel(), minlength=rows * cells)
+        out += per_cell.reshape(rows, cells) @ c
+        weight = weight * offset
+    return out
+
+
+def _spline_read(coef: np.ndarray, cell: np.ndarray, offset: np.ndarray):
+    """Piecewise cubic with coefficients ``coef`` (4 x cells, highest power
+    first, as CubicSpline.c) at ``offset`` past the left end of ``cell``,
+    by Horner's rule."""
+    out = coef[0][cell]
+    for c in coef[1:]:
+        out *= offset
+        out += c[cell]
+    return out
 
 
 def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
@@ -285,9 +339,9 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     of the pilot regression under the error law, debiased by the pilot's
     own sampling variation (spur1 - spur2); a global noise floor s2min
     taken over the full pilot range; the v_nw fraction floor; and squared
-    kernel weight smoothing with a sigma^2/4 floor.
+    kernel weight smoothing with a sigma^2/4 floor.  The moments over the
+    error law are trapezoid sums, weights fwt.
     """
-    w = sample.design.points
     wts = sample.design.weights
     y = sample.responses
     r = pseudo_residuals(y)
@@ -296,26 +350,24 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     s2min = float(np.min(v_nw_e))
     sc2 = float(np.mean(r))
 
-    if ws.wd is None:
-        vmod = np.zeros(len(w))
+    if ws.fwt is None:
+        vmod = np.zeros(sample.design.size)
     else:
-        ge = ws.ke @ (wts * y) / h
-        avar = (ws.ke**2) @ (wts**2 * v_nw_w) / h**2
-        # one spline through both pilot curves, read at the same points
-        both = CubicSpline(ws.xe, np.column_stack((ge, avar)))(ws.wd)
-        gw = both[..., 0]
-        m1 = np.trapezoid(gw * ws.fw, ws.dgrid, axis=1)
-        m2 = np.trapezoid(gw**2 * ws.fw, ws.dgrid, axis=1)
+        ge = ws.ke @ (ws.basis.T @ (wts * y)) / h
+        gw = _spline_read(CubicSpline(ws.xe, ge).c, ws.cell, ws.offset)
+        m1 = gw @ ws.fwt
+        m2 = (gw * gw) @ ws.fwt
         vm = np.maximum(m2 - m1**2, 0.0)
-        spur1 = np.trapezoid(both[..., 1] * ws.fw, ws.dgrid, axis=1)
-        spur2 = ws.kfw2_w2 @ v_nw_w / h**2
+        spur1 = ws.spur @ (ws.basis2.T @ (wts**2 * v_nw_w)) / h**2
+        spur2 = ws.kt2w @ (ws.basis_t.T @ (wts**2 * v_nw_w)) / h**2
         vmod = np.maximum(vm - np.maximum(spur1 - spur2, 0.0), 0.0)
 
     vw = np.maximum(vmod + s2min, _NW_FLOOR_FRAC * v_nw_w)
     # the absolute floor keeps constant responses from giving 0/0
     floor2 = max(sc2 / 4.0, 1e-16)
-    nu_w = np.sqrt(np.maximum((ws.k2w @ vw) / ws.k2sw, floor2))
-    nu_g = np.sqrt(np.maximum((ws.k2g @ vw) / ws.k2sg, floor2))
+    smooth = ws.basis2.T @ vw
+    nu_w = np.sqrt(np.maximum((ws.k2w @ smooth) / ws.k2sw, floor2))
+    nu_g = np.sqrt(np.maximum((ws.k2g @ smooth) / ws.k2sg, floor2))
     return nu_w, nu_g
 
 
@@ -334,12 +386,13 @@ def _assemble(
     request: BandRequest,
     beta: float,
     eg: EvalGrid,
-    km: np.ndarray,
+    kg: np.ndarray,
+    basis: np.ndarray,
     est_w: np.ndarray,
     mult_w: np.ndarray,
     nu_g: np.ndarray,
 ) -> BandResult:
-    """Band from the grid x design kernel matrix ``km``.
+    """Band from the kernel factors K((w_j - x_i)/h) = (kg @ basis.T)[i, j].
 
     ghat sums the responses with the estimator weights ``est_w``; the
     multiplier process weights design point j by ``mult_w[j]`` (its
@@ -347,10 +400,10 @@ def _assemble(
     """
     design = sample.design
     n, a_n, h = design.n, design.a_n, request.h
-    ghat = km @ (est_w * sample.responses) / h
+    ghat = kg @ (basis.T @ (est_w * sample.responses)) / h
     coef = h**beta / math.sqrt(n * a_n * h)
-    core = km * (mult_w * n * a_n)[None, :]
-    sups = _sup_batch(core.T, nu_g, coef, request.draws, request.seed)
+    core_t = basis * (mult_w * n * a_n)[:, None]
+    sups = _sup_batch(core_t, kg.T, nu_g, coef, request.draws, request.seed)
     q = quantile(sups, 1.0 - request.alpha)
     denom = math.sqrt(n * a_n) * h ** (0.5 + beta)
     half = q * nu_g / denom
@@ -387,7 +440,7 @@ def build_band(
     _assumption_check(design.n, design.a_n, request.h, noise.beta)
     ws = _workspace(design, noise, spec, request.h, request.interval, grid_refine)
     nu_w, nu_g = _band_variance_field(sample, ws, request.h)
-    return _assemble(sample, request, noise.beta, ws.eg, ws.kg,
+    return _assemble(sample, request, noise.beta, ws.eg, ws.kg, ws.basis,
                      design.weights, design.weights * nu_w, nu_g)
 
 
@@ -424,14 +477,15 @@ def build_band_extension(
     )
     eg = make_eval_grid(request.interval, n, a_n, h)
     w = design.points
-    km = kernel_table(h, noise, spec, span=design.kernel_span(h)).matrix(eg.points, w)
+    (kernel,) = spectral_kernels([h], noise, spec, design.reach(request.interval))
+    basis, (kg,) = kernel.factors(w, eg.points)
 
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights
     carry = sd.kept[np.abs(sd.kept) <= int(n * b_n)] + n
     mult_w = np.zeros(design.size)
     mult_w[carry] = est_w[carry] * nu_curve(w[carry])
-    return _assemble(sample, request, noise.beta, eg, km, est_w, mult_w,
+    return _assemble(sample, request, noise.beta, eg, kg, basis, est_w, mult_w,
                      nu_curve(eg.points))
 
 

@@ -12,13 +12,18 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .bands import (
     BandRequest,
+    _assemble,
+    _band_variance_field,
+    _spline_moments,
     _sup_batch,
+    _workspace,
     build_band,
     build_band_extension,
     default_taper,
@@ -30,7 +35,7 @@ from .deconv_kernel import (TaperSpec, kernel_eval, kernel_table,
                             spectral_kernels)
 from .design import RegressionSample, build_regular, load_sample, write_columns
 from .estimator import estimate_g
-from .noise_models import Laplace, LaplaceMixture, make_noise
+from .noise_models import Laplace, LaplaceMixture, NoError, make_noise
 from .simulation import (
     SCENARIOS,
     export_report,
@@ -128,15 +133,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
+    """Worker cap from --threads, else env BB_THREADS, else 1; at least 1."""
+    if args.threads is not None:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+        return args.threads
     env = os.environ.get("BB_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"BB_THREADS must be an integer, got {env!r}") from exc
-    return 1
+    if not env:
+        return 1
+    try:
+        value = int(env)
+    except ValueError as exc:
+        raise ConfigError(f"BB_THREADS must be an integer, got {env!r}") from exc
+    if value < 1:
+        raise ConfigError(f"BB_THREADS must be at least 1, got {env!r}")
+    return value
 
 
 def _noise_from(args: argparse.Namespace):
@@ -416,10 +427,42 @@ def _selftest_checks() -> list[dict]:
         kvec = table.matrix(x0, design.points)[0]
         target = coef**2 * float(kvec @ kvec)
         # the band's draw engine at one point with nu = 1: sup = |process|
-        sups = _sup_batch(kvec[:, None], np.ones(1), coef, 8000, 7)
+        sups = _sup_batch(kvec[:, None], np.ones((1, 1)), np.ones(1), coef,
+                          8000, 7)
         worst = max(worst, abs(float(np.mean(sups**2)) / target - 1.0))
     record("multiplier process variance", worst, 0.05)
+
+    request = BandRequest(interval=interval, h=h, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the regime warning
+        band = build_band(sample, request, noise, taper=spec)
+    record("factored vs dense band",
+           _dense_band_error(sample, request, noise, spec, table, band), 1e-9)
     return checks
+
+
+def _dense_band_error(sample, request, noise, spec, table, band) -> float:
+    """Largest relative gap between ``band`` and the band assembled from
+    dense kernel-table matrices in place of the workspace's factors."""
+    design, h = sample.design, request.h
+    w, eye = design.points, np.eye(design.size)
+    ws = _workspace(design, noise, spec, h, request.interval, 1)
+    kg, ke, kw = (table.matrix(x, w) for x in (ws.eg.points, ws.xe, w))
+    taper = kernel_table(h, NoError(), spec, span=design.kernel_span(h))
+    dense = dataclasses.replace(
+        ws, basis=eye, kg=kg, ke=ke, basis2=eye, k2g=kg**2, k2w=kw**2,
+        spur=_spline_moments(ws.xe, ke**2, ws.cell, ws.offset, ws.fwt),
+        k2sg=np.maximum((kg**2).sum(axis=1), 1e-300),
+        k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,
+        kt2w=taper.matrix(w, w) ** 2)
+    nu_w, nu_g = _band_variance_field(sample, dense, h)
+    ref = _assemble(sample, request, noise.beta, ws.eg, kg, eye,
+                    design.weights, design.weights * nu_w, nu_g)
+    return max(
+        float(np.max(np.abs(np.subtract(getattr(band, f), getattr(ref, f))))
+              / np.max(np.abs(getattr(ref, f))))
+        for f in ("ghat", "nuhat", "quantile", "lower", "upper")
+    )
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

@@ -7,13 +7,16 @@ Fourier transform undoes the Berkson smoothing up to that frequency.
 Three evaluation routes are provided:
 - an adaptive-quadrature reference (slow, per point);
 - a tabulation computed with one discrete Fourier transform plus cubic
-  interpolation (memoized), which the band uses.  The table owns the
-  scaled argument (w - x)/h: KernelTable.matrix gives the kernel matrix
-  between evaluation points and design points at the table's bandwidth;
-- a spectral operator, which the Lepski rule and the CLI's estimate
-  use.  The kernel is band-limited, so a kernel sum over the design is a
-  Gauss-Legendre sum over the frequency band [0, cutoff/h] of the data's
-  Fourier transform; it forms no table, spline or grid x design matrix.
+  interpolation (memoized), which the CLI's kernel-dump writes and the
+  tests use as a dense reference.  KernelTable.matrix gives the kernel
+  matrix between evaluation points and design points;
+- a spectral operator, which the Lepski rule, the CLI's estimate and the
+  bands use.  The kernel is band-limited, so a kernel sum over the design
+  is a Gauss-Legendre sum over the frequency band [0, cutoff/h] of the
+  data's Fourier transform, and a kernel matrix between two point sets
+  has low-rank factors (SpectralKernel.factors).  squared_kernel gives
+  the same operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  No
+  route of this kind forms a table, spline or grid x design matrix.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ from scipy.special import roots_legendre
 from .noise_models import NoiseModel, NoError
 
 __all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_eval",
-           "kernel_table", "spectral_kernels", "fourier_sums"]
+           "kernel_table", "spectral_kernels", "squared_kernel", "fourier_sums"]
 
 # Samples of the integrand on [0, cutoff] for the tabulation transform.
 # The integrand has vanishing one-sided derivatives at both endpoints, so
@@ -50,6 +53,15 @@ _BLOCK_ELEMS = 1 << 22
 # to 1/64, well inside the tables' 1e-7 interpolation budget.
 _NODES_PER_TURN = 3
 _PANEL_NODES = 24
+# Low-rank kernel factors: a fixed-seed randomized range finder takes
+# sketches of _SKETCH_COLUMNS columns and keeps the directions whose
+# singular value exceeds _RANK_TOL times the first sketch's largest.  At
+# 1e-13 the factors of K and K^2 on gb_n750_s05 match the uncompressed
+# products to 7e-14 of their largest entry; near 1e-15 rounding noise
+# would pass the test.
+_SKETCH_COLUMNS = 32
+_SKETCH_SEED = 0
+_RANK_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -275,6 +287,56 @@ class SpectralKernel:
         spectrum = self.factor * self.transform(points, coef)
         return fourier_sums(x, self.omega, spectrum[:, None])[:, 0]
 
+    def factors(self, points, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Low-rank factors of the kernel matrices from ``grids`` to ``points``.
+
+        Returns (basis, lefts): basis is len(points) x R with orthonormal
+        columns, and K((points_j - x_i)/h; h) = (lefts[k] @ basis.T)[i, j]
+        for x_i in grids[k].  The exact factors are [factor cos(omega x), factor
+        sin(omega x)] and [cos(omega w), sin(omega w)]; basis spans their
+        product's rows to _RANK_TOL (see _row_basis), so R is the
+        numerical rank, not the node count.
+        """
+        points = np.asarray(points, dtype=float)
+        x = np.concatenate([np.atleast_1d(np.asarray(g, dtype=float)) for g in grids])
+        phase = np.outer(x, self.omega)
+        left = np.hstack((self.factor * np.cos(phase), self.factor * np.sin(phase)))
+        phase = np.outer(points, self.omega)
+        right = np.hstack((np.cos(phase), np.sin(phase)))
+        basis = _row_basis(left, right)
+        left = left @ (right.T @ basis)
+        cuts = np.cumsum([np.size(g) for g in grids])[:-1]
+        return basis, np.split(left, cuts)
+
+
+def _row_basis(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the numerical row space of left @ right.T.
+
+    A randomized range finder (Halko, Martinsson & Tropp 2011): blocks
+    of Gaussian combinations of the rows, with a fixed seed, are
+    projected off the basis found so far; each block adds the directions
+    whose singular value exceeds _RANK_TOL times the first block's
+    largest, and the search stops at a block that adds none.  The
+    product is never formed.
+    """
+    rng = np.random.default_rng(_SKETCH_SEED)
+    limit = min(right.shape)
+    basis = np.empty((right.shape[0], 0))
+    scale = None
+    while basis.shape[1] < limit:
+        probe = rng.standard_normal((left.shape[0], _SKETCH_COLUMNS))
+        sketch = right @ (left.T @ probe)
+        sketch -= basis @ (basis.T @ sketch)
+        u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
+        if scale is None:
+            scale = sv[0]
+        u = u[:, sv > _RANK_TOL * scale][:, : limit - basis.shape[1]]
+        if not u.shape[1]:
+            break
+        u -= basis @ (basis.T @ u)  # second pass restores orthogonality
+        basis = np.hstack((basis, np.linalg.qr(u)[0]))
+    return basis
+
 
 def spectral_kernels(
     hs, noise: NoiseModel, spec: TaperSpec, reach: float
@@ -292,15 +354,80 @@ def spectral_kernels(
     reach + noise.ripple, so a panel [lo, hi] gets
     ceil(3 (hi - lo) rate / 2 pi) + 24 nodes.
     """
+    _check_arguments(hs, reach)
+    edges = sorted(
+        {0.0, *(spec.cutoff * f / h for h in hs for f in (spec.knot, 1.0))}
+    )
+    nodes, weights = _gauss_rule(edges, reach + noise.ripple)
+    ops = []
+    for h in hs:
+        keep = nodes < spec.cutoff / h
+        omega = nodes[keep]
+        factor = weights[keep] * _density(omega, h, noise, spec)
+        ops.append(
+            SpectralKernel(h=float(h), noise=noise, omega=omega, factor=factor)
+        )
+    return ops
+
+
+def squared_kernel(
+    h: float, noise: NoiseModel, spec: TaperSpec, reach: float
+) -> SpectralKernel:
+    """Spectral operator of K(.;h)^2, for |x - w| up to ``reach``.
+
+    With s the density of K (K(v/h; h) = int_0^C s(w) cos(w v) dw, where
+    C = cutoff/h), K^2 has the density G(nu) = 1/2 int s(|w|) s(|nu - w|)
+    dw over w in [nu - C, C] on the band [0, 2C]: the autoconvolution of
+    s extended evenly.  s loses smoothness at 0, +-knot C and +-C, so the
+    inner integral is split at those points of both factors and G at
+    their pairwise sums, which are the panel edges of the outer rule.
+    Inner panels are at most C long and get a Gauss-Legendre rule sized
+    like spectral_kernels' for the rate 2 ripple (the product of two
+    rippling factors); outer panels as in spectral_kernels.  The
+    operator matches the square of spectral_kernels' to about 1e-14
+    relative for both shipped error laws and no error.
+    """
+    _check_arguments([h], reach)
+    c = spec.cutoff / h
+    kinks = np.array([-1.0, -spec.knot, 0.0, spec.knot, 1.0]) * c
+    edges = sorted({float(a + b) for a in kinks for b in kinks if a + b >= 0.0})
+    nu, weights = _gauss_rule(edges, reach + noise.ripple)
+    # one rule on [-1, 1] serves every inner panel: length <= c, rate 2 ripple
+    t, q = _gauss_rule([-1.0, 1.0], noise.ripple * c)
+    density = np.empty(nu.size)
+    rows = max(1, _BLOCK_ELEMS // (2 * kinks.size * t.size))
+    for s in range(0, nu.size, rows):
+        v = nu[s : s + rows, None]
+        both = np.hstack((np.broadcast_to(kinks, (v.size, kinks.size)), v + kinks))
+        cuts = np.sort(np.clip(both, v - c, c), axis=1)
+        half = 0.5 * np.diff(cuts, axis=1)[..., None]
+        w = half * t + (cuts[:, :-1, None] + half)
+        f = (_density(np.abs(w), h, noise, spec)
+             * _density(np.abs(v[..., None] - w), h, noise, spec))
+        density[s : s + rows] = 0.5 * np.sum(half * q * f, axis=(1, 2))
+    return SpectralKernel(h=float(h), noise=noise, omega=nu, factor=weights * density)
+
+
+def _check_arguments(hs, reach: float) -> None:
     if not (math.isfinite(reach) and reach >= 0):
         raise ValueError(f"reach must be non-negative and finite, got {reach}")
     for h in hs:
         if not (math.isfinite(h) and h > 0):
             raise ValueError(f"bandwidth must be positive, got {h}")
-    rate = reach + noise.ripple
-    edges = sorted(
-        {0.0, *(spec.cutoff * f / h for h in hs for f in (spec.knot, 1.0))}
-    )
+
+
+def _density(omega, h: float, noise: NoiseModel, spec: TaperSpec):
+    """s(omega) = h phi_k(omega h) / (pi charfn(-omega)), the density of
+    K(v/h; h) = int_0^{cutoff/h} s(omega) cos(omega v) d omega."""
+    return h * phi_k(omega * h, spec) / (math.pi * noise.charfn(-omega))
+
+
+def _gauss_rule(edges, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between ``edges``.
+
+    A panel [lo, hi] gets ceil(3 (hi - lo) rate / 2 pi) + 24 nodes, for
+    an integrand oscillating at rates up to ``rate``.
+    """
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = _PANEL_NODES + math.ceil(
@@ -309,19 +436,7 @@ def spectral_kernels(
         x, q = roots_legendre(m)
         nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         weights.append(0.5 * (hi - lo) * q)
-    nodes, weights = np.concatenate(nodes), np.concatenate(weights)
-    ops = []
-    for h in hs:
-        keep = nodes < spec.cutoff / h
-        omega = nodes[keep]
-        factor = (
-            h * weights[keep] * phi_k(omega * h, spec)
-            / (math.pi * noise.charfn(-omega))
-        )
-        ops.append(
-            SpectralKernel(h=float(h), noise=noise, omega=omega, factor=factor)
-        )
-    return ops
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def fourier_sums(x, omega, coeffs) -> np.ndarray:

@@ -181,11 +181,11 @@ def _run_rep(scenario: Scenario, rep: int):
 def run_scenario(scenario: Scenario, workers: int | None = None) -> ScenarioReport:
     """Execute all reps and aggregate coverage and width.
 
-    ``workers`` > 1 distributes reps over a process pool with per-rep
-    derived seeds (results identical to the serial run).  Inner draw
-    parallelism is left to the BLAS layer.  A keyboard interrupt stops
-    the loop and returns the completed reps with the interrupted flag
-    set.
+    ``workers`` > 1 distributes reps over a pool of at most
+    min(workers, reps) processes with per-rep derived seeds (results
+    identical to the serial run).  Inner draw parallelism is left to the
+    BLAS layer.  A keyboard interrupt stops the loop and returns the
+    completed reps with the interrupted flag set.
     """
     start = time.perf_counter()
     records: list[RepRecord] = []
@@ -201,7 +201,7 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> ScenarioRepo
                 if extra is not None:
                     representative = extra
         else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, scenario.reps)) as pool:
                 for rec, spacing, extra in pool.map(
                     _run_rep, [scenario] * scenario.reps, reps
                 ):

@@ -14,15 +14,15 @@ MIX = make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3)
 
 
 @functools.cache
-def _table(span, h, noise, spec):
+def cached_table(h, noise, spec, span):
+    """kernel_table(h, noise, spec, span=span), kept for the whole test run.
+
+    Tables that kernel_table's bounded cache evicts are then not built
+    again by later tests.
+    """
     return kernel_table(h, noise, spec, span=span)
 
 
 def table_for(design, h, noise, spec):
-    """Kernel table wide enough to reach every design point at bandwidth h.
-
-    Tables are kept for the whole test run, keyed by (span, h, law,
-    taper), so tables that kernel_table's bounded cache evicts are not
-    built again by later tests.
-    """
-    return _table(design.kernel_span(h), h, noise, spec)
+    """Kernel table wide enough to reach every design point at bandwidth h."""
+    return cached_table(h, noise, spec, design.kernel_span(h))

@@ -1,0 +1,96 @@
+"""Dense reference band: every kernel matrix formed from kernel tables.
+
+This is the band construction written with dense grid x design and
+design x design kernel matrices, pilot curves read through CubicSpline
+and moments taken with np.trapezoid.  The package builds the same band
+from low-rank kernel factors; tests compare the two.
+"""
+from __future__ import annotations
+
+import functools
+import math
+
+import numpy as np
+from scipy.interpolate import CubicSpline
+
+from berkson_bands import NoError, make_eval_grid
+from berkson_bands.bands import (_CLAMP_FACTOR, _NW_FLOOR_FRAC, _XE_POINTS,
+                                 _noise_delta_grid, default_taper, quantile)
+from berkson_bands.design import identifiable_range
+from berkson_bands.variance_estimation import (midpoints, pseudo_residuals,
+                                               smoothing_bandwidth,
+                                               smoothing_weights)
+
+from conftest import table_for
+
+
+@functools.cache
+def _geometry(design, noise, spec, h, interval):
+    w = design.points
+    table = table_for(design, h, noise, spec)
+    taper = table_for(design, h, NoError(), spec)
+    grid = make_eval_grid(interval, design.n, design.a_n, h).points
+    lo, hi = identifiable_range(design.a_n, _CLAMP_FACTOR * h)
+    xe = np.linspace(lo, hi, _XE_POINTS)
+    dgrid = _noise_delta_grid(noise)
+    fw = wd = None
+    if dgrid is not None:
+        fw = noise.density(dgrid)
+        fw = fw / np.trapezoid(fw, dgrid)
+        wd = np.clip(w[:, None] + dgrid[None, :], lo, hi)
+    mids = midpoints(w)
+    hv = smoothing_bandwidth(interval, design.size)
+    return {
+        "grid": grid, "xe": xe, "dgrid": dgrid, "fw": fw, "wd": wd,
+        "kg": table.matrix(grid, w), "ke": table.matrix(xe, w),
+        "k2w": table.matrix(w, w) ** 2,
+        "kfw2_w2": taper.matrix(w, w) ** 2 * (design.weights**2)[None, :],
+        "smooth_e": smoothing_weights(mids, xe, hv),
+        "smooth_w": smoothing_weights(mids, w, hv),
+    }
+
+
+def dense_band(sample, request, noise, taper=None):
+    """(ghat, nuhat, quantile, lower, upper, sups) of build_band's band."""
+    design, h = sample.design, request.h
+    spec = taper if taper is not None else default_taper(noise)
+    geo = _geometry(design, noise, spec, h, request.interval)
+    wts, y = design.weights, sample.responses
+    r = pseudo_residuals(y)
+    v_nw_e = (geo["smooth_e"][0] @ r) / geo["smooth_e"][1]
+    v_nw_w = (geo["smooth_w"][0] @ r) / geo["smooth_w"][1]
+    s2min, sc2 = float(np.min(v_nw_e)), float(np.mean(r))
+    if geo["dgrid"] is None:
+        vmod = np.zeros(design.size)
+    else:
+        ke, dgrid, fw = geo["ke"], geo["dgrid"], geo["fw"]
+        ge = ke @ (wts * y) / h
+        avar = (ke**2) @ (wts**2 * v_nw_w) / h**2
+        both = CubicSpline(geo["xe"], np.column_stack((ge, avar)))(geo["wd"])
+        gw = both[..., 0]
+        m1 = np.trapezoid(gw * fw, dgrid, axis=1)
+        m2 = np.trapezoid(gw**2 * fw, dgrid, axis=1)
+        spur1 = np.trapezoid(both[..., 1] * fw, dgrid, axis=1)
+        spur2 = geo["kfw2_w2"] @ v_nw_w / h**2
+        vm = np.maximum(m2 - m1**2, 0.0)
+        vmod = np.maximum(vm - np.maximum(spur1 - spur2, 0.0), 0.0)
+    vw = np.maximum(vmod + s2min, _NW_FLOOR_FRAC * v_nw_w)
+    floor2 = max(sc2 / 4.0, 1e-16)
+    k2w, k2g = geo["k2w"], geo["kg"] ** 2
+    k2sw = np.maximum(k2w.sum(axis=1), 1e-300)
+    k2sg = np.maximum(k2g.sum(axis=1), 1e-300)
+    nu_w = np.sqrt(np.maximum((k2w @ vw) / k2sw, floor2))
+    nu_g = np.sqrt(np.maximum((k2g @ vw) / k2sg, floor2))
+
+    n, a_n, beta = design.n, design.a_n, noise.beta
+    kg = geo["kg"]
+    ghat = kg @ (wts * y) / h
+    coef = h**beta / math.sqrt(n * a_n * h)
+    core = kg * (wts * nu_w * n * a_n)[None, :]
+    z = np.random.default_rng(request.seed).standard_normal(
+        (request.draws, design.size))
+    sups = np.max(np.abs(coef * (z @ core.T)) / nu_g[None, :], axis=1)
+    q = quantile(sups, 1.0 - request.alpha)
+    half = q * nu_g / (math.sqrt(n * a_n) * h ** (0.5 + beta))
+    return {"ghat": ghat, "nuhat": nu_g, "quantile": q, "lower": ghat - half,
+            "upper": ghat + half, "sups": sups}

@@ -30,7 +30,6 @@ from berkson_bands import (
     estimate_nu,
     g_a,
     kernel_eval,
-    kernel_table,
     oracle_mean,
     oracle_nu2,
     oracle_variance,
@@ -38,7 +37,7 @@ from berkson_bands import (
 )
 from berkson_bands.bands import _sup_batch
 
-from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, table_for
+from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, cached_table, table_for
 
 FAST = os.environ.get("BB_ACCEPT_FAST") == "1"
 
@@ -120,7 +119,7 @@ def test_criterion_4_kernel_table_matches_quadrature(capsys):
     worst = 0.0
     for noise, spec in ((LAP01, TAPER_S), (MIX, TAPER_W)):
         for h in (0.1, 0.25, 0.5):
-            table = kernel_table(h, noise, spec, span=8.0)
+            table = cached_table(h, noise, spec, 8.0)
             for u in rng.uniform(-7.2, 7.2, 32):
                 err = abs(kernel_eval(float(u), h, noise, spec) - float(table(u)))
                 worst = max(worst, err)
@@ -174,7 +173,8 @@ def test_criterion_7_multiplier_process_variance(capsys):
     for x in np.linspace(-0.6, 0.5, 5):
         kvec = table((design.points - x) / h)
         # the band's draw engine at one point with nu = 1: sup = |process|
-        sups = _sup_batch(kvec[:, None], np.ones(1), coef, draws, 99_000_000)
+        sups = _sup_batch(kvec[:, None], np.ones((1, 1)), np.ones(1), coef,
+                          draws, 99_000_000)
         varhat = float(np.mean(sups ** 2))
         target = coef ** 2 * float(kvec @ kvec)
         worst = max(worst, abs(varhat / target - 1.0))

@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import berkson_bands.bands as bands_mod
 from berkson_bands import (
@@ -28,9 +30,11 @@ from berkson_bands import (
     quantile,
     write_band,
 )
+from berkson_bands.deconv_kernel import spectral_kernels
 from berkson_bands.design import default_b_n
 
-from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, table_for
+from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W
+from dense_band import dense_band
 
 # reference-scale builds sit below the asymptotic-regime threshold by design
 pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
@@ -56,6 +60,17 @@ def mix100():
     return RegressionSample(design=d100, responses=y)
 
 
+def kernel_matrix(x, points, h, noise, spec):
+    """K((points_j - x_i)/h; h) summed node by node from the spectral rule.
+
+    It matches kernel_eval to about 1e-14 relative, where the kernel
+    table's cubic reads are off by 3e-12 relative at h = 0.32 for MIX.
+    """
+    (op,) = spectral_kernels([h], noise, spec, float(points[-1] - points[0]))
+    u = points[None, :] - x[:, None]
+    return sum(f * np.cos(om * u) for om, f in zip(op.omega, op.factor))
+
+
 def split_reference(sample, req, b_n=None, nu_curve=None):
     """(qhat, ghat, half-width) of the split band, written out directly.
 
@@ -70,13 +85,12 @@ def split_reference(sample, req, b_n=None, nu_curve=None):
         b_n = default_b_n(n, A_N)
     if nu_curve is None:
         nu_curve = estimate_nu(sample, interval=req.interval, mask=sd.removed + n)
-    tab = table_for(d, h, MIX, TAPER_W)
     grid = make_eval_grid(req.interval, n, A_N, h).points
-    ghat = tab((sd.kept_positions[None, :] - grid[:, None]) / h) @ (
+    ghat = kernel_matrix(grid, sd.kept_positions, h, MIX, TAPER_W) @ (
         sd.gap_weights * sample.responses[sd.kept + n]) / h
     sel = np.abs(sd.kept) <= int(n * b_n)
     pts = sd.kept_positions[sel]
-    km = tab((pts[None, :] - grid[:, None]) / h)
+    km = kernel_matrix(grid, pts, h, MIX, TAPER_W)
     nu_g = nu_curve(grid)
     pref = math.sqrt(n * A_N * h ** (1.0 + 2.0 * beta)) / h
     # the engine's stream: row i is draw i, column j is design point j
@@ -123,30 +137,32 @@ def test_quantile_is_ceil_order_statistic():
 
 
 def plain_core(d, h, grid):
-    """Unstudentized process h^beta/sqrt(n a_n h) sum_j Z_j K((w_j-x)/h)."""
-    tab = table_for(d, h, LAP01, TAPER_S)
-    core_t = tab((d.points[:, None] - grid[None, :]) / h)
-    return core_t, h**LAP01.beta / math.sqrt(d.n * A_N * h)
+    """Factors and coefficient of the unstudentized process
+    h^beta/sqrt(n a_n h) sum_j Z_j K((w_j-x)/h)."""
+    (kernel,) = spectral_kernels([h], LAP01, TAPER_S, d.reach((grid[0], grid[-1])))
+    basis, (kg,) = kernel.factors(d.points, grid)
+    return basis, kg.T, h**LAP01.beta / math.sqrt(d.n * A_N * h)
 
 
 def test_sup_draws_scale_exactly_with_coef():
     d = build_regular(200, A_N)
     grid = np.array([0.0, 0.3])
-    core_t, coef = plain_core(d, 0.25, grid)
+    core_t, grid_t, coef = plain_core(d, 0.25, grid)
     ones = np.ones(len(grid))
-    base = bands_mod._sup_batch(core_t, ones, coef, 50, 1)
+    base = bands_mod._sup_batch(core_t, grid_t, ones, coef, 50, 1)
     assert np.all(base > 0.0)
     # powers of two scale without rounding
     for c in (0.0, 0.5, -2.0, 4.0):
-        scaled = bands_mod._sup_batch(core_t, ones, c * coef, 50, 1)
+        scaled = bands_mod._sup_batch(core_t, grid_t, ones, c * coef, 50, 1)
         assert np.array_equal(scaled, abs(c) * base)
 
 
 def test_quantile_stabilizes_in_draw_count():
     d = build_regular(200, A_N)
     grid = make_eval_grid((-0.7, 0.6), 200, A_N, 0.25).points
-    core_t, coef = plain_core(d, 0.25, grid)
-    sups = bands_mod._sup_batch(core_t, np.ones(len(grid)), coef, 1000, 1234)
+    core_t, grid_t, coef = plain_core(d, 0.25, grid)
+    sups = bands_mod._sup_batch(core_t, grid_t, np.ones(len(grid)), coef, 1000,
+                                1234)
     q_small = quantile(sups[:250], 0.95)
     q_large = quantile(sups, 0.95)
     rng = np.random.default_rng(0)
@@ -354,3 +370,66 @@ def test_request_validation_and_low_draw_warning():
             BandRequest(interval=(-0.5, 0.5), h=0.2, seed=seed)
     with pytest.warns(UserWarning, match="quantiles will be"):
         BandRequest(interval=(-0.5, 0.5), h=0.2, draws=50)
+
+
+GA100 = SCENARIOS["ga_n100_s10"]
+
+
+def ga100_sample(rep):
+    return generate_sample(GA100, np.random.SeedSequence((GA100.seed, rep, 0)))
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(rep=st.integers(0, 10_000), seed=st.integers(0, 2**64 - 1),
+       alpha=st.floats(0.01, 0.5))
+def test_factored_band_matches_the_dense_oracle(rep, seed, alpha):
+    sample = ga100_sample(rep)
+    req = BandRequest(interval=GA100.interval, h=GA100.h, alpha=alpha,
+                      draws=GA100.draws, seed=seed)
+    seen = []
+    engine = bands_mod._sup_batch
+
+    def spy(*args):
+        seen.append(engine(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bands_mod, "_sup_batch", spy)
+        got = build_band(sample, req, GA100.noise())
+    want = dense_band(sample, req, GA100.noise())
+    assert_close(seen[0], want["sups"])
+    assert got.quantile == pytest.approx(want["quantile"], rel=1e-10)
+    for field in ("ghat", "nuhat", "lower", "upper"):
+        assert_close(getattr(got, field), want[field])
+
+
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(rep=st.integers(0, 10_000), seed=st.integers(0, 2**32))
+def test_cold_and_warm_workspaces_give_identical_bands(rep, seed):
+    sample = ga100_sample(rep)
+    req = GA100.request(seed)
+    bands_mod._workspace.cache_clear()
+    cold = build_band(sample, req, GA100.noise())
+    warm = build_band(sample, req, GA100.noise())
+    assert bands_mod._workspace.cache_info().hits >= 1
+    assert cold.quantile == warm.quantile
+    for field in ("ghat", "nuhat", "half_width", "lower", "upper"):
+        assert np.array_equal(getattr(cold, field), getattr(warm, field))
+
+
+def test_workspace_holds_no_dense_kernel_matrix():
+    sc = SCENARIOS["gb_n750_s05"]
+    design = build_regular(sc.n, sc.a_n)
+    noise = sc.noise()
+    ws = bands_mod._workspace(design, noise, bands_mod.default_taper(noise),
+                              sc.h, sc.interval, 1)
+    size = design.size
+    wide = {ws.eg.points.size, ws.xe.size}
+    arrays = {name: v for name, v in vars(ws).items()
+              if isinstance(v, np.ndarray)}
+    for name, v in arrays.items():
+        if v.ndim == 2 and v.dtype.kind == "f":
+            a, b = v.shape
+            assert not ({a, b} & wide and size in (a, b)), name
+            assert (a, b) != (size, size), name
+    assert sum(v.nbytes for v in arrays.values()) <= 60e6

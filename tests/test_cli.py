@@ -192,6 +192,22 @@ def test_threads_resolution(monkeypatch):
     monkeypatch.setenv("BB_THREADS", "x")
     with pytest.raises(ConfigError, match="BB_THREADS must be an integer"):
         _threads(ns)
+    for bad in ("0", "-2"):
+        monkeypatch.setenv("BB_THREADS", bad)
+        with pytest.raises(ConfigError, match="BB_THREADS must be at least 1"):
+            _threads(ns)
+    for bad in (0, -3):
+        with pytest.raises(ConfigError, match="--threads must be at least 1"):
+            _threads(argparse.Namespace(threads=bad))
+
+
+def test_bad_thread_counts_exit_with_code_two(monkeypatch, capsys):
+    monkeypatch.delenv("BB_THREADS", raising=False)
+    assert parse_and_dispatch(["--threads", "0", "selftest"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    monkeypatch.setenv("BB_THREADS", "-1")
+    assert parse_and_dispatch(["selftest"]) == 2
+    assert "BB_THREADS" in capsys.readouterr().err
 
 
 def test_config_rejects_unknown_keys(capsys):

@@ -9,9 +9,9 @@ import pytest
 from scipy.integrate import quad
 
 from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, kernel_table, phi_k
-from berkson_bands.deconv_kernel import fourier_sums, spectral_kernels
+from berkson_bands.deconv_kernel import fourier_sums, spectral_kernels, squared_kernel
 
-from conftest import LAP01, MIX, SMOOTH, TAPER_S, TAPER_W
+from conftest import LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, cached_table
 
 
 def test_taper_validation():
@@ -65,7 +65,7 @@ def test_smooth_poly_is_flat_then_falls_twice_differentiably():
 @pytest.mark.parametrize("h", [0.1, 0.25, 0.5])
 def test_table_matches_direct_quadrature(noise, spec, h):
     args = np.random.default_rng(42).uniform(-7.2, 7.2, 32)
-    tab = kernel_table(h, noise, spec, span=8.0)
+    tab = cached_table(h, noise, spec, 8.0)
     err = max(abs(kernel_eval(float(u), h, noise, spec) - float(tab(u)))
               for u in args)
     assert err < 1e-6
@@ -92,6 +92,32 @@ def test_spectral_operator_shares_nodes_across_bandwidths():
         assert np.array_equal(op.omega, ops[-1].omega[: op.omega.size])
     with pytest.raises(ValueError, match="uniform grid"):
         ops[0].kernel_sum(np.array([0.0, 0.1, 0.3]), np.zeros(1), np.ones(1))
+
+
+@pytest.mark.parametrize("noise,spec,h", [(LAP01, TAPER_S, 0.11), (MIX, TAPER_W, 0.32),
+                                         (NoError(), SMOOTH, 0.25)],
+                         ids=["laplace", "mixture", "no_error"])
+def test_squared_kernel_is_the_square_of_the_kernel(noise, spec, h):
+    reach = 3.0
+    (op,) = spectral_kernels([h], noise, spec, reach)
+    sq = squared_kernel(h, noise, spec, reach)
+    assert sq.omega[-1] < 2 * spec.cutoff / h
+    v = np.linspace(-reach, reach, 1201)
+    kernel = np.cos(np.outer(v, op.omega)) @ op.factor
+    squared = np.cos(np.outer(v, sq.omega)) @ sq.factor
+    assert np.max(np.abs(squared - kernel**2)) < 1e-13 * np.max(kernel**2)
+
+
+def test_kernel_factors_match_the_dense_kernel_matrix():
+    w = np.linspace(-1.5, 1.5, 301)
+    grid, xe = np.linspace(-0.7, 0.6, 257), np.linspace(-1.2, 1.2, 90)
+    (op,) = spectral_kernels([0.2], MIX, TAPER_W, 3.0)
+    basis, (kg, ke, kw) = op.factors(w, grid, xe, w)
+    assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
+    assert basis.shape[1] < 2 * op.omega.size
+    for left, x in ((kg, grid), (ke, xe), (kw, w)):
+        dense = np.cos(np.subtract.outer(w, x)[..., None] * op.omega) @ op.factor
+        assert np.max(np.abs(left @ basis.T - dense.T)) < 1e-12 * np.max(np.abs(dense))
 
 
 def test_fourier_sums_match_direct_evaluation():

@@ -22,6 +22,7 @@ from berkson_bands import (
     preset_h,
     run_scenario,
 )
+from berkson_bands import simulation
 from berkson_bands.simulation import load_summary, scenario_from_dict, scenario_from_file
 
 from conftest import A_N, LAP01
@@ -132,6 +133,30 @@ def test_runs_are_deterministic_and_worker_invariant():
             [r.width for r in serial.records]
     assert serial.rejection_rate == pooled.rejection_rate
     assert len(serial.records) == 10
+
+
+def test_pool_never_exceeds_the_replication_count(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    sc = Scenario(signal="g_a", n=60, sigma=0.05, sigma_delta=0.05, h=0.3,
+                  reps=3, draws=120, seed=7)
+    report = run_scenario(sc, workers=64)
+    assert sizes == [3]
+    assert len(report.records) == 3
 
 
 def test_report_export_round_trip(tmp_path):
