@@ -30,23 +30,12 @@ from .deconv_kernel import KernelTable, TaperSpec, kernel_eval, kernel_table, ph
 from .design import (
     Design,
     RegressionSample,
-    SplitDesign,
-    build_from_density,
     build_regular,
     build_split,
     load_sample,
     save_sample,
 )
-from .estimator import (
-    EstimateCurve,
-    estimate_g,
-    gamma_profile,
-    nu2_profile,
-    oracle_gamma,
-    oracle_mean,
-    oracle_nu2,
-    oracle_variance,
-)
+from .estimator import estimate_g
 from .noise_models import (
     Laplace,
     LaplaceMixture,
@@ -65,7 +54,7 @@ from .simulation import (
     generate_sample,
     run_scenario,
 )
-from .variance_estimation import VarianceCurve, estimate_nu, estimate_sigma2
+from .variance_estimation import VarianceCurve, estimate_nu
 
 __version__ = "0.1.0"
 
@@ -92,20 +81,11 @@ __all__ = [
     "phi_k",
     "Design",
     "RegressionSample",
-    "SplitDesign",
-    "build_from_density",
     "build_regular",
     "build_split",
     "load_sample",
     "save_sample",
-    "EstimateCurve",
     "estimate_g",
-    "gamma_profile",
-    "nu2_profile",
-    "oracle_gamma",
-    "oracle_mean",
-    "oracle_nu2",
-    "oracle_variance",
     "Laplace",
     "LaplaceMixture",
     "NoError",
@@ -122,5 +102,4 @@ __all__ = [
     "run_scenario",
     "VarianceCurve",
     "estimate_nu",
-    "estimate_sigma2",
 ]

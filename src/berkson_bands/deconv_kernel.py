@@ -4,53 +4,40 @@ K(w;h) = (1/2pi) int exp(-itw) phi_k(t) / charfn(-t/h) dt. The taper
 phi_k is supported on [-cutoff, cutoff]; dividing by the error law's
 Fourier transform undoes the Berkson smoothing up to that frequency.
 
-Three evaluation routes are provided:
-- an adaptive-quadrature reference (slow, per point);
-- a tabulation computed with one discrete Fourier transform plus cubic
-  interpolation (memoized), which the CLI's kernel-dump writes and the
-  tests use as a dense reference.  KernelTable.matrix gives the kernel
-  matrix between evaluation points and design points;
-- a spectral operator, which the Lepski rule, the CLI's estimate and the
-  bands use.  The kernel is band-limited, so a kernel sum over the design
-  is a Gauss-Legendre sum over the frequency band [0, cutoff/h] of the
-  data's Fourier transform, and a kernel matrix between two point sets
-  has low-rank factors (SpectralKernel.factors).  squared_kernel gives
-  the same operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  No
-  route of this kind forms a table, spline or grid x design matrix.
+K is computed one way, with kernel_eval's adaptive quadrature as the slow
+reference it is checked against.  The kernel is band-limited, so
+spectral_kernels writes it as a Gauss-Legendre sum over its frequency
+band [0, cutoff/h]: a kernel sum over the design is a node sum of the
+data's Fourier transform, and a kernel matrix between two point sets has
+low-rank factors (SpectralKernel.factors).  squared_kernel gives the same
+operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  The Lepski rule,
+the CLI's estimate and the bands use these operators and form no grid x
+design matrix.  kernel_table wraps one operator as a KernelTable: K read
+at any argument in [-span, span] by a direct node sum, the exact kernel
+matrix between two point sets, and K on a uniform grid, which the CLI's
+kernel-dump writes and the tests use as a dense reference.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import roots_legendre
 
-from .noise_models import NoiseModel, NoError
+from .noise_models import NoiseModel
 
 __all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_eval",
            "kernel_table", "spectral_kernels", "squared_kernel", "fourier_sums"]
 
-# Samples of the integrand on [0, cutoff] for the tabulation transform.
-# The integrand has vanishing one-sided derivatives at both endpoints, so
-# the trapezoid sum converges at fourth order and this count is ample.
-_N_T = 8192
-# Cubic interpolation error budget for off-grid kernel reads; the table
-# step is refined until (5/384) du^4 sup|K''''| stays below this.
-_INTERP_BUDGET = 1e-7
-# Tables kept in memory: a band needs its error-law and taper tables, and
-# a test run or a simulation builds bands at several bandwidths in turn.
-_TABLES_KEPT = 8
 # Elements of the largest temporary array of a kernel sum.
 _BLOCK_ELEMS = 1 << 22
 # Gauss-Legendre nodes of the spectral operator on a frequency panel
 # [lo, hi]: _NODES_PER_TURN per 2 pi of the phase (hi - lo) * rate, plus
 # _PANEL_NODES (see spectral_kernels).  The operator then matches
 # kernel_eval to 1e-12 relative for both shipped error laws at h from 1/2
-# to 1/64, well inside the tables' 1e-7 interpolation budget.
+# to 1/64.
 _NODES_PER_TURN = 3
 _PANEL_NODES = 24
 # Low-rank kernel factors: a fixed-seed randomized range finder takes
@@ -116,63 +103,83 @@ def phi_k(t, spec: TaperSpec):
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Tabulated K(.;h) on a symmetric uniform grid with cubic reads."""
+    """K(.;h) for arguments in [-span, span], read through its spectral operator.
 
-    h: float
-    beta: float
+    grid and values hold K at the uniform points that kernel_table lays
+    over [-span, span]; every read, at those points or any other, is a
+    direct sum over the operator's nodes.
+    """
+
+    operator: SpectralKernel
+    span: float
     grid: np.ndarray
     values: np.ndarray
-    span: float
-    spec: TaperSpec
-    noise: NoiseModel
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_spline", CubicSpline(self.grid, self.values, extrapolate=False)
-        )
+    @property
+    def h(self) -> float:
+        return self.operator.h
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        amax = float(np.max(np.abs(u))) if u.size else 0.0
+    @property
+    def beta(self) -> float:
+        return self.operator.beta
+
+    @property
+    def noise(self) -> NoiseModel:
+        return self.operator.noise
+
+    def _check_span(self, x, points) -> None:
+        """Raise unless every (points_j - x_i)/h lies in [-span, span]."""
+        if not (x.size and np.size(points)):
+            return
+        amax = max(np.max(points) - np.min(x), np.max(x) - np.min(points)) / self.h
         if amax > self.span * (1.0 + 1e-12):
             raise ValueError(
                 f"kernel argument {amax:.4g} outside the tabulated span "
                 f"{self.span:.4g}; rebuild the table with a larger span"
             )
-        return self._spline(np.clip(u, -self.span, self.span))
+
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
+        # K(u) is the kernel sum at x = -u h of one unit point at 0
+        vals = self.kernel_sum(-self.h * u.ravel(), np.zeros(1), np.ones(1))
+        return vals.reshape(u.shape)
 
     def matrix(self, x, points) -> np.ndarray:
-        """K((points_j - x_i)/h; h) at the table's h, one row per x_i."""
+        """K((points_j - x_i)/h; h) at the table's h, one row per x_i.
+
+        The exact product of the operator's factors (see
+        SpectralKernel.exact_factors), not a low-rank compression.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self((points[None, :] - x[:, None]) / self.h)
+        self._check_span(x, points)
+        left, right = self.operator.exact_factors(x, points)
+        return left @ right.T
 
     def kernel_sum(self, x, points, coef) -> np.ndarray:
         """sum_j coef_j K((points_j - x_i)/h; h) for each x_i.
 
-        The kernel matrix is formed in blocks of rows of at most
-        ``_BLOCK_ELEMS`` entries.
+        The operator's sum over its nodes of the data transform, at any
+        x; SpectralKernel.kernel_sum needs x on a uniform grid.  No
+        temporary holds more than ``_BLOCK_ELEMS`` entries.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.empty(x.shape)
-        block = max(1, int(_BLOCK_ELEMS // max(1, points.size)))
+        self._check_span(x, points)
+        op = self.operator
+        spectrum = op.factor * op.transform(points, coef)
+        vals = np.empty(x.size)
+        block = max(1, _BLOCK_ELEMS // op.omega.size)
         for s in range(0, x.size, block):
-            vals[s : s + block] = self.matrix(x[s : s + block], points) @ coef
+            phase = np.outer(x[s : s + block], op.omega)
+            vals[s : s + block] = (np.cos(phase) @ spectrum.real
+                                   + np.sin(phase) @ spectrum.imag)
         return vals
-
-
-def _integrand_samples(spec: TaperSpec, noise: NoiseModel, h: float):
-    s = spec.cutoff
-    dt = s / _N_T
-    t = np.arange(_N_T + 1) * dt
-    f = phi_k(t, spec) / noise.charfn(-t / h)
-    return t, f, dt
 
 
 def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float:
     """Adaptive-quadrature reference value of K(u;h), to about 1e-10.
 
     Splits at the bridge knot and uses a cosine-weighted rule; this is the
-    slow path the table and the spectral operator are checked against.
+    slow path the spectral operator is checked against.
     """
     if h <= 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
@@ -190,7 +197,6 @@ def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float
     return total / math.pi
 
 
-@functools.lru_cache(maxsize=_TABLES_KEPT)
 def kernel_table(
     h: float,
     noise: NoiseModel,
@@ -199,53 +205,24 @@ def kernel_table(
     span: float | None = None,
     a_n: float = 2.0 / 3.0,
 ) -> KernelTable:
-    """Tabulate K(.;h) on [-span, span] via a single discrete transform.
+    """K(.;h) on [-span, span]: the operator of spectral_kernels for reach
+    span h, with K at grid_len + 1 uniform points over [-span, span].
 
-    grid_len (a power of two, >= 256) sets the coarsest acceptable grid;
-    the step is refined further whenever the interpolation error model
-    asks for it, so off-grid reads stay within the 1e-6 agreement budget
-    against kernel_eval.  The default span 4/(a_n h) covers every scaled
-    argument (w_j - x)/h a band evaluation can produce.  Tables are
-    memoized, the last ``_TABLES_KEPT`` per process; the cache key is the
-    arguments exactly as passed.
+    The default span 4/(a_n h) covers every scaled argument (w_j - x)/h a
+    band evaluation can produce.
     """
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
-    if grid_len < 256 or grid_len & (grid_len - 1):
-        raise ValueError(f"grid_len must be a power of two >= 256, got {grid_len}")
+    if grid_len < 2:
+        raise ValueError(f"grid_len must be at least 2, got {grid_len}")
     if span is None:
         span = 4.0 / (a_n * h)
-    if not span > 0:
-        raise ValueError(f"span must be positive, got {span}")
-
-    t, f, dt = _integrand_samples(spec, noise, h)
-    # Rigorous bound sup|K''''| <= (1/pi) int t^4 |f| dt drives the step.
-    m4 = float(np.trapezoid(t**4 * np.abs(f), t)) / math.pi
-    du_acc = (384.0 * _INTERP_BUDGET / (5.0 * max(m4, 1e-300))) ** 0.25
-    du_target = min(du_acc, 2.0 * span / grid_len)
-    nfft = 1 << max(
-        int(math.ceil(math.log2(2.0 * math.pi / (du_target * dt)))),
-        int(math.log2(2 * _N_T)),
-    )
-    spectrum = np.zeros(nfft // 2 + 1)
-    spectrum[: _N_T + 1] = f
-    half = np.fft.irfft(spectrum, n=nfft) * (nfft * dt / (2.0 * math.pi))
-    du = 2.0 * math.pi / (nfft * dt)
-    m_max = int(span / du)
-    if m_max < 2:
-        raise ValueError(f"span {span} too small for the table step {du:.3g}")
-    right = half[: m_max + 1]
-    grid = np.arange(-m_max, m_max + 1) * du
-    values = np.concatenate((right[:0:-1], right))
-    return KernelTable(
-        h=float(h),
-        beta=float(noise.beta),
-        grid=grid,
-        values=values,
-        span=float(grid[-1]),
-        spec=spec,
-        noise=noise,
-    )
+    if not (span > 0 and math.isfinite(span)):
+        raise ValueError(f"span must be positive and finite, got {span}")
+    (op,) = spectral_kernels([h], noise, spec, span * h)
+    grid = np.linspace(-span, span, grid_len + 1)
+    values = fourier_sums(h * grid, op.omega, op.factor[:, None])[:, 0]
+    return KernelTable(operator=op, span=float(span), grid=grid, values=values)
 
 
 @dataclass(frozen=True)
@@ -287,22 +264,27 @@ class SpectralKernel:
         spectrum = self.factor * self.transform(points, coef)
         return fourier_sums(x, self.omega, spectrum[:, None])[:, 0]
 
+    def exact_factors(self, x, points) -> tuple[np.ndarray, np.ndarray]:
+        """(left, right) with K((points_j - x_i)/h; h) = (left @ right.T)[i, j]:
+        left = [factor cos(omega x), factor sin(omega x)] and
+        right = [cos(omega w), sin(omega w)], 2 x node-count columns each."""
+        phase = np.outer(x, self.omega)
+        left = np.hstack((self.factor * np.cos(phase), self.factor * np.sin(phase)))
+        phase = np.outer(np.asarray(points, dtype=float), self.omega)
+        right = np.hstack((np.cos(phase), np.sin(phase)))
+        return left, right
+
     def factors(self, points, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
         """Low-rank factors of the kernel matrices from ``grids`` to ``points``.
 
         Returns (basis, lefts): basis is len(points) x R with orthonormal
         columns, and K((points_j - x_i)/h; h) = (lefts[k] @ basis.T)[i, j]
-        for x_i in grids[k].  The exact factors are [factor cos(omega x), factor
-        sin(omega x)] and [cos(omega w), sin(omega w)]; basis spans their
-        product's rows to _RANK_TOL (see _row_basis), so R is the
-        numerical rank, not the node count.
+        for x_i in grids[k].  basis spans the rows of the exact factors'
+        product to _RANK_TOL (see _row_basis), so R is the numerical
+        rank, not the node count.
         """
-        points = np.asarray(points, dtype=float)
         x = np.concatenate([np.atleast_1d(np.asarray(g, dtype=float)) for g in grids])
-        phase = np.outer(x, self.omega)
-        left = np.hstack((self.factor * np.cos(phase), self.factor * np.sin(phase)))
-        phase = np.outer(points, self.omega)
-        right = np.hstack((np.cos(phase), np.sin(phase)))
+        left, right = self.exact_factors(x, points)
         basis = _row_basis(left, right)
         left = left @ (right.T @ basis)
         cuts = np.cumsum([np.size(g) for g in grids])[:-1]

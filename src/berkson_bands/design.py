@@ -1,8 +1,7 @@
 """Fixed designs on [-1/a_n, 1/a_n] and the data container built on them.
 
 The regular design places w_j = j/(n a_n) for j = -n..n with uniform
-weights 1/(n a_n).  General designs come from a density on [0, infinity)
-via quantile spacing, mirrored to the negative axis.  The split design
+weights 1/(n a_n).  The split design
 removes every d_n-th point; the removed singletons form the held-out set
 used by the variance estimator of the oscillating-error extension.
 """
@@ -13,14 +12,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Design",
     "RegressionSample",
     "SplitDesign",
     "build_regular",
-    "build_from_density",
     "build_split",
     "default_d_n",
     "default_b_n",
@@ -162,40 +159,6 @@ def build_regular(n: int, a_n: float = 2.0 / 3.0) -> Design:
     j = np.arange(-n, n + 1, dtype=float)
     points = j / (n * a_n)
     weights = np.full(2 * n + 1, 1.0 / (n * a_n))
-    return Design(n=n, a_n=a_n, points=points, weights=weights)
-
-
-def build_from_density(n: int, a_n: float, density) -> Design:
-    """Design with positive points at the j/(n+1) quantiles of ``density``.
-
-    ``density`` is a nonnegative function on [0, 1/a_n]; it is normalized
-    internally.  Points are mirrored to the negative axis around w_0 = 0,
-    and each point carries the weight 1/(n f(w_j)) of the adjusted estimator.  The weight at w_0 = 0 uses
-    f(0) as well; the handling of the centre point under a general density
-    is a modelling choice, not something the construction forces.
-    """
-    upper = 1.0 / a_n
-    grid = np.linspace(0.0, upper, 16385)
-    vals = np.asarray([density(x) for x in grid], dtype=float)
-    if np.any(vals < 0):
-        raise ValueError("design density must be nonnegative")
-    total = np.trapezoid(vals, grid)
-    if total <= 0:
-        raise ValueError("design density integrates to zero")
-    vals = vals / total
-    cdf = np.concatenate(([0.0], np.cumsum((vals[1:] + vals[:-1]) * 0.5 * np.diff(grid))))
-    cdf /= cdf[-1]
-
-    def cdf_at(x: float) -> float:
-        return float(np.interp(x, grid, cdf))
-
-    pos = np.empty(n)
-    for j in range(1, n + 1):
-        target = j / (n + 1)
-        pos[j - 1] = brentq(lambda x: cdf_at(x) - target, 0.0, upper, xtol=1e-12)
-    points = np.concatenate((-pos[::-1], [0.0], pos))
-    dens_norm = lambda x: float(np.interp(abs(x), grid, vals))
-    weights = np.array([1.0 / (n * max(dens_norm(w), 1e-300)) for w in points])
     return Design(n=n, a_n=a_n, points=points, weights=weights)
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "generate_sample",
     "run_scenario",
     "export_report",
-    "load_summary",
     "scenario_from_dict",
     "scenario_from_file",
     "SCENARIOS",

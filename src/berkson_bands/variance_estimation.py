@@ -1,8 +1,7 @@
 """Difference-based estimators of the calibrated noise level.
 
 The calibrated model has heteroscedastic standard deviation nu(.) >=
-sigma.  estimate_sigma2 recovers the average level from first
-differences; estimate_nu smooths the pseudo squared residuals
+sigma.  estimate_nu smooths the pseudo squared residuals
 (Y_{j+1}-Y_j)^2/2 with a Nadaraya-Watson/Epanechnikov local average and
 floors the result away from zero, as the band construction requires.
 The band's difference-based local variance uses the same pieces:
@@ -18,7 +17,7 @@ import numpy as np
 
 from .design import RegressionSample, ordered_interval
 
-__all__ = ["VarianceCurve", "estimate_sigma2", "estimate_nu"]
+__all__ = ["VarianceCurve", "estimate_nu"]
 
 
 def midpoints(w: np.ndarray) -> np.ndarray:
@@ -84,28 +83,6 @@ class VarianceCurve:
 
     def __call__(self, x):
         return np.sqrt(self.variance(x))
-
-
-def estimate_sigma2(sample: RegressionSample) -> float:
-    """First-difference noise level mean((Y_{j+1}-Y_j)^2)/2.
-
-    Targets the local average of nu^2; used as a conservative floor.  A
-    degenerate constant sample yields a machine-epsilon value and a
-    warning.
-    """
-    y = sample.responses
-    if len(y) < 2:
-        raise ValueError("need at least two responses")
-    est = float(np.mean(pseudo_residuals(y)))
-    if est == 0.0:
-        warnings.warn(
-            "constant responses: noise level estimate degenerates to "
-            "machine epsilon",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return float(np.finfo(float).eps)
-    return est
 
 
 def estimate_nu(

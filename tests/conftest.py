@@ -1,8 +1,6 @@
 """Shared frozen objects: reference error laws, tapers, and a table helper."""
 from __future__ import annotations
 
-import functools
-
 from berkson_bands import TaperSpec, kernel_table, laplace_from_sd, make_noise
 
 A_N = 2.0 / 3.0
@@ -13,16 +11,6 @@ LAP01 = laplace_from_sd(0.1)
 MIX = make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3)
 
 
-@functools.cache
-def cached_table(h, noise, spec, span):
-    """kernel_table(h, noise, spec, span=span), kept for the whole test run.
-
-    Tables that kernel_table's bounded cache evicts are then not built
-    again by later tests.
-    """
-    return kernel_table(h, noise, spec, span=span)
-
-
 def table_for(design, h, noise, spec):
     """Kernel table wide enough to reach every design point at bandwidth h."""
-    return cached_table(h, noise, spec, design.kernel_span(h))
+    return kernel_table(h, noise, spec, span=design.kernel_span(h))

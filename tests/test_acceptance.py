@@ -30,14 +30,13 @@ from berkson_bands import (
     estimate_nu,
     g_a,
     kernel_eval,
-    oracle_mean,
-    oracle_nu2,
-    oracle_variance,
+    kernel_table,
     run_scenario,
 )
 from berkson_bands.bands import _sup_batch
 
-from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, cached_table, table_for
+from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, table_for
+from oracles import oracle_mean, oracle_nu2, oracle_variance
 
 FAST = os.environ.get("BB_ACCEPT_FAST") == "1"
 
@@ -119,7 +118,7 @@ def test_criterion_4_kernel_table_matches_quadrature(capsys):
     worst = 0.0
     for noise, spec in ((LAP01, TAPER_S), (MIX, TAPER_W)):
         for h in (0.1, 0.25, 0.5):
-            table = cached_table(h, noise, spec, 8.0)
+            table = kernel_table(h, noise, spec, span=8.0)
             for u in rng.uniform(-7.2, 7.2, 32):
                 err = abs(kernel_eval(float(u), h, noise, spec) - float(table(u)))
                 worst = max(worst, err)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from berkson_bands import (RegressionSample, build_regular, default_taper,
-                           estimate_g, g_a, load_sample, save_sample)
+                           estimate_g, g_a, kernel_eval, load_sample, save_sample)
 from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
 from conftest import A_N, LAP01, table_for
@@ -172,12 +172,21 @@ def test_simulate_accepts_preset_names_with_overrides(tmp_path):
 
 def test_kernel_dump_and_selftest(tmp_path, capsys):
     out = tmp_path / "k.csv"
-    assert parse_and_dispatch(["kernel-dump", "--h", "0.25", "--density",
-                               "laplace", "--sigma-delta", "0.1",
-                               "--out", str(out)]) == 0
+    dump = ["kernel-dump", "--h", "0.25", "--density", "laplace",
+            "--sigma-delta", "0.1", "--out", str(out)]
+    assert parse_and_dispatch(dump + ["--grid-len", "1000"]) == 0
     with open(out) as fh:
         assert fh.readline().strip() == "u,K"
-    capsys.readouterr()
+    u, k = np.loadtxt(out, delimiter=",", skiprows=1).T
+    # grid_len + 1 rows over [-span, span], span = 4 / (a_n h); values as .10g
+    grid = np.linspace(-24.0, 24.0, 1001)
+    assert np.allclose(u, grid, rtol=1e-9, atol=0)
+    spec = default_taper(LAP01)
+    peak = kernel_eval(0.0, 0.25, LAP01, spec)
+    for i in (0, 137, 480, 500, 731, 1000):
+        assert abs(k[i] - kernel_eval(grid[i], 0.25, LAP01, spec)) <= 1e-9 * peak
+    assert parse_and_dispatch(dump + ["--grid-len", "1"]) == 2
+    assert "--grid-len" in capsys.readouterr().err
     assert parse_and_dispatch(["selftest"]) == 0
     assert "selftest: all checks passed" in capsys.readouterr().out
 

@@ -6,12 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, kernel_table, phi_k
 from berkson_bands.deconv_kernel import fourier_sums, spectral_kernels, squared_kernel
 
-from conftest import LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, cached_table
+from conftest import LAP01, MIX, SMOOTH, TAPER_S, TAPER_W
 
 
 def test_taper_validation():
@@ -65,7 +67,7 @@ def test_smooth_poly_is_flat_then_falls_twice_differentiably():
 @pytest.mark.parametrize("h", [0.1, 0.25, 0.5])
 def test_table_matches_direct_quadrature(noise, spec, h):
     args = np.random.default_rng(42).uniform(-7.2, 7.2, 32)
-    tab = cached_table(h, noise, spec, 8.0)
+    tab = kernel_table(h, noise, spec, span=8.0)
     err = max(abs(kernel_eval(float(u), h, noise, spec) - float(tab(u)))
               for u in args)
     assert err < 1e-6
@@ -151,32 +153,31 @@ def test_kernel_eval_agrees_with_trapezoid_rule():
                for u in (0.0, 1.0)) < 1e-8
 
 
-def test_table_refinement_is_stable():
-    coarse = kernel_table(0.25, LAP01, TAPER_S, grid_len=1 << 14, span=8.0)
-    fine = kernel_table(0.25, LAP01, TAPER_S, grid_len=1 << 15, span=8.0)
-    us = np.linspace(-6.0, 6.0, 1001)
-    assert np.max(np.abs(coarse(us) - fine(us))) < 1e-8
-
-
-def test_tables_are_memoized():
-    one = kernel_table(0.25, LAP01, TAPER_S, span=8.0)
-    two = kernel_table(0.25, LAP01, TAPER_S, span=8.0)
-    assert one is two
-    bound = kernel_table.cache_info().maxsize
-    for i in range(bound):  # the coarsest grid keeps these builds cheap
-        kernel_table(0.25, LAP01, TAPER_S, grid_len=256, span=9.0 + i)
-    assert kernel_table.cache_info().currsize <= bound
-    assert kernel_table(0.25, LAP01, TAPER_S, span=8.0) is not one
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(law=st.sampled_from([(LAP01, TAPER_S), (MIX, TAPER_W), (NoError(), TAPER_S)]),
+       octaves=st.floats(1.0, 6.0),
+       core=st.lists(st.floats(-6.0, 6.0), min_size=4, max_size=4, unique=True),
+       frac=st.floats(-1.0, 1.0))
+def test_table_reads_match_quadrature(law, octaves, core, frac):
+    # h from 1/2 to 1/64; reads anywhere in the span, most of them in the
+    # kernel's core, match the quadrature to 1e-10 of the peak K(0)
+    noise, spec = law
+    h = 2.0**-octaves
+    tab = kernel_table(h, noise, spec)
+    peak = kernel_eval(0.0, h, noise, spec)
+    for u in [*core, frac * tab.span]:
+        assert abs(float(tab(u)) - kernel_eval(u, h, noise, spec)) <= 1e-10 * peak
 
 
 def test_table_argument_validation():
     tab = kernel_table(0.25, LAP01, TAPER_S, span=8.0)
     with pytest.raises(ValueError, match="outside the tabulated span"):
         tab(tab.span * 1.001)
-    with pytest.raises(ValueError, match="power of two"):
-        kernel_table(0.25, LAP01, TAPER_S, grid_len=300, span=8.0)
-    with pytest.raises(ValueError, match="power of two"):
-        kernel_table(0.25, LAP01, TAPER_S, grid_len=128, span=8.0)
+    odd = kernel_table(0.25, LAP01, TAPER_S, grid_len=300, span=8.0)
+    assert odd.grid.size == odd.values.size == 301
+    assert (odd.grid[0], odd.grid[-1]) == (-8.0, 8.0)
+    with pytest.raises(ValueError, match="grid_len must be at least 2"):
+        kernel_table(0.25, LAP01, TAPER_S, grid_len=1, span=8.0)
     for span in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="span must be positive"):
             kernel_table(0.25, LAP01, TAPER_S, span=span)
@@ -212,10 +213,13 @@ def test_peak_height_scales_with_squared_bandwidth():
 def test_squared_tail_mass_is_negligible(h):
     A = 2.0
     zs = np.linspace(A, 60.0, 24001)
-    tab = kernel_table(h, LAP01, TAPER_S, span=(60.0 + 1.0) / h + 2.0)
+    op = kernel_table(h, LAP01, TAPER_S, span=(60.0 + 1.0) / h + 2.0).operator
+    one = np.ones(1)
     worst = 0.0
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-        vals = tab((zs - x) / h) ** 2 + tab((-zs - x) / h) ** 2
+        # K is even: the sum at z of one unit point at -+x is K((+-z - x)/h)
+        vals = (op.kernel_sum(zs, np.array([x]), one) ** 2
+                + op.kernel_sum(zs, np.array([-x]), one) ** 2)
         integral = float(np.trapezoid(vals, zs))
         geometric = 2.0 * A / (A * A - x * x) * h ** (-2.0 * LAP01.beta + 2.0)
         worst = max(worst, integral / geometric)

@@ -1,4 +1,4 @@
-"""Design grids, density-matched spacing, splits, and sample files."""
+"""Design grids, splits, and sample files."""
 from __future__ import annotations
 
 import math
@@ -9,7 +9,6 @@ import pytest
 from berkson_bands import (
     Design,
     RegressionSample,
-    build_from_density,
     build_regular,
     build_split,
     kernel_table,
@@ -67,31 +66,6 @@ def test_sample_validation():
         RegressionSample(design=d, responses=np.ones(5))
     with pytest.raises(ValueError, match="finite"):
         RegressionSample(design=d, responses=np.full(7, np.nan))
-
-
-def test_density_matched_uniform_design():
-    n = 100
-    d = build_from_density(n, A_N, lambda x: (n + 1) / (n * A_N))
-    target = np.arange(-n, n + 1) / ((n + 1) * A_N)
-    assert np.max(np.abs(d.points - target)) < 1e-9
-
-
-def test_density_matched_triangular_quantiles():
-    c = 1.5
-    d = build_from_density(25, A_N, lambda x: c - x)
-    worst = 0.0
-    for j in range(1, 26):
-        w = d.points[25 + j]
-        cdf = (c * w - w * w / 2.0) / (c * c / 2.0)
-        worst = max(worst, abs(cdf - j / 26.0))
-    assert worst < 1e-8
-
-
-def test_density_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        build_from_density(10, A_N, lambda x: -1.0 + 0.0 * x)
-    with pytest.raises(ValueError, match="integrates to zero"):
-        build_from_density(10, A_N, lambda x: 0.0 * x)
 
 
 def test_split_removes_every_dnth_point():

@@ -4,22 +4,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from berkson_bands import (
-    NoError,
-    RegressionSample,
-    build_regular,
-    estimate_g,
-    g_a,
-    gamma_profile,
-    nu2_profile,
-    oracle_gamma,
-    oracle_mean,
-    oracle_nu2,
-    oracle_variance,
-)
+from berkson_bands import NoError, RegressionSample, build_regular, estimate_g, g_a
 from berkson_bands.deconv_kernel import spectral_kernels
 
 from conftest import A_N, LAP01, TAPER_S, table_for
+from oracles import (gamma_profile, nu2_profile, oracle_gamma, oracle_mean, oracle_nu2,
+                     oracle_variance)
 
 
 def test_frozen_oracle_values():

@@ -17,8 +17,6 @@ from berkson_bands import (
     g_a,
     g_b,
     generate_sample,
-    oracle_gamma,
-    oracle_nu2,
     preset_h,
     run_scenario,
 )
@@ -26,6 +24,7 @@ from berkson_bands import simulation
 from berkson_bands.simulation import load_summary, scenario_from_dict, scenario_from_file
 
 from conftest import A_N, LAP01
+from oracles import oracle_gamma, oracle_nu2
 
 pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
 

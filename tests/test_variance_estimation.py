@@ -4,16 +4,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from berkson_bands import (
-    RegressionSample,
-    build_regular,
-    estimate_nu,
-    estimate_sigma2,
-    g_a,
-    nu2_profile,
-)
+from berkson_bands import RegressionSample, build_regular, estimate_nu, g_a
 
 from conftest import A_N, LAP01
+from oracles import nu2_profile
 
 
 def sample_from(n, seed, scale=0.1):
@@ -21,22 +15,6 @@ def sample_from(n, seed, scale=0.1):
     rng = np.random.default_rng(seed)
     y = g_a(d.points + LAP01.sample(rng, d.size)) + scale * rng.standard_normal(d.size)
     return RegressionSample(design=d, responses=y)
-
-
-def test_noise_level_on_iid_responses():
-    d = build_regular(5000, A_N)
-    y = np.random.default_rng(3).standard_normal(d.size)
-    s2 = estimate_sigma2(RegressionSample(design=d, responses=y))
-    assert abs(s2 - 1.0) < 0.05
-    assert estimate_sigma2(RegressionSample(design=d, responses=2.0 * y)) == 4.0 * s2
-
-
-def test_noise_level_degenerates_on_constant_responses():
-    d = build_regular(50, A_N)
-    s = RegressionSample(design=d, responses=np.full(d.size, 7.0))
-    with pytest.warns(RuntimeWarning, match="noise level estimate degenerates"):
-        s2 = estimate_sigma2(s)
-    assert s2 == np.finfo(float).eps
 
 
 def test_curve_recovers_homoscedastic_level():
