@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .bands import (
     BandRequest,
-    BandResult,
     build_band,
     build_band_extension,
     default_taper,
@@ -20,10 +19,8 @@ from .bands import (
 )
 from .bandwidth import (
     LepskiConfig,
-    LepskiResult,
     default_lepski_config,
     lepski_select,
-    preset_h,
     undersmooth,
 )
 from .deconv_kernel import KernelTable, TaperSpec, kernel_eval, kernel_table, phi_k
@@ -41,27 +38,24 @@ from .noise_models import (
     LaplaceMixture,
     NoError,
     NoiseModel,
-    laplace_from_sd,
     make_noise,
 )
 from .simulation import (
     SCENARIOS,
     Scenario,
-    ScenarioReport,
     export_report,
     g_a,
     g_b,
     generate_sample,
     run_scenario,
 )
-from .variance_estimation import VarianceCurve, estimate_nu
+from .variance_estimation import estimate_nu
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     "BandRequest",
-    "BandResult",
     "build_band",
     "build_band_extension",
     "default_taper",
@@ -69,10 +63,8 @@ __all__ = [
     "quantile",
     "write_band",
     "LepskiConfig",
-    "LepskiResult",
     "default_lepski_config",
     "lepski_select",
-    "preset_h",
     "undersmooth",
     "KernelTable",
     "TaperSpec",
@@ -90,16 +82,13 @@ __all__ = [
     "LaplaceMixture",
     "NoError",
     "NoiseModel",
-    "laplace_from_sd",
     "make_noise",
     "SCENARIOS",
     "Scenario",
-    "ScenarioReport",
     "export_report",
     "g_a",
     "g_b",
     "generate_sample",
     "run_scenario",
-    "VarianceCurve",
     "estimate_nu",
 ]

@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .deconv_kernel import TaperSpec, spectral_kernels, squared_kernel
-from .design import (Design, RegressionSample, build_split,
+from .design import (Design, RegressionSample, _is_int, build_split,
                      check_identifiable, default_b_n, identifiable_range,
                      ordered_interval, write_columns)
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
@@ -62,10 +61,6 @@ _NW_FLOOR_FRAC = 0.7
 _XE_POINTS = 900
 # The pilot range stays this many bandwidths inside the design span.
 _CLAMP_FACTOR = 1.2
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ __all__ = [
     "default_lepski_config",
     "lepski_select",
     "undersmooth",
-    "preset_h",
     "TABLE_PRESETS",
 ]
 
@@ -50,14 +49,6 @@ TABLE_PRESETS: dict[tuple[str, int, float], float] = {
 }
 
 
-def preset_h(signal: str, n: int, sigma: float) -> float:
-    key = (signal, n, sigma)
-    if key not in TABLE_PRESETS:
-        known = ", ".join(str(k) for k in sorted(TABLE_PRESETS))
-        raise ValueError(f"no preset bandwidth for {key}; known: {known}")
-    return TABLE_PRESETS[key]
-
-
 @dataclass(frozen=True)
 class LepskiConfig:
     k_l: int
@@ -71,9 +62,6 @@ class LepskiConfig:
             )
         if self.C_L <= 0:
             raise ValueError(f"C_L must be positive, got {self.C_L}")
-
-    def bandwidths(self) -> list[float]:
-        return [2.0 ** (-k) for k in range(self.k_l, self.k_u + 1)]
 
 
 @dataclass(frozen=True)

@@ -151,18 +151,11 @@ def _threads(args) -> int:
 
 
 def _noise_from(args: argparse.Namespace):
-    if args.density == "none":
-        return make_noise("none")
-    if args.sigma_delta is None or args.sigma_delta <= 0:
-        raise ConfigError(
-            f"--sigma-delta must be a positive real for --density "
-            f"{args.density}, got {args.sigma_delta}"
-        )
     try:
         return make_noise(args.density, sigma_delta=args.sigma_delta,
                           lam=args.lam, mu=args.mu)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"--sigma-delta/--lam/--mu: {exc}") from exc
 
 
 def _taper_from(args: argparse.Namespace, noise):
@@ -374,7 +367,7 @@ def _selftest_checks() -> list[dict]:
 
     def record(name: str, err: float, tol: float) -> None:
         checks.append(
-            {"name": name, "error": err, "tol": tol, "pass": err <= tol}
+            {"name": name, "error": err, "tol": tol, "pass": bool(err <= tol)}
         )
 
     cases = [

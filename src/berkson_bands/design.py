@@ -1,14 +1,17 @@
-"""Fixed designs on [-1/a_n, 1/a_n] and the data container built on them.
+"""The regular design on [-1/a_n, 1/a_n] and the data container built on it.
 
-The regular design places w_j = j/(n a_n) for j = -n..n with uniform
-weights 1/(n a_n).  The split design
-removes every d_n-th point; the removed singletons form the held-out set
-used by the variance estimator of the oscillating-error extension.
+The model's design is fixed by n and a_n alone: w_j = j/(n a_n) for
+j = -n..n with uniform weights 1/(n a_n).  ``Design`` is that value,
+built by ``build_regular``; two designs with the same (n, a_n) are equal
+and hash equal.  The split design removes every d_n-th point; the
+removed singletons form the held-out set used by the variance estimator
+of the oscillating-error extension.
 """
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +31,10 @@ __all__ = [
 
 # Largest deviation of a sample file's w column from the regular design.
 _W_TOL = 1e-9
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def ordered_interval(interval) -> tuple[float, float]:
@@ -54,54 +61,34 @@ def check_identifiable(interval, a_n: float, h: float) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Design:
-    """2n+1 ordered design points with their quadrature weights.
+    """The regular design of size 2n+1 on [-1/a_n, 1/a_n].
 
-    The arrays are read-only copies, and designs compare and hash by
-    value, so a design can key a cache.
+    A design is the value (n, a_n): it compares and hashes by those two
+    fields, so it can key a cache.  ``points`` w_j = j/(n a_n), j = -n..n,
+    and ``weights`` 1/(n a_n) are derived once, read-only, and take no
+    part in equality.
     """
 
     n: int
     a_n: float
-    points: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("points", "weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        if not _is_int(self.n) or self.n < 1:
+            raise ValueError(f"need n >= 1 and an integer, got {self.n!r}")
         if not (math.isfinite(self.a_n) and self.a_n > 0):
             raise ValueError(f"need a_n > 0 and finite, got {self.a_n}")
-        if len(self.points) != 2 * self.n + 1 or len(self.weights) != 2 * self.n + 1:
-            raise ValueError("points and weights must have length 2n+1")
-        if not (np.all(np.isfinite(self.points))
-                and np.all(np.diff(self.points) > 0)):
-            raise ValueError("design points must be finite and strictly increasing")
-
-    def _key(self) -> tuple:
-        return (self.n, self.a_n, self.points.tobytes(), self.weights.tobytes())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Design) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+        n, a_n = self.n, self.a_n
+        points = np.arange(-n, n + 1, dtype=float) / (n * a_n)
+        weights = np.full(2 * n + 1, 1.0 / (n * a_n))
+        for name, arr in (("points", points), ("weights", weights)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
         return 2 * self.n + 1
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.points[0]), float(self.points[-1])
-
-    def identifiable_range(self, h: float) -> tuple[float, float]:
-        """Interval on which estimation at bandwidth h is supported."""
-        return identifiable_range(self.a_n, h)
 
     def kernel_span(self, h: float) -> float:
         """Kernel-table span reaching every design point from any x in it."""
@@ -156,10 +143,7 @@ class SplitDesign:
 
 def build_regular(n: int, a_n: float = 2.0 / 3.0) -> Design:
     """Equispaced design w_j = j/(n a_n), j = -n..n, weights 1/(n a_n)."""
-    j = np.arange(-n, n + 1, dtype=float)
-    points = j / (n * a_n)
-    weights = np.full(2 * n + 1, 1.0 / (n * a_n))
-    return Design(n=n, a_n=a_n, points=points, weights=weights)
+    return Design(n=n, a_n=a_n)
 
 
 def default_d_n(n: int) -> int:

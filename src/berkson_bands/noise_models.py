@@ -19,9 +19,13 @@ __all__ = [
     "LaplaceMixture",
     "NoError",
     "NoiseModel",
-    "laplace_from_sd",
     "make_noise",
 ]
+
+
+def _check_rate(a: float) -> None:
+    if not (math.isfinite(a) and a > 0):
+        raise ValueError(f"rate must be positive and finite, got a={a}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +35,7 @@ class Laplace:
     a: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError(f"rate must be positive, got a={self.a}")
+        _check_rate(self.a)
 
     beta: float = 2.0
     smoothness_class: str = "S"
@@ -83,12 +86,11 @@ class LaplaceMixture:
     mu: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0:
-            raise ValueError(f"rate must be positive, got a={self.a}")
+        _check_rate(self.a)
         if not 0.0 <= self.lam < 0.5:
             raise ValueError(f"mixture weight must be in [0, 1/2), got {self.lam}")
-        if self.mu < 0:
-            raise ValueError(f"shift must be nonnegative, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise ValueError(f"shift must be nonnegative and finite, got {self.mu}")
 
     beta: float = 2.0
     smoothness_class: str = "W"
@@ -180,33 +182,26 @@ class NoError:
 NoiseModel = Laplace | LaplaceMixture | NoError
 
 
-def laplace_from_sd(sigma_delta: float) -> Laplace:
-    """Laplace law with standard deviation ``sigma_delta``."""
-    if sigma_delta <= 0:
-        raise ValueError(f"sd must be positive, got {sigma_delta}")
-    return Laplace(a=math.sqrt(2.0) / sigma_delta)
-
-
 def make_noise(
     kind: str,
     *,
-    a: float | None = None,
     sigma_delta: float | None = None,
     lam: float = 0.2,
     mu: float = 0.3,
 ) -> NoiseModel:
     """Build a noise model from config-style fields.
 
-    Exactly one of ``a`` (rate) or ``sigma_delta`` (for ``laplace``, the
-    law's sd; for ``mixture``, the sd of the Laplace core) fixes the scale.
+    ``sigma_delta`` fixes the scale: for ``laplace`` it is the law's sd,
+    for ``mixture`` the sd of the Laplace core.  It must be positive and
+    finite for every kind but ``none``.
     """
     kind = kind.lower()
     if kind in ("none", "noerror"):
         return NoError()
-    if a is None:
-        if sigma_delta is None:
-            raise ValueError("need a rate 'a' or a scale 'sigma_delta'")
-        a = math.sqrt(2.0) / sigma_delta
+    if sigma_delta is None or not (math.isfinite(sigma_delta) and sigma_delta > 0):
+        raise ValueError(
+            f"sigma_delta must be positive and finite, got {sigma_delta}")
+    a = math.sqrt(2.0) / sigma_delta
     if kind == "laplace":
         return Laplace(a=a)
     if kind in ("mixture", "laplace_mixture"):

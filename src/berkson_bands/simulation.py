@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import BandRequest, _is_int, build_band, make_eval_grid
+from .bands import BandRequest, build_band, make_eval_grid
 from .bandwidth import TABLE_PRESETS
 from .deconv_kernel import TaperSpec
-from .design import RegressionSample, build_regular, write_columns
+from .design import RegressionSample, _is_int, build_regular, write_columns
 from .noise_models import NoiseModel, make_noise
 
 __all__ = [
@@ -258,11 +258,6 @@ def export_report(report: ScenarioReport, out_dir) -> None:
     rep = report.representative
     cols = [] if rep is None else [rep[k] for k in keys]
     write_columns(out / "band.csv", ",".join(keys), *cols)
-
-
-def load_summary(out_dir) -> dict:
-    with open(Path(out_dir) / "summary.json", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

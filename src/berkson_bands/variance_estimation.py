@@ -94,7 +94,8 @@ def estimate_nu(
     """Smoothed standard-deviation curve from pseudo squared residuals.
 
     ``mask`` holds the positions of the observations to use (the held-out
-    split of the extension); residuals pair consecutive selected points.
+    split of the extension), strictly increasing integers in [0, size);
+    residuals pair consecutive selected points.
     The default bandwidth is (b-a) * n_points^(-1/5) over the requested
     interval, and the floor is max(sigma_hat/2, 1e-8) with sigma_hat the
     difference-based level of the same subsequence.
@@ -102,9 +103,16 @@ def estimate_nu(
     w = sample.design.points
     y = sample.responses
     if mask is not None:
-        idx = np.asarray(mask, dtype=int)
+        idx = np.asarray(mask)
+        if idx.ndim != 1 or idx.dtype.kind not in "iu":
+            raise ValueError(
+                f"mask must be a 1-d array of integer positions, got {idx.dtype} "
+                f"of shape {idx.shape}")
         if len(idx) < 2:
             raise ValueError("mask must select at least two observations")
+        if not (idx[0] >= 0 and idx[-1] < len(w) and np.all(idx[1:] > idx[:-1])):
+            raise ValueError(
+                f"mask positions must be strictly increasing in [0, {len(w)})")
         w, y = w[idx], y[idx]
     if interval is None:
         interval = (float(w[0]), float(w[-1]))

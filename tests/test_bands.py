@@ -9,13 +9,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import berkson_bands.bands as bands_mod
 from berkson_bands import (
     BandRequest,
-    Design,
     NoError,
     RegressionSample,
     SCENARIOS,
@@ -188,7 +187,10 @@ def test_band_is_insensitive_to_grid_refinement(s200):
     assert abs(four.quantile / one.quantile - 1.0) < 0.02
 
 
-def test_band_determinism_symmetry_and_nesting(s200):
+@settings(derandomize=True, max_examples=8, deadline=None)
+@example(alphas=(0.10, 0.01))
+@given(alphas=st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)))
+def test_band_determinism_symmetry_and_nesting(s200, alphas):
     one = build_band(s200, REQ, LAP01)
     two = build_band(s200, REQ, LAP01)
     assert np.array_equal(one.lower, two.lower)
@@ -197,10 +199,9 @@ def test_band_determinism_symmetry_and_nesting(s200):
     assert np.array_equal(one.lower, one.ghat - one.half_width)
     assert np.array_equal(one.upper, one.ghat + one.half_width)
     assert np.all(one.half_width > 0.0)
-    loose = build_band(s200, BandRequest(interval=(-0.7, 0.6), h=0.25,
-                                         alpha=0.10, draws=250, seed=42), LAP01)
-    tight = build_band(s200, BandRequest(interval=(-0.7, 0.6), h=0.25,
-                                         alpha=0.01, draws=250, seed=42), LAP01)
+    tight_alpha, loose_alpha = sorted(alphas)
+    loose = build_band(s200, replace(REQ, alpha=loose_alpha), LAP01)
+    tight = build_band(s200, replace(REQ, alpha=tight_alpha), LAP01)
     assert np.all(loose.lower >= tight.lower)
     assert np.all(loose.upper <= tight.upper)
 
@@ -255,16 +256,22 @@ def test_split_band_matches_reference_formula(mix100, b_n):
 
 
 @pytest.mark.parametrize("split", [False, True])
-def test_band_is_scale_equivariant(mix100, split):
+@settings(derandomize=True, max_examples=6, deadline=None)
+@example(c=-2.0, seed=MIX_REQ.seed)
+@example(c=0.5, seed=MIX_REQ.seed)
+@example(c=3.0, seed=MIX_REQ.seed)
+@given(c=st.one_of(st.floats(-100.0, -0.01), st.floats(0.01, 100.0)),
+       seed=st.integers(0, 2**64 - 1))
+def test_band_is_scale_equivariant(mix100, split, c, seed):
     build = build_band_extension if split else build_band
-    base = build(mix100, MIX_REQ, MIX)
-    for c in (-2.0, 0.5, 3.0):
-        scaled = RegressionSample(design=mix100.design,
-                                  responses=c * mix100.responses)
-        res = build(scaled, MIX_REQ, MIX)
-        assert res.quantile == pytest.approx(base.quantile, rel=1e-10)
-        assert_close(res.ghat, c * base.ghat)
-        assert_close(res.half_width, abs(c) * base.half_width)
+    req = replace(MIX_REQ, seed=seed)
+    base = build(mix100, req, MIX)
+    scaled = RegressionSample(design=mix100.design,
+                              responses=c * mix100.responses)
+    res = build(scaled, req, MIX)
+    assert res.quantile == pytest.approx(base.quantile, rel=1e-10)
+    assert_close(res.ghat, c * base.ghat)
+    assert_close(res.half_width, abs(c) * base.half_width)
 
 
 def test_split_band_is_deterministic(mix100):
@@ -280,17 +287,15 @@ def test_extension_requires_oscillating_law(s200):
         build_band_extension(s200, REQ, LAP01)
 
 
-def test_workspace_cache_separates_designs_by_weights():
+def test_workspace_cache_keys_designs_by_value():
     d = build_regular(100, A_N)
-    reweighted = Design(n=d.n, a_n=d.a_n, points=d.points,
-                        weights=d.weights * np.linspace(0.5, 1.5, d.size))
     rng = np.random.default_rng(5)
     y = g_a(d.points + LAP01.sample(rng, d.size)) + 0.1 * rng.standard_normal(d.size)
     twin = build_regular(100, A_N)
     assert d == twin and hash(d) == hash(twin)
-    assert d != reweighted
+    assert d != build_regular(100, 0.5)
     build_band(RegressionSample(design=d, responses=y), REQ, LAP01)
-    sample = RegressionSample(design=reweighted, responses=y)
+    sample = RegressionSample(design=twin, responses=y)
     warm = build_band(sample, REQ, LAP01)
     bands_mod._workspace.cache_clear()
     cold = build_band(sample, REQ, LAP01)
@@ -298,6 +303,22 @@ def test_workspace_cache_separates_designs_by_weights():
     assert warm.quantile == cold.quantile
     info = bands_mod._workspace.cache_info()
     assert info.currsize <= info.maxsize == 3
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(n=st.integers(20, 80), a_n=st.floats(0.2, 1.0))
+def test_equal_designs_share_one_workspace(n, a_n):
+    one, two = build_regular(n, a_n), build_regular(n, a_n)
+    assert one is not two
+    assert one == two and hash(one) == hash(two)
+    y = np.random.default_rng(n).standard_normal(one.size)
+    req = BandRequest(interval=(-0.5, 0.5), h=0.25, draws=100, seed=n)
+    bands_mod._workspace.cache_clear()
+    first = build_band(RegressionSample(design=one, responses=y), req, LAP01)
+    second = build_band(RegressionSample(design=two, responses=y), req, LAP01)
+    info = bands_mod._workspace.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert first.quantile == second.quantile
 
 
 def test_list_interval_builds_the_same_band(s200):

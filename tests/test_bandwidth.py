@@ -15,7 +15,6 @@ from berkson_bands import (
     g_a,
     lepski_select,
     make_eval_grid,
-    preset_h,
     undersmooth,
 )
 from berkson_bands.bandwidth import TABLE_PRESETS
@@ -31,19 +30,17 @@ def noisy_sample(n, seed):
 
 
 def test_preset_table_lookup():
-    assert preset_h("g_a", 100, 0.1) == 0.25
-    assert preset_h("g_a", 750, 0.05) == 0.12
-    assert preset_h("g_b", 750, 0.1) == 0.22
+    assert TABLE_PRESETS[("g_a", 100, 0.1)] == 0.25
+    assert TABLE_PRESETS[("g_a", 750, 0.05)] == 0.12
+    assert TABLE_PRESETS[("g_b", 750, 0.1)] == 0.22
     assert TABLE_PRESETS[("g_b", 100, 0.05)] == 0.22
     assert len(TABLE_PRESETS) == 8
-    with pytest.raises(ValueError, match="no preset bandwidth"):
-        preset_h("g_a", 300, 0.1)
+    assert ("g_a", 300, 0.1) not in TABLE_PRESETS
 
 
 def test_default_config_spans_a_dyadic_range():
     cfg = default_lepski_config(200, 2.0)
     assert (cfg.k_l, cfg.k_u) == (1, 6)
-    assert cfg.bandwidths() == [2.0 ** (-k) for k in range(1, 7)]
     assert (default_lepski_config(750, 2.0).k_l,
             default_lepski_config(750, 2.0).k_u) == (1, 6)
 

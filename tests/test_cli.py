@@ -117,6 +117,19 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
                               + ["--h", "0.25"] + out) == 2
     err = capsys.readouterr().err
     assert "--input" in err and err.count(str(shifted)) == 1
+    mixture = ["--density", "mixture", "--sigma-delta", "0.05"]
+    for law, message in (
+        (["--density", "laplace", "--sigma-delta", "nan"], "sigma_delta must be"),
+        (["--density", "laplace", "--sigma-delta", "inf"], "sigma_delta must be"),
+        (["--density", "laplace"], "sigma_delta must be"),
+        (mixture + ["--mu", "nan"], "shift must be"),
+        (mixture + ["--mu", "inf"], "shift must be"),
+        (mixture + ["--lam", "nan"], "mixture weight"),
+    ):
+        argv = ["band", "--input", str(data_csv), *law, "--h", "0.25"] + out
+        assert parse_and_dispatch(argv) == 2
+        err = capsys.readouterr().err
+        assert "--sigma-delta/--lam/--mu" in err and message in err
 
 
 def test_band_on_a_too_short_interval_writes_nothing(data_csv, tmp_path, capsys):
@@ -189,6 +202,9 @@ def test_kernel_dump_and_selftest(tmp_path, capsys):
     assert "--grid-len" in capsys.readouterr().err
     assert parse_and_dispatch(["selftest"]) == 0
     assert "selftest: all checks passed" in capsys.readouterr().out
+    assert parse_and_dispatch(["--json", "selftest"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] and all(c["pass"] is True for c in payload["checks"])
 
 
 def test_threads_resolution(monkeypatch):

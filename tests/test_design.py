@@ -1,6 +1,7 @@
 """Design grids, splits, and sample files."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -27,10 +28,12 @@ def test_regular_design_layout():
     assert d.size == 201
     assert np.array_equal(d.points, j / (100 * A_N))
     assert np.all(d.weights == 1.0 / (100 * A_N))
-    assert d.span == (d.points[0], d.points[-1])
-    lo, hi = d.identifiable_range(0.25)
-    assert lo == pytest.approx(-1.0 / A_N + 0.25)
-    assert hi == pytest.approx(1.0 / A_N - 0.25)
+    # a design is the value (n, a_n); its arrays are derived and read-only
+    assert [f.name for f in dataclasses.fields(Design)] == ["n", "a_n"]
+    assert d == Design(n=100, a_n=A_N)
+    assert d != build_regular(100, 0.5) and d != build_regular(99, A_N)
+    with pytest.raises(ValueError, match="read-only"):
+        d.points[0] = 0.0
 
 
 def test_kernel_span_covers_design_span():
@@ -43,21 +46,16 @@ def test_kernel_span_covers_design_span():
 
 
 def test_design_validation():
-    pts = np.arange(5.0)
-    wts = np.ones(5)
-    with pytest.raises(ValueError, match="need n >= 1"):
-        Design(n=0, a_n=1.0, points=np.zeros(1), weights=np.ones(1))
+    for n in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="need n >= 1 and an integer"):
+            Design(n=n, a_n=1.0)
     for a_n in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="need a_n > 0 and finite"):
-            Design(n=2, a_n=a_n, points=pts, weights=wts)
+            Design(n=2, a_n=a_n)
     with pytest.raises(ValueError, match="need a_n > 0 and finite"):
         build_regular(3, float("nan"))
-    with pytest.raises(ValueError, match="length 2n\\+1"):
-        Design(n=2, a_n=1.0, points=np.arange(4.0), weights=np.ones(4))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        Design(n=2, a_n=1.0, points=np.zeros(5), weights=wts)
-    with pytest.raises(ValueError, match="finite and strictly increasing"):
-        Design(n=2, a_n=1.0, points=np.array([np.nan, 0, 1, 2, 3.0]), weights=wts)
+    with pytest.raises(ValueError, match="need n >= 1 and an integer"):
+        build_regular(2.5)
 
 
 def test_sample_validation():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from berkson_bands import Laplace, LaplaceMixture, NoError, laplace_from_sd, make_noise
+from berkson_bands import Laplace, LaplaceMixture, NoError, make_noise
 
 from conftest import LAP01, MIX
 
@@ -45,11 +45,12 @@ def test_laplace_charfn_closed_form():
 
 
 def test_rate_from_sd_round_trip():
-    law = laplace_from_sd(0.1)
+    law = make_noise("laplace", sigma_delta=0.1)
+    assert law == LAP01 == Laplace(a=math.sqrt(2.0) / 0.1)
     assert law.a == pytest.approx(math.sqrt(2.0) / 0.1, rel=1e-12)
     assert law.sd == pytest.approx(0.1, rel=1e-12)
-    with pytest.raises(ValueError, match="sd must be positive"):
-        laplace_from_sd(0.0)
+    with pytest.raises(ValueError, match="sigma_delta must be positive"):
+        make_noise("laplace", sigma_delta=0.0)
 
 
 def test_mixture_parameters():
@@ -75,6 +76,20 @@ def test_rate_must_be_positive():
         Laplace(a=0.0)
     with pytest.raises(ValueError, match="rate must be positive"):
         LaplaceMixture(a=-1.0, lam=0.2, mu=0.3)
+    for a in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            Laplace(a=a)
+        with pytest.raises(ValueError, match="rate must be positive and finite"):
+            LaplaceMixture(a=a, lam=0.2, mu=0.3)
+    for mu in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="shift must be nonnegative and finite"):
+            LaplaceMixture(a=1.0, lam=0.2, mu=mu)
+    with pytest.raises(ValueError, match="mixture weight"):
+        LaplaceMixture(a=1.0, lam=math.nan, mu=0.3)
+    for kind in ("laplace", "mixture"):
+        for sd in (0.0, -0.1, math.nan, math.inf, None):
+            with pytest.raises(ValueError, match="sigma_delta must be positive and finite"):
+                make_noise(kind, sigma_delta=sd)
 
 
 def test_mixture_shape_parameter_bounds():
@@ -132,10 +147,9 @@ def test_error_free_law_degenerates():
 def test_make_noise_dispatch():
     assert isinstance(make_noise("none"), NoError)
     assert isinstance(make_noise("noerror"), NoError)
-    assert make_noise("laplace", sigma_delta=0.1) == laplace_from_sd(0.1)
-    assert make_noise("laplace", a=3.0).a == 3.0
+    assert make_noise("laplace", sigma_delta=0.1) == Laplace(a=math.sqrt(2.0) / 0.1)
     assert make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3) == MIX
     with pytest.raises(ValueError, match="unknown noise kind"):
-        make_noise("gauss", a=1.0)
-    with pytest.raises(ValueError, match="rate 'a' or a scale"):
+        make_noise("gauss", sigma_delta=1.0)
+    with pytest.raises(ValueError, match="sigma_delta must be positive"):
         make_noise("laplace")

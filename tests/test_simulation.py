@@ -17,11 +17,11 @@ from berkson_bands import (
     g_a,
     g_b,
     generate_sample,
-    preset_h,
     run_scenario,
 )
 from berkson_bands import simulation
-from berkson_bands.simulation import load_summary, scenario_from_dict, scenario_from_file
+from berkson_bands.bandwidth import TABLE_PRESETS
+from berkson_bands.simulation import scenario_from_dict, scenario_from_file
 
 from conftest import A_N, LAP01
 from oracles import oracle_gamma, oracle_nu2
@@ -65,7 +65,7 @@ def test_table_scenarios_use_the_preset_bandwidths():
     assert len(tags) == 8
     for tag in tags:
         sc = SCENARIOS[tag]
-        assert sc.h == preset_h(sc.signal, sc.n, sc.sigma), tag
+        assert sc.h == TABLE_PRESETS[(sc.signal, sc.n, sc.sigma)], tag
 
 
 def test_scenario_validation():
@@ -166,7 +166,8 @@ def test_report_export_round_trip(tmp_path):
     export_report(report, out)
     assert sorted(p.name for p in out.iterdir()) == \
         ["band.csv", "reps.csv", "summary.json"]
-    summary = load_summary(out)
+    with open(out / "summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
     assert summary["rejection_rate"] == report.rejection_rate
     assert summary["completed_reps"] == 4
     assert summary["scenario"]["n"] == 60

@@ -65,6 +65,11 @@ def test_mask_selects_positions():
     assert np.array_equal(curve.residuals, 0.5 * (y[1:] - y[:-1]) ** 2)
     with pytest.raises(ValueError, match="at least two observations"):
         estimate_nu(s, mask=np.array([4]))
+    with pytest.raises(ValueError, match="mask must be a 1-d array of integer"):
+        estimate_nu(s, mask=[1.7, 3.2, 6.9])
+    for bad in ([-1, 3, 5, 9], [3, 5, 5, 9], [9, 5, 3], [0, s.design.size]):
+        with pytest.raises(ValueError, match="mask positions must be strictly"):
+            estimate_nu(s, interval=(-0.7, 0.6), mask=bad)
 
 
 def test_bandwidth_and_window_validation():
