@@ -20,6 +20,12 @@ from the spectral kernel operator (deconv_kernel.SpectralKernel.factors
 and squared_kernel): left @ basis.T, with basis on the design side.  A
 multiplier draw then costs (design + grid) x rank instead of design x
 grid, and no band builds a kernel table or a dense kernel matrix.
+
+The pilot regression is a not-a-knot cubic spline over the pilot
+points, solved here in numpy (_spline_coefficients).  A spline is linear
+in its data, so the workspace holds the spline of every kernel factor
+column, and a band's pilot spline is one product with it.  Like the
+kernel operators, bands need numpy alone.
 """
 from __future__ import annotations
 
@@ -31,7 +37,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .deconv_kernel import TaperSpec, spectral_kernels, squared_kernel
 from .design import (Design, RegressionSample, _is_int, build_split,
@@ -179,9 +184,9 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-# Workspaces kept in memory; one holds 55 MB at n = 750: 29 MB of
-# local-variance smoothing weights, 15 MB of pilot read positions and
-# 11 MB of kernel factors.
+# Workspaces kept in memory; one holds 56 MB on gb_n750_s05 (n = 750):
+# 29 MB of local-variance smoothing weights, 15 MB of pilot read
+# positions and 12 MB of kernel factors and pilot spline coefficients.
 _WS_KEEP = 3
 
 
@@ -191,22 +196,25 @@ class _Workspace:
 
     Each kernel matrix is a product left @ basis.T with basis on the
     design side (orthonormal columns) and left on the evaluation side:
-    K((w_j - x)/h) is kg @ basis.T on the grid and ke @ basis.T on xe;
-    K^2 is k2g and k2w (design rows) times basis2.T; the squared taper
-    kernel between design points is kt2w @ basis_t.T.  The pilot spline
-    is read at w_j + delta_d, clipped to xe's range, in the cell ``cell``
-    at ``offset`` past its left end, and fwt holds the trapezoid weights
-    times the error density over delta.  The pilot variance enters only
-    through its error-law moment, which is linear in the data: spur @ u
-    is that moment of the spline through (K^2 on xe) @ basis2 @ u.  An
+    K((w_j - x)/h) is kg @ basis.T on the grid; K^2 is k2g and k2w
+    (design rows) times basis2.T; the squared taper kernel between
+    design points is kt2w @ basis_t.T.  The pilot regression on xe is a
+    cubic spline, and a spline is linear in its data: ck @ u holds the
+    coefficients of the spline through (K on xe) @ u, so a band's pilot
+    spline costs one product.  The spline is read at w_j + delta_d,
+    clipped to xe's range, in the cell ``cell`` at ``offset`` past its
+    left end, and fwt holds the trapezoid weights times the error
+    density over delta.  The pilot variance enters only through its
+    error-law moment, which is linear in the data: spur @ u is that
+    moment of the spline through (K^2 on xe) @ basis2 @ u.  An
     error-free law has no pilot variance term, and the fields only it
-    needs (spur, basis_t, kt2w, cell, offset, fwt) are None.
+    needs (ck, spur, basis_t, kt2w, cell, offset, fwt) are None.
     """
 
     eg: EvalGrid
     basis: np.ndarray
     kg: np.ndarray
-    ke: np.ndarray
+    ck: np.ndarray | None
     basis2: np.ndarray
     k2g: np.ndarray
     k2w: np.ndarray
@@ -263,8 +271,9 @@ def _workspace(
 
     dgrid = _noise_delta_grid(noise)
     if dgrid is None:
-        cell = offset = fwt = spur = basis_t = kt2w = None
+        ck = cell = offset = fwt = spur = basis_t = kt2w = None
     else:
+        ck = _spline_coefficients(xe, ke)
         fw = noise.density(dgrid)
         fw = fw / np.trapezoid(fw, dgrid)
         step = np.diff(dgrid)
@@ -290,16 +299,50 @@ def _workspace(
         ) from None
 
     return _Workspace(
-        eg=eg, basis=basis, kg=kg, ke=ke, basis2=basis2, k2g=k2g, k2w=k2w,
+        eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, k2w=k2w,
         spur=spur, k2sg=k2sg, k2sw=k2sw, basis_t=basis_t, kt2w=kt2w, xe=xe,
         cell=cell, offset=offset, fwt=fwt, wt_e=wt_e, sw_e=sw_e, wt_w=wt_w,
         sw_w=sw_w,
     )
 
 
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic splines through the columns of ``y`` at the knots
+    ``x`` (at least four, increasing): a 4 x (len(x) - 1) x columns array
+    of each cell's coefficients, highest power first.
+
+    The knot slopes s solve the tridiagonal system of scipy's
+    CubicSpline with not-a-knot ends, by elimination without pivoting:
+    after the first row every pivot dominates its row, so no pivot
+    shrinks.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y, axis=0) / dx[:, None]
+    ends = (x[2] - x[0], x[-1] - x[-3])
+    lower = [*dx[1:], ends[1]]  # row i holds lower[i - 1], diag[i], upper[i]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]]
+    upper = [ends[0], *dx[:-1]]
+    s = np.empty_like(slope, shape=y.shape)
+    s[0] = ((dx[0] + 2.0 * ends[0]) * dx[1] * slope[0]
+            + dx[0] ** 2 * slope[1]) / ends[0]
+    s[1:-1] = 3.0 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+    s[-1] = (dx[-1] ** 2 * slope[-2]
+             + (2.0 * ends[1] + dx[-1]) * dx[-2] * slope[-1]) / ends[1]
+    for i in range(1, x.size):
+        f = lower[i - 1] / diag[i - 1]
+        diag[i] -= f * upper[i - 1]
+        s[i] -= f * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(x.size - 2, -1, -1):
+        s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx[:, None]
+    return np.stack((t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t,
+                     s[:-1], y[:-1]))
+
+
 def _spline_moments(xe, columns, cell, offset, fwt) -> np.ndarray:
-    """sum_d fwt_d s_k(w_j + delta_d) for s_k the CubicSpline through
-    column k of ``columns`` at xe, as a design x column matrix.
+    """sum_d fwt_d s_k(w_j + delta_d) for s_k the not-a-knot cubic spline
+    through column k of ``columns`` at xe, as a design x column matrix.
 
     The read points are given by ``cell`` and ``offset`` as in
     _Workspace.  The weight of each cell's power of the offset is
@@ -309,7 +352,7 @@ def _spline_moments(xe, columns, cell, offset, fwt) -> np.ndarray:
     flat = (np.arange(rows)[:, None] * cells + cell).ravel()
     weight = np.broadcast_to(fwt, cell.shape)
     out = np.zeros((rows, columns.shape[1]))
-    for c in CubicSpline(xe, columns).c[::-1]:  # constant term first
+    for c in _spline_coefficients(xe, columns)[::-1]:  # constant term first
         per_cell = np.bincount(flat, weight.ravel(), minlength=rows * cells)
         out += per_cell.reshape(rows, cells) @ c
         weight = weight * offset
@@ -318,8 +361,8 @@ def _spline_moments(xe, columns, cell, offset, fwt) -> np.ndarray:
 
 def _spline_read(coef: np.ndarray, cell: np.ndarray, offset: np.ndarray):
     """Piecewise cubic with coefficients ``coef`` (4 x cells, highest power
-    first, as CubicSpline.c) at ``offset`` past the left end of ``cell``,
-    by Horner's rule."""
+    first, as _spline_coefficients gives them) at ``offset`` past the left
+    end of ``cell``, by Horner's rule."""
     out = coef[0][cell]
     for c in coef[1:]:
         out *= offset
@@ -348,8 +391,8 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     if ws.fwt is None:
         vmod = np.zeros(sample.design.size)
     else:
-        ge = ws.ke @ (ws.basis.T @ (wts * y)) / h
-        gw = _spline_read(CubicSpline(ws.xe, ge).c, ws.cell, ws.offset)
+        gw = _spline_read(ws.ck @ (ws.basis.T @ (wts * y)) / h, ws.cell,
+                          ws.offset)
         m1 = gw @ ws.fwt
         m2 = (gw * gw) @ ws.fwt
         vm = np.maximum(m2 - m1**2, 0.0)
@@ -453,7 +496,9 @@ def build_band_extension(
     of build_band over a reweighted design, with gap weights on the kept
     points and zero on the removed ones, the multiplier process truncated
     to |j| <= n b_n, and the variance curve estimated from the removed
-    singletons.  build_band itself serves every error law.
+    singletons.  build_band itself serves every error law.  A b_n that
+    is not finite, or that leaves no kept point in the process, raises a
+    ValueError naming b_n.
     """
     if noise.smoothness_class != "W":
         raise ValueError(
@@ -467,6 +512,11 @@ def build_band_extension(
     sd = build_split(design, d_n)
     if b_n is None:
         b_n = default_b_n(n, a_n)
+    carry = sd.kept[np.abs(sd.kept) <= n * b_n] + n
+    if not (math.isfinite(b_n) and carry.size):
+        raise ValueError(
+            f"b_n must be finite and keep a design point j with "
+            f"|j| <= n b_n in the multiplier process, got {b_n}")
     nu_curve = estimate_nu(
         sample, interval=request.interval, mask=sd.removed + n
     )
@@ -477,7 +527,6 @@ def build_band_extension(
 
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights
-    carry = sd.kept[np.abs(sd.kept) <= int(n * b_n)] + n
     mult_w = np.zeros(design.size)
     mult_w[carry] = est_w[carry] * nu_curve(w[carry])
     return _assemble(sample, request, noise.beta, eg, kg, basis, est_w, mult_w,

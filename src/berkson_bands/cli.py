@@ -21,6 +21,7 @@ from .bands import (
     BandRequest,
     _assemble,
     _band_variance_field,
+    _spline_coefficients,
     _spline_moments,
     _sup_batch,
     _workspace,
@@ -279,9 +280,15 @@ def _cmd_band(args: argparse.Namespace) -> int:
                 "--split/--d-n/--b-n need an oscillating error law "
                 "(--density mixture)"
             )
-        band = build_band_extension(
-            sample, request, noise, taper=taper, d_n=args.d_n, b_n=args.b_n,
-        )
+        try:
+            band = build_band_extension(
+                sample, request, noise, taper=taper, d_n=args.d_n, b_n=args.b_n,
+            )
+        except ValueError as exc:
+            for name in ("d_n", "b_n"):  # the split's checks name their parameter
+                if name in str(exc):
+                    raise ConfigError(f"--{name.replace('_', '-')}: {exc}") from exc
+            raise
     else:
         band = build_band(sample, request, noise, taper=taper)
     out = Path(args.out)
@@ -443,7 +450,8 @@ def _dense_band_error(sample, request, noise, spec, table, band) -> float:
     kg, ke, kw = (table.matrix(x, w) for x in (ws.eg.points, ws.xe, w))
     taper = kernel_table(h, NoError(), spec, span=design.kernel_span(h))
     dense = dataclasses.replace(
-        ws, basis=eye, kg=kg, ke=ke, basis2=eye, k2g=kg**2, k2w=kw**2,
+        ws, basis=eye, kg=kg, ck=_spline_coefficients(ws.xe, ke), basis2=eye,
+        k2g=kg**2, k2w=kw**2,
         spur=_spline_moments(ws.xe, ke**2, ws.cell, ws.offset, ws.fwt),
         k2sg=np.maximum((kg**2).sum(axis=1), 1e-300),
         k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,

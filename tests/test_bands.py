@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import CubicSpline
 
 import berkson_bands.bands as bands_mod
 from berkson_bands import (
@@ -285,6 +286,30 @@ def test_split_band_is_deterministic(mix100):
 def test_extension_requires_oscillating_law(s200):
     with pytest.raises(ValueError, match="oscillating error law"):
         build_band_extension(s200, REQ, LAP01)
+
+
+@pytest.mark.parametrize("b_n", [0.0, -1.0, math.nan, math.inf])
+def test_split_band_rejects_b_n_without_a_process_point(mix100, b_n):
+    # n = 100 with the default d_n = 25 removes j = 0, so b_n = 0 keeps none
+    with pytest.raises(ValueError, match="b_n must be finite"):
+        build_band_extension(mix100, MIX_REQ, MIX, b_n=b_n)
+
+
+@pytest.mark.parametrize("knots", ["uniform", "random"])
+def test_spline_coefficients_match_cubic_spline(knots):
+    rng = np.random.default_rng(4)
+    if knots == "uniform":
+        x = np.linspace(-1.3, 0.9, 900)
+    else:
+        x = np.sort(rng.uniform(-1.3, 0.9, 60))
+    y = rng.standard_normal((x.size, 5))
+    coef = bands_mod._spline_coefficients(x, y)
+    at = np.concatenate((x, rng.uniform(x[0], x[-1], 2000)))
+    cell = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+    want = CubicSpline(x, y)(at)
+    for k in range(y.shape[1]):
+        got = bands_mod._spline_read(coef[..., k], cell, at - x[cell])
+        assert_close(got, want[:, k], rel=1e-13)
 
 
 def test_workspace_cache_keys_designs_by_value():

@@ -130,6 +130,14 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
         assert parse_and_dispatch(argv) == 2
         err = capsys.readouterr().err
         assert "--sigma-delta/--lam/--mu" in err and message in err
+    split_out = tmp_path / "split.csv"
+    split = ["band", "--input", str(data_csv), *mixture, "--h", "0.5", "--split",
+             "--out", str(split_out)]
+    for flag, value in (("--b-n", "0"), ("--b-n", "-1"), ("--b-n", "nan"),
+                        ("--b-n", "inf"), ("--d-n", "1")):
+        assert parse_and_dispatch(split + [flag, value]) == 2
+        assert f"config error: {flag}:" in capsys.readouterr().err
+    assert not split_out.exists()
 
 
 def test_band_on_a_too_short_interval_writes_nothing(data_csv, tmp_path, capsys):
@@ -238,6 +246,29 @@ def test_bad_thread_counts_exit_with_code_two(monkeypatch, capsys):
 def test_config_rejects_unknown_keys(capsys):
     assert parse_and_dispatch(["selftest", "--nonsense", "1"]) == 2
     assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
+
+
+def test_band_paths_load_no_scipy(data_csv, tmp_path):
+    # scipy serves only kernel_eval's reference quadrature
+    script = f"""
+import sys
+import berkson_bands.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert not scipy_modules(), scipy_modules()
+band = ["band", "--input", {str(data_csv)!r}, "--density", "mixture",
+        "--sigma-delta", "0.05", "--M", "100"]
+assert cli.main(band + ["--h", "0.5", "--out", {str(tmp_path / "plain.csv")!r}]) == 0
+assert cli.main(band + ["--bandwidth", "lepski", "--split",
+                        "--out", {str(tmp_path / "split.csv")!r}]) == 0
+assert not scipy_modules(), scipy_modules()
+"""
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "plain.csv").exists() and (tmp_path / "split.csv").exists()
 
 
 def test_module_entry_point_runs(tmp_path):

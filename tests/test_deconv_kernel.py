@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, kernel_table, phi_k
-from berkson_bands.deconv_kernel import fourier_sums, spectral_kernels, squared_kernel
+from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums,
+                                         spectral_kernels, squared_kernel)
 
 from conftest import LAP01, MIX, SMOOTH, TAPER_S, TAPER_W
 
@@ -120,6 +122,19 @@ def test_kernel_factors_match_the_dense_kernel_matrix():
     for left, x in ((kg, grid), (ke, xe), (kw, w)):
         dense = np.cos(np.subtract.outer(w, x)[..., None] * op.omega) @ op.factor
         assert np.max(np.abs(left @ basis.T - dense.T)) < 1e-12 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 24, 60, 379, 1442])
+def test_legendre_rule_matches_scipy(m):
+    x, w = _legendre_rule(m)
+    assert np.max(np.abs(x - roots_legendre(m)[0])) <= 1e-15
+    assert abs(w.sum() - 2.0) <= 1e-13
+    # the weights are checked through the monomials the rule integrates
+    # exactly, not against scipy's, whose end weights are the less accurate
+    power = np.ones_like(x)
+    for d in range(2 * m):
+        assert abs(w @ power - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-13
+        power *= x
 
 
 def test_fourier_sums_match_direct_evaluation():

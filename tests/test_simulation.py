@@ -1,6 +1,7 @@
 """Scenario presets, data generation, and the coverage harness."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -132,6 +133,16 @@ def test_runs_are_deterministic_and_worker_invariant():
             [r.width for r in serial.records]
     assert serial.rejection_rate == pooled.rejection_rate
     assert len(serial.records) == 10
+
+
+@pytest.mark.parametrize("seed", [1, 5, 9])
+def test_preset_report_does_not_depend_on_the_worker_count(seed):
+    sc = dataclasses.replace(SCENARIOS["ga_n100_s10"], reps=4, seed=seed)
+    serial = run_scenario(sc, workers=1)
+    pooled = run_scenario(sc, workers=2)
+    assert pooled.records == serial.records
+    assert pooled.rejection_rate == serial.rejection_rate
+    assert pooled.mean_width == serial.mean_width
 
 
 def test_pool_never_exceeds_the_replication_count(monkeypatch):
