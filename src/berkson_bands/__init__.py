@@ -23,7 +23,7 @@ from .bandwidth import (
     lepski_select,
     undersmooth,
 )
-from .deconv_kernel import KernelTable, TaperSpec, kernel_eval, kernel_table, phi_k
+from .deconv_kernel import TaperSpec, kernel_eval, phi_k
 from .design import (
     Design,
     RegressionSample,
@@ -66,10 +66,8 @@ __all__ = [
     "default_lepski_config",
     "lepski_select",
     "undersmooth",
-    "KernelTable",
     "TaperSpec",
     "kernel_eval",
-    "kernel_table",
     "phi_k",
     "Design",
     "RegressionSample",

@@ -290,13 +290,8 @@ def _workspace(
         wt_e, sw_e = smoothing_weights(mids, xe, hv)
         wt_w, sw_w = smoothing_weights(mids, w, hv)
     except ValueError as exc:
-        shortest = max(shortest_interval(mids, xe, design.size),
-                       shortest_interval(mids, w, design.size))
-        raise ValueError(
-            f"interval [{interval[0]}, {interval[1]}] is too short for the "
-            f"local variance estimate: {exc}; use an interval longer than "
-            f"{shortest:.6g}"
-        ) from None
+        shortest = shortest_interval(mids, np.concatenate((xe, w)), design.size)
+        raise _too_short(interval, exc, shortest) from None
 
     return _Workspace(
         eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, k2w=k2w,
@@ -304,6 +299,13 @@ def _workspace(
         cell=cell, offset=offset, fwt=fwt, wt_e=wt_e, sw_e=sw_e, wt_w=wt_w,
         sw_w=sw_w,
     )
+
+
+def _too_short(interval, cause, shortest: float) -> ValueError:
+    """The error of an interval whose local variance estimate fails."""
+    return ValueError(f"interval [{interval[0]}, {interval[1]}] is too short for "
+                      f"the local variance estimate: {cause}; use an interval "
+                      f"longer than {shortest:.6g}")
 
 
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -498,7 +500,8 @@ def build_band_extension(
     to |j| <= n b_n, and the variance curve estimated from the removed
     singletons.  build_band itself serves every error law.  A b_n that
     is not finite, or that leaves no kept point in the process, raises a
-    ValueError naming b_n.
+    ValueError naming b_n, a d_n that holds out one point one naming d_n,
+    and a too short interval one giving the shortest length that works.
     """
     if noise.smoothness_class != "W":
         raise ValueError(
@@ -517,20 +520,40 @@ def build_band_extension(
         raise ValueError(
             f"b_n must be finite and keep a design point j with "
             f"|j| <= n b_n in the multiplier process, got {b_n}")
-    nu_curve = estimate_nu(
-        sample, interval=request.interval, mask=sd.removed + n
-    )
     eg = make_eval_grid(request.interval, n, a_n, h)
     w = design.points
+    held = sd.removed + n
+    if held.size < 2:
+        raise ValueError(f"d_n={sd.d_n} holds out one design point; the "
+                         f"variance curve needs at least two")
+    try:
+        nu_curve = estimate_nu(sample, interval=request.interval, mask=held)
+        nu_carry, nu_g = nu_curve(w[carry]), nu_curve(eg.points)
+    except ValueError as exc:
+        raise _too_short(request.interval, exc,
+                         _split_shortest(w[held], w[carry], a_n, h)) from None
     (kernel,) = spectral_kernels([h], noise, spec, design.reach(request.interval))
     basis, (kg,) = kernel.factors(w, eg.points)
 
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights
     mult_w = np.zeros(design.size)
-    mult_w[carry] = est_w[carry] * nu_curve(w[carry])
+    mult_w[carry] = est_w[carry] * nu_carry
     return _assemble(sample, request, noise.beta, eg, kg, basis, est_w, mult_w,
-                     nu_curve(eg.points))
+                     nu_g)
+
+
+def _split_shortest(held, carried, a_n: float, h: float) -> float:
+    """Shortest interval length for the split band's variance curve,
+    wherever the interval lies: h_v = length m^(-1/5) must exceed half the
+    m held-out points' spacing (estimate_nu) and the distance from every
+    carried or grid point to its nearest midpoint.  Grids lie in [lo, hi],
+    whose farthest points from the midpoints are lo, hi or gap centres."""
+    mids = midpoints(held)
+    lo, hi = identifiable_range(a_n, h)
+    far = np.clip(np.concatenate(([lo, hi], midpoints(mids))), lo, hi)
+    return max(0.5 * float(np.max(np.diff(held))) * held.size**0.2,
+               shortest_interval(mids, np.concatenate((carried, far)), held.size))
 
 
 def write_band(result: BandResult, csv_path) -> None:

@@ -274,23 +274,21 @@ def _cmd_band(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"--alpha/--M/--seed: {exc}") from exc
-    if args.split or args.d_n is not None or args.b_n is not None:
-        if noise.smoothness_class != "W":
-            raise ConfigError(
-                "--split/--d-n/--b-n need an oscillating error law "
-                "(--density mixture)"
-            )
-        try:
-            band = build_band_extension(
-                sample, request, noise, taper=taper, d_n=args.d_n, b_n=args.b_n,
-            )
-        except ValueError as exc:
-            for name in ("d_n", "b_n"):  # the split's checks name their parameter
-                if name in str(exc):
-                    raise ConfigError(f"--{name.replace('_', '-')}: {exc}") from exc
-            raise
-    else:
-        band = build_band(sample, request, noise, taper=taper)
+    split = args.split or args.d_n is not None or args.b_n is not None
+    if split and noise.smoothness_class != "W":
+        raise ConfigError("--split/--d-n/--b-n need an oscillating error law "
+                          "(--density mixture)")
+    try:
+        band = (build_band_extension(sample, request, noise, taper=taper,
+                                     d_n=args.d_n, b_n=args.b_n)
+                if split else build_band(sample, request, noise, taper=taper))
+    except ValueError as exc:
+        # the checks on user-set values name what they reject
+        for key, flag in (("d_n", "--d-n"), ("b_n", "--b-n"),
+                          ("too short", "--interval")):
+            if key in str(exc):
+                raise ConfigError(f"{flag}: {exc}") from exc
+        raise
     out = Path(args.out)
     write_band(band, out)
     _emit(
@@ -384,13 +382,13 @@ def _selftest_checks() -> list[dict]:
          0.59, TaperSpec(kind="damped_cutoff", cutoff=16.0)),
     ]
     for label, noise, h, spec in cases:
-        table = kernel_table(h, noise, spec, span=6.0)
+        (op,) = spectral_kernels([h], noise, spec, 6.0 * h)
         us = np.linspace(-5.5, 5.5, 9)
-        err = max(
-            abs(kernel_eval(float(u), h, noise, spec) - float(table(u)))
-            for u in us
-        )
-        record(f"kernel quadrature vs table ({label})", err, 1e-6)
+        # one unit point at 0: the kernel sum at x = -h u is K(u)
+        vals = op.kernel_sum(-h * us, np.zeros(1), np.ones(1))
+        err = max(abs(kernel_eval(float(u), h, noise, spec) - float(v))
+                  for u, v in zip(us, vals))
+        record(f"kernel quadrature vs operator ({label})", err, 1e-6)
 
     for label, noise, _, _ in cases:
         reach = 40.0 / noise.a + (noise.mu if hasattr(noise, "mu") else 0.0)
@@ -406,7 +404,9 @@ def _selftest_checks() -> list[dict]:
     noise = Laplace(a=math.sqrt(2.0) / 0.1)
     spec = TaperSpec(kind="damped_cutoff", cutoff=5.5)
     design = build_regular(n, a_n)
-    table = kernel_table(h, noise, spec, span=design.kernel_span(h))
+    w = design.points
+    # every evaluation point lies in the design span, as in _workspace
+    (kernel,) = spectral_kernels([h], noise, spec, float(w[-1] - w[0]))
 
     interval = (-0.7, 0.6)
     grid = make_eval_grid(interval, n, a_n, h).points
@@ -414,17 +414,15 @@ def _selftest_checks() -> list[dict]:
         design=design,
         responses=np.random.default_rng(7).standard_normal(design.size),
     )
-    (kernel,) = spectral_kernels([h], noise, spec, design.reach(interval))
-    spectral = estimate_g(sample, grid, kernel)
-    tabled = estimate_g(sample, grid, table)
-    err = float(np.max(np.abs(spectral.values - tabled.values))
-                / np.max(np.abs(tabled.values)))
-    record("spectral operator vs table", err, 1e-6)
+    summed = estimate_g(sample, grid, kernel).values
+    direct = _dense(kernel, grid, w) @ (design.weights * sample.responses) / h
+    err = float(np.max(np.abs(summed - direct)) / np.max(np.abs(direct)))
+    record("Fourier sums vs direct node sum", err, 1e-6)
 
     coef = h**noise.beta / math.sqrt(n * a_n * h)
     worst = 0.0
     for x0 in (-0.5, 0.0, 0.5):
-        kvec = table.matrix(x0, design.points)[0]
+        kvec = _dense(kernel, [x0], w)[0]
         target = coef**2 * float(kvec @ kvec)
         # the band's draw engine at one point with nu = 1: sup = |process|
         sups = _sup_batch(kvec[:, None], np.ones((1, 1)), np.ones(1), coef,
@@ -437,25 +435,32 @@ def _selftest_checks() -> list[dict]:
         warnings.simplefilter("ignore", UserWarning)  # the regime warning
         band = build_band(sample, request, noise, taper=spec)
     record("factored vs dense band",
-           _dense_band_error(sample, request, noise, spec, table, band), 1e-9)
+           _dense_band_error(sample, request, noise, spec, kernel, band), 1e-9)
     return checks
 
 
-def _dense_band_error(sample, request, noise, spec, table, band) -> float:
+def _dense(kernel, x, points) -> np.ndarray:
+    """K((points_j - x_i)/h; h), the exact product of the kernel's factors."""
+    left, right = kernel.exact_factors(x, points)
+    return left @ right.T
+
+
+def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
     """Largest relative gap between ``band`` and the band assembled from
-    dense kernel-table matrices in place of the workspace's factors."""
+    dense kernel matrices in place of the workspace's factors; ``kernel``
+    is the operator at reach = design span, as _workspace builds it."""
     design, h = sample.design, request.h
     w, eye = design.points, np.eye(design.size)
     ws = _workspace(design, noise, spec, h, request.interval, 1)
-    kg, ke, kw = (table.matrix(x, w) for x in (ws.eg.points, ws.xe, w))
-    taper = kernel_table(h, NoError(), spec, span=design.kernel_span(h))
+    kg, ke, kw = (_dense(kernel, x, w) for x in (ws.eg.points, ws.xe, w))
+    (taper,) = spectral_kernels([h], NoError(), spec, float(w[-1] - w[0]))
     dense = dataclasses.replace(
         ws, basis=eye, kg=kg, ck=_spline_coefficients(ws.xe, ke), basis2=eye,
         k2g=kg**2, k2w=kw**2,
         spur=_spline_moments(ws.xe, ke**2, ws.cell, ws.offset, ws.fwt),
         k2sg=np.maximum((kg**2).sum(axis=1), 1e-300),
         k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,
-        kt2w=taper.matrix(w, w) ** 2)
+        kt2w=_dense(taper, w, w) ** 2)
     nu_w, nu_g = _band_variance_field(sample, dense, h)
     ref = _assemble(sample, request, noise.beta, ws.eg, kg, eye,
                     design.weights, design.weights * nu_w, nu_g)

@@ -13,12 +13,12 @@ on the Legendre recurrence (_legendre_rule).  A kernel sum over the
 design is then a node sum of the data's Fourier transform, and a kernel
 matrix between two point sets has low-rank factors
 (SpectralKernel.factors).  squared_kernel gives the same
-operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  The Lepski rule,
-the CLI's estimate and the bands use these operators and form no grid x
-design matrix.  kernel_table wraps one operator as a KernelTable: K read
-at any argument in [-span, span] by a direct node sum, the exact kernel
-matrix between two point sets, and K on a uniform grid, which the CLI's
-kernel-dump writes and the tests use as a dense reference.
+operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  Every read of K
+goes through these operators: the estimator, the Lepski rule and the
+bands form no grid x design matrix, and the exact kernel matrix between
+two point sets (SpectralKernel.exact_factors) serves as the dense
+reference.  kernel_table holds K on a uniform grid, the values the CLI's
+kernel-dump writes.
 """
 from __future__ import annotations
 
@@ -77,8 +77,8 @@ class TaperSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("smooth_poly", "damped_cutoff"):
             raise ValueError(f"unknown taper kind {self.kind!r}")
-        if self.cutoff <= 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
         if not 0.0 < self.flat_radius < 1.0:
             raise ValueError(
                 f"flat_radius must be in (0,1), got {self.flat_radius}"
@@ -110,76 +110,28 @@ def phi_k(t, spec: TaperSpec):
 
 @dataclass(frozen=True)
 class KernelTable:
-    """K(.;h) for arguments in [-span, span], read through its spectral operator.
-
-    grid and values hold K at the uniform points that kernel_table lays
-    over [-span, span]; every read, at those points or any other, is a
-    direct sum over the operator's nodes.
-    """
+    """K(.;h) at grid_len + 1 uniform points over [-span, span], the values
+    the CLI's kernel-dump writes, with the operator they come from."""
 
     operator: SpectralKernel
     span: float
     grid: np.ndarray
     values: np.ndarray
 
-    @property
-    def h(self) -> float:
-        return self.operator.h
-
-    @property
-    def beta(self) -> float:
-        return self.operator.beta
-
-    @property
-    def noise(self) -> NoiseModel:
-        return self.operator.noise
-
-    def _check_span(self, x, points) -> None:
-        """Raise unless every (points_j - x_i)/h lies in [-span, span]."""
-        if not (x.size and np.size(points)):
-            return
-        amax = max(np.max(points) - np.min(x), np.max(x) - np.min(points)) / self.h
-        if amax > self.span * (1.0 + 1e-12):
-            raise ValueError(
-                f"kernel argument {amax:.4g} outside the tabulated span "
-                f"{self.span:.4g}; rebuild the table with a larger span"
-            )
-
     def __call__(self, u):
+        """K(u;h) = sum_r factor_r cos(omega_r h u) for u in [-span, span],
+        by a direct node sum in blocks of at most ``_BLOCK_ELEMS`` entries."""
         u = np.asarray(u, dtype=float)
-        # K(u) is the kernel sum at x = -u h of one unit point at 0
-        vals = self.kernel_sum(-self.h * u.ravel(), np.zeros(1), np.ones(1))
-        return vals.reshape(u.shape)
-
-    def matrix(self, x, points) -> np.ndarray:
-        """K((points_j - x_i)/h; h) at the table's h, one row per x_i.
-
-        The exact product of the operator's factors (see
-        SpectralKernel.exact_factors), not a low-rank compression.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_span(x, points)
-        left, right = self.operator.exact_factors(x, points)
-        return left @ right.T
-
-    def kernel_sum(self, x, points, coef) -> np.ndarray:
-        """sum_j coef_j K((points_j - x_i)/h; h) for each x_i.
-
-        The operator's sum over its nodes of the data transform, at any
-        x; SpectralKernel.kernel_sum needs x on a uniform grid.  No
-        temporary holds more than ``_BLOCK_ELEMS`` entries.
-        """
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_span(x, points)
-        op = self.operator
-        spectrum = op.factor * op.transform(points, coef)
-        vals = np.empty(x.size)
+        if u.size and np.max(np.abs(u)) > self.span * (1.0 + 1e-12):
+            raise ValueError(f"kernel argument outside the tabulated span "
+                             f"{self.span:.4g}; rebuild the table with a larger span")
+        op, flat = self.operator, u.ravel()
+        vals = np.empty(flat.size)
         block = max(1, _BLOCK_ELEMS // op.omega.size)
-        for s in range(0, x.size, block):
-            phase = np.outer(x[s : s + block], op.omega)
-            vals[s : s + block] = (np.cos(phase) @ spectrum.real
-                                   + np.sin(phase) @ spectrum.imag)
-        return vals
+        for s in range(0, flat.size, block):
+            phase = np.outer(op.h * flat[s : s + block], op.omega)
+            vals[s : s + block] = np.cos(phase) @ op.factor
+        return vals.reshape(u.shape)
 
 
 def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float:
@@ -245,17 +197,14 @@ class SpectralKernel:
 
     factor_r = h q_r phi_k(omega_r h) / (pi charfn(-omega_r)), where q_r
     are the node rule's weights (see spectral_kernels).  ``kernel_sum``
-    has the contract of KernelTable.kernel_sum, for x on a uniform grid.
+    evaluates that sum for x on a uniform grid; ``exact_factors`` gives the
+    kernel matrix between any two point sets.
     """
 
     h: float
     noise: NoiseModel
     omega: np.ndarray
     factor: np.ndarray
-
-    @property
-    def beta(self) -> float:
-        return float(self.noise.beta)
 
     def transform(self, points, coef) -> np.ndarray:
         """T_r = sum_j coef_j exp(i omega_r points_j), in blocks of nodes."""

@@ -90,10 +90,6 @@ class Design:
     def size(self) -> int:
         return 2 * self.n + 1
 
-    def kernel_span(self, h: float) -> float:
-        """Kernel-table span reaching every design point from any x in it."""
-        return (self.points[-1] - self.points[0]) / h + 2.0
-
     def reach(self, interval) -> float:
         """Largest distance from a point of ``interval`` to a design point."""
         a, b = interval
@@ -131,14 +127,6 @@ class SplitDesign:
     kept: np.ndarray
     removed: np.ndarray
     gap_weights: np.ndarray
-
-    @property
-    def kept_positions(self) -> np.ndarray:
-        return self.base.points[self.kept + self.base.n]
-
-    @property
-    def removed_positions(self) -> np.ndarray:
-        return self.base.points[self.removed + self.base.n]
 
 
 def build_regular(n: int, a_n: float = 2.0 / 3.0) -> Design:

@@ -3,7 +3,7 @@
 The estimator averages responses against the deconvolution kernel,
 ghat(x;h) = sum_j weight_j Y_j K((w_j - x)/h; h) / h, which undoes the
 smoothing gamma = g * f(-.) induced by the Berkson errors.  The kernel
-sum comes from a kernel table or from the spectral operator.
+sum is the spectral operator's node sum of the data's Fourier transform.
 """
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deconv_kernel import KernelTable, SpectralKernel
-from .design import Design, RegressionSample, check_identifiable
+from .deconv_kernel import SpectralKernel
+from .design import RegressionSample, check_identifiable
 
 __all__ = ["EstimateCurve", "estimate_g"]
 
@@ -25,22 +25,18 @@ class EstimateCurve:
     beta: float
 
 
-def _check_grid(design: Design, h: float, grid: np.ndarray) -> None:
-    if grid.size:
-        check_identifiable((grid.min(), grid.max()), design.a_n, h)
-
-
 def estimate_g(
-    sample: RegressionSample, grid, kernel: KernelTable | SpectralKernel
+    sample: RegressionSample, grid, kernel: SpectralKernel
 ) -> EstimateCurve:
     """Kernel-sum evaluation of ghat(.;h) on ``grid`` at the kernel's h.
 
-    A SpectralKernel needs a uniform grid, as make_eval_grid gives.
+    ``grid`` must be uniform, as make_eval_grid gives it.
     """
     h = kernel.h
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    _check_grid(sample.design, h, grid)
+    if grid.size:
+        check_identifiable((grid.min(), grid.max()), sample.design.a_n, h)
     coef = sample.design.weights * sample.responses
     vals = kernel.kernel_sum(grid, sample.design.points, coef)
     vals /= h
-    return EstimateCurve(grid=grid, values=vals, h=h, beta=kernel.beta)
+    return EstimateCurve(grid=grid, values=vals, h=h, beta=float(kernel.noise.beta))

@@ -64,9 +64,6 @@ class Laplace:
         x = np.asarray(x, dtype=float)
         return 0.5 * self.a * np.exp(-self.a * np.abs(x))
 
-    def density_kinks(self) -> list[float]:
-        return [0.0]
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.laplace(0.0, 1.0 / self.a, size=size)
 
@@ -136,9 +133,6 @@ class LaplaceMixture:
             f0(x - self.mu) + f0(x + self.mu)
         )
 
-    def density_kinks(self) -> list[float]:
-        return sorted({-self.mu, 0.0, self.mu})
-
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         core = rng.laplace(0.0, 1.0 / self.a, size=size)
         u = rng.random(size=size)
@@ -171,9 +165,6 @@ class NoError:
 
     def density(self, x):
         raise ValueError("point mass at zero has no Lebesgue density")
-
-    def density_kinks(self) -> list[float]:
-        return []
 
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return np.zeros(size)

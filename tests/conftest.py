@@ -1,7 +1,8 @@
-"""Shared frozen objects: reference error laws, tapers, and a table helper."""
+"""Shared frozen objects: reference error laws, tapers, and kernel helpers."""
 from __future__ import annotations
 
-from berkson_bands import TaperSpec, kernel_table, make_noise
+from berkson_bands import TaperSpec, make_noise
+from berkson_bands.deconv_kernel import spectral_kernels
 
 A_N = 2.0 / 3.0
 TAPER_S = TaperSpec(kind="damped_cutoff", cutoff=5.5)
@@ -11,6 +12,16 @@ LAP01 = make_noise("laplace", sigma_delta=0.1)
 MIX = make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3)
 
 
-def table_for(design, h, noise, spec):
-    """Kernel table wide enough to reach every design point at bandwidth h."""
-    return kernel_table(h, noise, spec, span=design.kernel_span(h))
+def operator_for(design, h, noise, spec):
+    """Spectral operator of K(.;h) reaching every design point from any
+    point of the design span, as the band workspace builds it."""
+    (op,) = spectral_kernels([h], noise, spec,
+                             float(design.points[-1] - design.points[0]))
+    return op
+
+
+def kernel_matrix(op, x, points):
+    """K((points_j - x_i)/h; h), one row per x_i: the exact product of the
+    operator's factors, a direct node sum at any points."""
+    left, right = op.exact_factors(x, points)
+    return left @ right.T

@@ -1,4 +1,4 @@
-"""Dense reference band: every kernel matrix formed from kernel tables.
+"""Dense reference band: every kernel matrix is the exact factor product.
 
 This is the band construction written with dense grid x design and
 design x design kernel matrices, pilot curves read through CubicSpline
@@ -21,14 +21,14 @@ from berkson_bands.variance_estimation import (midpoints, pseudo_residuals,
                                                smoothing_bandwidth,
                                                smoothing_weights)
 
-from conftest import table_for
+from conftest import kernel_matrix, operator_for
 
 
 @functools.cache
 def _geometry(design, noise, spec, h, interval):
     w = design.points
-    table = table_for(design, h, noise, spec)
-    taper = table_for(design, h, NoError(), spec)
+    op = operator_for(design, h, noise, spec)
+    taper = operator_for(design, h, NoError(), spec)
     grid = make_eval_grid(interval, design.n, design.a_n, h).points
     lo, hi = identifiable_range(design.a_n, _CLAMP_FACTOR * h)
     xe = np.linspace(lo, hi, _XE_POINTS)
@@ -42,9 +42,9 @@ def _geometry(design, noise, spec, h, interval):
     hv = smoothing_bandwidth(interval, design.size)
     return {
         "grid": grid, "xe": xe, "dgrid": dgrid, "fw": fw, "wd": wd,
-        "kg": table.matrix(grid, w), "ke": table.matrix(xe, w),
-        "k2w": table.matrix(w, w) ** 2,
-        "kfw2_w2": taper.matrix(w, w) ** 2 * (design.weights**2)[None, :],
+        "kg": kernel_matrix(op, grid, w), "ke": kernel_matrix(op, xe, w),
+        "k2w": kernel_matrix(op, w, w) ** 2,
+        "kfw2_w2": kernel_matrix(taper, w, w) ** 2 * (design.weights**2)[None, :],
         "smooth_e": smoothing_weights(mids, xe, hv),
         "smooth_w": smoothing_weights(mids, w, hv),
     }

@@ -1,6 +1,7 @@
 """Quadrature oracles: gamma, the conditional variance nu^2, and the exact
 mean and variance of the estimator ghat, the references the estimator,
 simulation and variance tests and acceptance criteria 5-6 compare against.
+The error laws' density kinks, where the quadratures split, live here too.
 """
 from __future__ import annotations
 
@@ -9,13 +10,25 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from berkson_bands import (Design, KernelTable, Laplace, LaplaceMixture, NoError,
-                           NoiseModel, RegressionSample, estimate_g)
+from berkson_bands import (Design, Laplace, LaplaceMixture, NoError, NoiseModel,
+                           RegressionSample, estimate_g)
+from berkson_bands.deconv_kernel import SpectralKernel
+
+from conftest import kernel_matrix
 
 # Design points per chunk of the quadrature profiles, and the node
 # spacing of their Simpson rule.
 _W_BLOCK = 256
 _SIMPSON_STEP = 1e-3
+
+
+def density_kinks(noise: NoiseModel) -> list[float]:
+    """Points where the error law's density is not differentiable."""
+    if isinstance(noise, Laplace):
+        return [0.0]
+    if isinstance(noise, LaplaceMixture):
+        return sorted({-noise.mu, 0.0, noise.mu})
+    return []
 
 
 def _law_pieces(noise: NoiseModel) -> list[tuple[float, float]]:
@@ -26,7 +39,7 @@ def _law_pieces(noise: NoiseModel) -> list[tuple[float, float]]:
         tail = noise.mu + 31.0 / noise.a
     else:
         tail = 0.0
-    edges = sorted({-tail, *noise.density_kinks(), tail})
+    edges = sorted({-tail, *density_kinks(noise), tail})
     return list(zip(edges[:-1], edges[1:]))
 
 
@@ -101,23 +114,23 @@ def nu2_profile(g, noise: NoiseModel, sigma2: float, w) -> np.ndarray:
     return np.maximum(m2 - m1**2, 0.0) + sigma2
 
 
-def oracle_mean(g, design: Design, x, table: KernelTable) -> np.ndarray:
-    """Exact E[ghat(x;h)] at the table's h and error law.
+def oracle_mean(g, design: Design, x, op: SpectralKernel) -> np.ndarray:
+    """Exact E[ghat(x;h)] at the operator's h and error law, x uniform.
 
     The estimator applied to gamma.
     """
-    gamma = gamma_profile(g, table.noise, design.points)
+    gamma = gamma_profile(g, op.noise, design.points)
     sample = RegressionSample(design=design, responses=gamma)
-    return estimate_g(sample, x, table).values
+    return estimate_g(sample, x, op).values
 
 
 def oracle_variance(
-    g, sigma2: float, design: Design, x, table: KernelTable
+    g, sigma2: float, design: Design, x, op: SpectralKernel
 ) -> np.ndarray:
     """Exact Var[ghat(x;h)] = sum_j (weight_j/h)^2 nu^2(w_j) K(...)^2.
 
-    h and the error law are the table's.
+    h and the error law are the operator's.
     """
-    nu2 = nu2_profile(g, table.noise, sigma2, design.points)
-    km = table.matrix(x, design.points)
-    return (km**2 * (design.weights / table.h) ** 2) @ nu2
+    nu2 = nu2_profile(g, op.noise, sigma2, design.points)
+    km = kernel_matrix(op, x, design.points)
+    return (km**2 * (design.weights / op.h) ** 2) @ nu2

@@ -30,12 +30,12 @@ from berkson_bands import (
     estimate_nu,
     g_a,
     kernel_eval,
-    kernel_table,
     run_scenario,
 )
 from berkson_bands.bands import _sup_batch
+from berkson_bands.deconv_kernel import spectral_kernels
 
-from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, table_for
+from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, kernel_matrix, operator_for
 from oracles import oracle_mean, oracle_nu2, oracle_variance
 
 FAST = os.environ.get("BB_ACCEPT_FAST") == "1"
@@ -118,26 +118,29 @@ def test_criterion_4_kernel_table_matches_quadrature(capsys):
     worst = 0.0
     for noise, spec in ((LAP01, TAPER_S), (MIX, TAPER_W)):
         for h in (0.1, 0.25, 0.5):
-            table = kernel_table(h, noise, spec, span=8.0)
-            for u in rng.uniform(-7.2, 7.2, 32):
-                err = abs(kernel_eval(float(u), h, noise, spec) - float(table(u)))
+            # the operator for |u| <= 8; K(u) is its matrix entry from x = 0 to h u
+            (op,) = spectral_kernels([h], noise, spec, 8.0 * h)
+            us = rng.uniform(-7.2, 7.2, 32)
+            vals = kernel_matrix(op, [0.0], h * us)[0]
+            for u, v in zip(us, vals):
+                err = abs(kernel_eval(float(u), h, noise, spec) - float(v))
                 worst = max(worst, err)
     ok = worst <= 1e-6
-    _say(capsys, f"criterion 4: table vs quadrature max err {worst:.2e} "
+    _say(capsys, f"criterion 4: kernel vs quadrature max err {worst:.2e} "
                  f"<= 1e-06 -> {'PASS' if ok else 'FAIL'}")
-    assert ok, f"tabulated kernel deviates from quadrature by {worst}"
+    assert ok, f"kernel deviates from quadrature by {worst}"
 
 
 def test_criterion_5_variance_sandwich(capsys):
     noise = Laplace(a=6.0)
     n, a_n, h = 4000, 0.5, 0.1
     design = build_regular(n, a_n)
-    table = table_for(design, h, noise, TAPER_S)
+    op = operator_for(design, h, noise, TAPER_S)
     lo = 1.0 / (noise.c_upper * math.pi)
     hi = 2.0 / (noise.c_lower * math.pi)
     scaled = []
     for x in (0.0, 0.3, 0.6):
-        var = float(oracle_variance(g_a, 0.01, design, x, table)[0])
+        var = float(oracle_variance(g_a, 0.01, design, x, op)[0])
         nu2 = oracle_nu2(g_a, noise, 0.01, x)
         scaled.append(n * a_n * h ** (1 + 2 * noise.beta) * var / nu2)
     ok = all(lo <= j <= hi for j in scaled)
@@ -152,8 +155,8 @@ def test_criterion_6_smoothing_bias_decay(capsys):
     xs = np.linspace(-0.5, 0.5, 41)
     sups = []
     for h in (0.4, 0.2, 0.1):
-        table = table_for(design, h, LAP01, TAPER_S)
-        vals = oracle_mean(g_a, design, xs, table)
+        op = operator_for(design, h, LAP01, TAPER_S)
+        vals = oracle_mean(g_a, design, xs, op)
         sups.append(float(np.max(np.abs(vals - g_a(xs)))))
     ok = sups[0] > sups[1] > sups[2]
     shown = " > ".join(f"{s:.5f}" for s in sups)
@@ -165,12 +168,12 @@ def test_criterion_6_smoothing_bias_decay(capsys):
 def test_criterion_7_multiplier_process_variance(capsys):
     n, h = 200, 0.25
     design = build_regular(n, A_N)
-    table = table_for(design, h, LAP01, TAPER_S)
+    op = operator_for(design, h, LAP01, TAPER_S)
     coef = h ** LAP01.beta / math.sqrt(n * A_N * h)
     draws = 20_000
     worst = 0.0
     for x in np.linspace(-0.6, 0.5, 5):
-        kvec = table((design.points - x) / h)
+        kvec = kernel_matrix(op, [x], design.points)[0]
         # the band's draw engine at one point with nu = 1: sup = |process|
         sups = _sup_batch(kvec[:, None], np.ones((1, 1)), np.ones(1), coef,
                           draws, 99_000_000)
@@ -215,13 +218,13 @@ def test_criterion_8_structural_suite(capsys):
     bound = math.sqrt(req.h) / (n * math.sqrt(A_N))
     checks.append(("grid spacing bound", res.spacing <= bound + 1e-15))
 
-    table = table_for(design, req.h, LAP01, TAPER_S)
+    op = operator_for(design, req.h, LAP01, TAPER_S)
     y2 = 0.3 * rng.standard_normal(design.size)
-    c1 = estimate_g(sample, res.grid, table).values
+    c1 = estimate_g(sample, res.grid, op).values
     c2 = estimate_g(RegressionSample(design=design, responses=y2),
-                    res.grid, table).values
+                    res.grid, op).values
     c12 = estimate_g(RegressionSample(design=design, responses=y + y2),
-                     res.grid, table).values
+                     res.grid, op).values
     checks.append(("estimator linearity",
                    bool(np.allclose(c12, c1 + c2, rtol=0, atol=1e-10))))
 

@@ -33,7 +33,7 @@ from berkson_bands import (
 from berkson_bands.deconv_kernel import spectral_kernels
 from berkson_bands.design import default_b_n
 
-from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W
+from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, kernel_matrix, operator_for
 from dense_band import dense_band
 
 # reference-scale builds sit below the asymptotic-regime threshold by design
@@ -60,17 +60,6 @@ def mix100():
     return RegressionSample(design=d100, responses=y)
 
 
-def kernel_matrix(x, points, h, noise, spec):
-    """K((points_j - x_i)/h; h) summed node by node from the spectral rule.
-
-    It matches kernel_eval to about 1e-14 relative, where the kernel
-    table's cubic reads are off by 3e-12 relative at h = 0.32 for MIX.
-    """
-    (op,) = spectral_kernels([h], noise, spec, float(points[-1] - points[0]))
-    u = points[None, :] - x[:, None]
-    return sum(f * np.cos(om * u) for om, f in zip(op.omega, op.factor))
-
-
 def split_reference(sample, req, b_n=None, nu_curve=None):
     """(qhat, ghat, half-width) of the split band, written out directly.
 
@@ -86,11 +75,13 @@ def split_reference(sample, req, b_n=None, nu_curve=None):
     if nu_curve is None:
         nu_curve = estimate_nu(sample, interval=req.interval, mask=sd.removed + n)
     grid = make_eval_grid(req.interval, n, A_N, h).points
-    ghat = kernel_matrix(grid, sd.kept_positions, h, MIX, TAPER_W) @ (
+    op = operator_for(d, h, MIX, TAPER_W)
+    kept = d.points[sd.kept + n]
+    ghat = kernel_matrix(op, grid, kept) @ (
         sd.gap_weights * sample.responses[sd.kept + n]) / h
     sel = np.abs(sd.kept) <= int(n * b_n)
-    pts = sd.kept_positions[sel]
-    km = kernel_matrix(grid, pts, h, MIX, TAPER_W)
+    pts = kept[sel]
+    km = kernel_matrix(op, grid, pts)
     nu_g = nu_curve(grid)
     pref = math.sqrt(n * A_N * h ** (1.0 + 2.0 * beta)) / h
     # the engine's stream: row i is draw i, column j is design point j
@@ -369,6 +360,23 @@ def test_too_short_interval_raises_instead_of_a_zero_variance_band():
     half = 0.5 * 1.001 * length
     res = build_band(sample, replace(short, interval=(0.1 - half, 0.1 + half)),
                      sc.noise())
+    assert np.all(res.nuhat > 1e-8)
+
+
+@pytest.mark.parametrize("interval", [(0.09, 0.1), (0.0, 0.3)],
+                         ids=["below_spacing", "empty_window"])
+def test_split_band_on_a_too_short_interval_names_the_shortest_length(interval):
+    # (0.09, 0.1) fails estimate_nu's spacing rule; on (0.0, 0.3) the
+    # windows around carried design points far outside it are empty
+    sc = SCENARIOS["mix_ga_n100"]
+    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
+    short = BandRequest(interval=interval, h=0.5)
+    with pytest.raises(ValueError, match=r"interval \[.*\] is too short") as err:
+        build_band_extension(sample, short, sc.noise())
+    length = float(re.search(r"longer than ([0-9.e+-]+)$", str(err.value)).group(1))
+    a = interval[0]
+    res = build_band_extension(
+        sample, replace(short, interval=(a, a + 1.001 * length)), sc.noise())
     assert np.all(res.nuhat > 1e-8)
 
 

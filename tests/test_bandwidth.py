@@ -11,7 +11,6 @@ from berkson_bands import (
     RegressionSample,
     build_regular,
     default_lepski_config,
-    estimate_g,
     g_a,
     lepski_select,
     make_eval_grid,
@@ -19,7 +18,7 @@ from berkson_bands import (
 )
 from berkson_bands.bandwidth import TABLE_PRESETS
 
-from conftest import A_N, LAP01, TAPER_S, table_for
+from conftest import A_N, LAP01, TAPER_S, kernel_matrix, operator_for
 
 
 def noisy_sample(n, seed):
@@ -92,8 +91,9 @@ def test_selection_agrees_with_the_table_route(c_l):
         for j in (k, l):
             if (j, l) not in ests:
                 grid = make_eval_grid(interval, d.n, A_N, 2.0 ** -l).points
-                table = table_for(d, 2.0 ** -j, LAP01, TAPER_S)
-                ests[j, l] = estimate_g(s, grid, table).values
+                op = operator_for(d, 2.0 ** -j, LAP01, TAPER_S)
+                ests[j, l] = kernel_matrix(op, grid, d.points) @ (
+                    d.weights * s.responses) / op.h
         return float(np.max(np.abs(ests[k, l] - ests[l, l])))
 
     for k, l, dev, _ in res.deviations:

@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from berkson_bands import (RegressionSample, build_regular, default_taper,
-                           estimate_g, g_a, kernel_eval, load_sample, save_sample)
+from berkson_bands import (SCENARIOS, RegressionSample, build_regular,
+                           default_taper, g_a, generate_sample, kernel_eval,
+                           load_sample, save_sample)
 from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
-from conftest import A_N, LAP01, table_for
+from conftest import A_N, LAP01, kernel_matrix, operator_for
 
 pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
 
@@ -38,11 +39,13 @@ def test_estimate_writes_curve(data_csv, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,ghat"
     assert len(lines) > 100
-    # the CLI's spectral operator against the table route on the same grid
+    # the CLI's Fourier sums against a direct node sum at the written points
     x, ghat = np.loadtxt(out, delimiter=",", skiprows=1).T
     sample = load_sample(data_csv, A_N)
-    table = table_for(sample.design, 0.25, LAP01, default_taper(LAP01))
-    assert np.max(np.abs(ghat - estimate_g(sample, x, table).values)) < 1e-6
+    d = sample.design
+    op = operator_for(d, 0.25, LAP01, default_taper(LAP01))
+    direct = kernel_matrix(op, x, d.points) @ (d.weights * sample.responses) / 0.25
+    assert np.max(np.abs(ghat - direct)) < 1e-6
 
 
 def test_band_writes_csv_and_sidecar(data_csv, tmp_path):
@@ -134,10 +137,22 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
     split = ["band", "--input", str(data_csv), *mixture, "--h", "0.5", "--split",
              "--out", str(split_out)]
     for flag, value in (("--b-n", "0"), ("--b-n", "-1"), ("--b-n", "nan"),
-                        ("--b-n", "inf"), ("--d-n", "1")):
+                        ("--b-n", "inf"), ("--d-n", "1"), ("--d-n", "200")):
         assert parse_and_dispatch(split + [flag, value]) == 2
         assert f"config error: {flag}:" in capsys.readouterr().err
     assert not split_out.exists()
+    taper_out = tmp_path / "taper.csv"
+    for command in (["estimate", "--input", str(data_csv), "--h", "0.25"],
+                    ["band", "--input", str(data_csv), "--h", "0.25"],
+                    ["kernel-dump", "--h", "0.25"]):
+        for cutoff in ("nan", "inf"):
+            argv = command + ["--density", "laplace", "--sigma-delta", "0.1",
+                              "--taper", "damped_cutoff", "--cutoff", cutoff,
+                              "--out", str(taper_out)]
+            assert parse_and_dispatch(argv) == 2
+            err = capsys.readouterr().err
+            assert "--taper/--cutoff/--flat-radius" in err and "finite" in err
+    assert not taper_out.exists()
 
 
 def test_band_on_a_too_short_interval_writes_nothing(data_csv, tmp_path, capsys):
@@ -145,8 +160,23 @@ def test_band_on_a_too_short_interval_writes_nothing(data_csv, tmp_path, capsys)
     assert parse_and_dispatch(["band", "--input", str(data_csv), "--density",
                                "laplace", "--sigma-delta", "0.1", "--h", "0.25",
                                "--interval", "0.09", "0.11",
-                               "--out", str(out)]) == 1
-    assert "interval [0.09, 0.11]" in capsys.readouterr().err
+                               "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: --interval: interval [0.09, 0.11]" in err
+    assert "use an interval longer than" in err
+    assert not out.exists()
+    sc = SCENARIOS["mix_ga_n100"]
+    mix_csv = tmp_path / "mix.csv"
+    save_sample(generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0))),
+                mix_csv)
+    for a, b in (("0.09", "0.1"), ("0.0", "0.3")):
+        assert parse_and_dispatch(["band", "--input", str(mix_csv), "--density",
+                                   "mixture", "--sigma-delta", "0.05", "--h", "0.5",
+                                   "--split", "--interval", a, b,
+                                   "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --interval: interval [{a}, {b}]" in err
+        assert "use an interval longer than" in err
     assert not out.exists()
 
 

@@ -1,5 +1,5 @@
-"""Deconvolution kernel: taper shapes, table and spectral operator accuracy,
-norm and tail bounds."""
+"""Deconvolution kernel: taper shapes, spectral operator accuracy, the
+kernel-dump table, norm and tail bounds."""
 from __future__ import annotations
 
 import math
@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, kernel_table, phi_k
-from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums,
+from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, phi_k
+from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums, kernel_table,
                                          spectral_kernels, squared_kernel)
 
-from conftest import LAP01, MIX, SMOOTH, TAPER_S, TAPER_W
+from conftest import A_N, LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, kernel_matrix
 
 
 def test_taper_validation():
     with pytest.raises(ValueError):
         TaperSpec(kind="boxcar", cutoff=1.0)
-    with pytest.raises(ValueError, match="cutoff must be positive"):
-        TaperSpec(kind="damped_cutoff", cutoff=0.0)
+    for cutoff in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="cutoff must be positive and finite"):
+            TaperSpec(kind="damped_cutoff", cutoff=cutoff)
     with pytest.raises(ValueError, match="flat_radius"):
         TaperSpec(kind="smooth_poly", cutoff=1.0, flat_radius=1.0)
 
@@ -69,9 +70,11 @@ def test_smooth_poly_is_flat_then_falls_twice_differentiably():
 @pytest.mark.parametrize("h", [0.1, 0.25, 0.5])
 def test_table_matches_direct_quadrature(noise, spec, h):
     args = np.random.default_rng(42).uniform(-7.2, 7.2, 32)
-    tab = kernel_table(h, noise, spec, span=8.0)
-    err = max(abs(kernel_eval(float(u), h, noise, spec) - float(tab(u)))
-              for u in args)
+    # the operator for |u| <= 8; K(u) is its matrix entry from x = 0 to h u
+    (op,) = spectral_kernels([h], noise, spec, 8.0 * h)
+    vals = kernel_matrix(op, [0.0], h * args)[0]
+    err = max(abs(kernel_eval(float(u), h, noise, spec) - float(v))
+              for u, v in zip(args, vals))
     assert err < 1e-6
 
 
@@ -178,14 +181,19 @@ def test_table_reads_match_quadrature(law, octaves, core, frac):
     # kernel's core, match the quadrature to 1e-10 of the peak K(0)
     noise, spec = law
     h = 2.0**-octaves
-    tab = kernel_table(h, noise, spec)
+    span = 4.0 / (A_N * h)  # kernel_table's default span
+    (op,) = spectral_kernels([h], noise, spec, span * h)
     peak = kernel_eval(0.0, h, noise, spec)
-    for u in [*core, frac * tab.span]:
-        assert abs(float(tab(u)) - kernel_eval(u, h, noise, spec)) <= 1e-10 * peak
+    us = [*core, frac * span]
+    for u, v in zip(us, kernel_matrix(op, [0.0], h * np.array(us))[0]):
+        assert abs(float(v) - kernel_eval(u, h, noise, spec)) <= 1e-10 * peak
 
 
 def test_table_argument_validation():
     tab = kernel_table(0.25, LAP01, TAPER_S, span=8.0)
+    # the direct node sum agrees with the tabulated Fourier sums
+    assert np.max(np.abs(tab(tab.grid) - tab.values)) < 1e-13 * np.max(tab.values)
+    assert tab(np.zeros((2, 3))).shape == (2, 3)
     with pytest.raises(ValueError, match="outside the tabulated span"):
         tab(tab.span * 1.001)
     odd = kernel_table(0.25, LAP01, TAPER_S, grid_len=300, span=8.0)
@@ -220,15 +228,19 @@ def test_squared_norm_obeys_two_sided_rate_bounds(noise, spec, hs):
 
 def test_peak_height_scales_with_squared_bandwidth():
     for h in (0.1, 0.25, 0.5):
-        tab = kernel_table(h, LAP01, TAPER_S)
-        assert h**2 * float(np.max(np.abs(tab.grid * tab.values))) < 0.1
+        span = 4.0 / (A_N * h)
+        (op,) = spectral_kernels([h], LAP01, TAPER_S, span * h)
+        u = np.linspace(-span, span, (1 << 14) + 1)
+        # one unit point at 0: the kernel sum at x = -h u is K(u)
+        vals = op.kernel_sum(-h * u, np.zeros(1), np.ones(1))
+        assert h**2 * float(np.max(np.abs(u * vals))) < 0.1
 
 
 @pytest.mark.parametrize("h", [0.1, 0.2, 0.4])
 def test_squared_tail_mass_is_negligible(h):
     A = 2.0
     zs = np.linspace(A, 60.0, 24001)
-    op = kernel_table(h, LAP01, TAPER_S, span=(60.0 + 1.0) / h + 2.0).operator
+    (op,) = spectral_kernels([h], LAP01, TAPER_S, 60.0 + 1.0 + 2.0 * h)
     one = np.ones(1)
     worst = 0.0
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):

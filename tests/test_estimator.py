@@ -7,7 +7,7 @@ import pytest
 from berkson_bands import NoError, RegressionSample, build_regular, estimate_g, g_a
 from berkson_bands.deconv_kernel import spectral_kernels
 
-from conftest import A_N, LAP01, TAPER_S, table_for
+from conftest import A_N, LAP01, TAPER_S, kernel_matrix, operator_for
 from oracles import (gamma_profile, nu2_profile, oracle_gamma, oracle_mean, oracle_nu2,
                      oracle_variance)
 
@@ -31,12 +31,12 @@ def test_estimator_recovers_signal_from_smooth_profile():
     d750 = build_regular(750, A_N)
     s750 = RegressionSample(design=d750,
                             responses=gamma_profile(g_a, LAP01, d750.points))
-    t21 = table_for(d750, 0.21, LAP01, TAPER_S)
+    t21 = operator_for(d750, 0.21, LAP01, TAPER_S)
     e750 = float(np.max(np.abs(estimate_g(s750, grid, t21).values - g_a(grid))))
     d1500 = build_regular(1500, A_N)
     s1500 = RegressionSample(design=d1500,
                              responses=gamma_profile(g_a, LAP01, d1500.points))
-    t105 = table_for(d1500, 0.105, LAP01, TAPER_S)
+    t105 = operator_for(d1500, 0.105, LAP01, TAPER_S)
     e1500 = float(np.max(np.abs(estimate_g(s1500, grid, t105).values
                                 - g_a(grid))))
     assert e750 < 0.0055
@@ -48,8 +48,9 @@ def test_spectral_route_matches_direct_summation():
     s200 = RegressionSample(
         design=d200, responses=np.random.default_rng(7).standard_normal(d200.size))
     grid = np.linspace(-0.7, 0.6, 161)
-    t25 = table_for(d200, 0.25, LAP01, TAPER_S)
-    direct = estimate_g(s200, grid, t25).values
+    t25 = operator_for(d200, 0.25, LAP01, TAPER_S)
+    direct = kernel_matrix(t25, grid, d200.points) @ (
+        d200.weights * s200.responses) / 0.25
     (op,) = spectral_kernels([0.25], LAP01, TAPER_S, d200.reach((-0.7, 0.6)))
     spectral = estimate_g(s200, grid, op).values
     assert np.max(np.abs(direct - spectral)) < 1e-6
@@ -61,7 +62,7 @@ def test_estimator_is_linear_in_responses():
     y1 = rng.standard_normal(d.size)
     y2 = rng.standard_normal(d.size)
     grid = np.linspace(-0.5, 0.5, 41)
-    tab = table_for(d, 0.3, LAP01, TAPER_S)
+    tab = operator_for(d, 0.3, LAP01, TAPER_S)
 
     def fit(y):
         return estimate_g(RegressionSample(design=d, responses=y),
@@ -74,7 +75,7 @@ def test_estimator_is_linear_in_responses():
 def test_oracle_mean_equals_estimate_on_expected_responses():
     d200 = build_regular(200, A_N)
     grid = np.linspace(-0.7, 0.6, 161)
-    t25 = table_for(d200, 0.25, LAP01, TAPER_S)
+    t25 = operator_for(d200, 0.25, LAP01, TAPER_S)
     s = RegressionSample(design=d200,
                          responses=gamma_profile(g_a, LAP01, d200.points))
     direct = estimate_g(s, grid, t25).values
@@ -87,7 +88,7 @@ def test_error_free_bias_shrinks_with_bandwidth():
     xs = np.linspace(-0.5, 0.5, 41)
     errs = []
     for h in (0.4, 0.2, 0.1):
-        tab = table_for(d4k, h, NoError(), TAPER_S)
+        tab = operator_for(d4k, h, NoError(), TAPER_S)
         errs.append(float(np.max(np.abs(
             oracle_mean(g_a, d4k, xs, tab) - g_a(xs)))))
     assert errs[0] > errs[1] > errs[2]
@@ -97,8 +98,8 @@ def test_error_free_bias_shrinks_with_bandwidth():
 def test_oracles_read_the_error_law_from_the_table():
     d200 = build_regular(200, A_N)
     x = np.array([0.0, 0.3])
-    free = table_for(d200, 0.25, NoError(), TAPER_S)
-    coefs = d200.weights * free.matrix(x, d200.points) / 0.25
+    free = operator_for(d200, 0.25, NoError(), TAPER_S)
+    coefs = d200.weights * kernel_matrix(free, x, d200.points) / 0.25
     # without covariate noise nu^2 is sigma^2 and gamma is g
     assert np.allclose(oracle_variance(g_a, 0.01, d200, x, free),
                        0.01 * np.sum(coefs**2, axis=1), rtol=1e-12, atol=0)
@@ -108,9 +109,9 @@ def test_oracles_read_the_error_law_from_the_table():
 
 def test_variance_oracle_matches_monte_carlo():
     d200 = build_regular(200, A_N)
-    t25 = table_for(d200, 0.25, LAP01, TAPER_S)
+    t25 = operator_for(d200, 0.25, LAP01, TAPER_S)
     # the estimator at x=0 is the fixed linear form Y @ coefs
-    coefs = d200.weights * t25.matrix(0.0, d200.points)[0] / 0.25
+    coefs = d200.weights * kernel_matrix(t25, [0.0], d200.points)[0] / 0.25
     rng = np.random.default_rng(2024)
     reps = 2000
     delta = LAP01.sample(rng, (reps, d200.size))
