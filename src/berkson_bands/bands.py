@@ -45,7 +45,8 @@ from .design import (Design, RegressionSample, _is_int, build_split,
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 from .variance_estimation import (estimate_nu, midpoints, pseudo_residuals,
                                   shortest_interval, smoothing_bandwidth,
-                                  smoothing_weights)
+                                  window_moments, window_read, window_sums,
+                                  windows)
 
 __all__ = [
     "BandRequest",
@@ -64,6 +65,9 @@ __all__ = [
 _NW_FLOOR_FRAC = 0.7
 # Pilot curves live on this many points spanning the clamp range.
 _XE_POINTS = 900
+# _spline_moments accumulates at most this many design x cell entries at
+# once (583 design rows on gb_n750_s05).
+_MOMENT_ELEMS = 1 << 19
 # The pilot range stays this many bandwidths inside the design span.
 _CLAMP_FACTOR = 1.2
 
@@ -184,15 +188,16 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-# Workspaces kept in memory; one holds 56 MB on gb_n750_s05 (n = 750):
-# 29 MB of local-variance smoothing weights, 15 MB of pilot read
-# positions and 12 MB of kernel factors and pilot spline coefficients.
+# Workspaces kept in memory; one holds 27 MB on gb_n750_s05 (n = 750):
+# 15 MB of pilot read positions, 12 MB of kernel factors and pilot
+# spline coefficients, and 0.3 MB of local-variance windows.
 _WS_KEEP = 3
 
 
 @dataclass
 class _Workspace:
-    """Kernel factors and read positions of one band geometry.
+    """Kernel factors, read positions and smoothing windows of one band
+    geometry.
 
     Each kernel matrix is a product left @ basis.T with basis on the
     design side (orthonormal columns) and left on the evaluation side:
@@ -209,6 +214,14 @@ class _Workspace:
     moment of the spline through (K^2 on xe) @ basis2 @ u.  An
     error-free law has no pilot variance term, and the fields only it
     needs (ck, spur, basis_t, kt2w, cell, offset, fwt) are None.
+
+    The difference-based local variance is read at xe and then at the
+    design points, from one window_sums table per band over the
+    midpoint moments ``vmoments``: ``vindex`` and ``vcoef`` are the
+    windows of both point sets (variance_estimation.windows), and
+    ``vsums`` their Epanechnikov weight sums.  These hold O(design + xe)
+    entries; the largest fields are cell and offset, design x error
+    grid (15 of 27 MB on gb_n750_s05).
     """
 
     eg: EvalGrid
@@ -227,10 +240,10 @@ class _Workspace:
     cell: np.ndarray | None
     offset: np.ndarray | None
     fwt: np.ndarray | None
-    wt_e: np.ndarray
-    sw_e: np.ndarray
-    wt_w: np.ndarray
-    sw_w: np.ndarray
+    vmoments: np.ndarray
+    vindex: np.ndarray
+    vcoef: np.ndarray
+    vsums: np.ndarray
 
 
 def _noise_delta_grid(noise: NoiseModel):
@@ -287,17 +300,19 @@ def _workspace(
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
     try:
-        wt_e, sw_e = smoothing_weights(mids, xe, hv)
-        wt_w, sw_w = smoothing_weights(mids, w, hv)
+        (ie, ce), (iw, cw) = (windows(mids, hv, x) for x in (xe, w))
     except ValueError as exc:
         shortest = shortest_interval(mids, np.concatenate((xe, w)), design.size)
         raise _too_short(interval, exc, shortest) from None
+    vindex, vcoef = np.concatenate((ie, iw), 2), np.concatenate((ce, cw), 2)
+    vmoments = window_moments(mids, hv)
+    vsums = window_read(window_sums(vmoments, np.ones(mids.size)), vindex, vcoef)
 
     return _Workspace(
         eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, k2w=k2w,
         spur=spur, k2sg=k2sg, k2sw=k2sw, basis_t=basis_t, kt2w=kt2w, xe=xe,
-        cell=cell, offset=offset, fwt=fwt, wt_e=wt_e, sw_e=sw_e, wt_w=wt_w,
-        sw_w=sw_w,
+        cell=cell, offset=offset, fwt=fwt, vmoments=vmoments, vindex=vindex,
+        vcoef=vcoef, vsums=vsums,
     )
 
 
@@ -348,16 +363,22 @@ def _spline_moments(xe, columns, cell, offset, fwt) -> np.ndarray:
 
     The read points are given by ``cell`` and ``offset`` as in
     _Workspace.  The weight of each cell's power of the offset is
-    accumulated per design point, so no read point is evaluated.
+    accumulated per design point, so no read point is evaluated; design
+    rows go in blocks of at most _MOMENT_ELEMS design x cell entries.
     """
     rows, cells = cell.shape[0], xe.size - 1
-    flat = (np.arange(rows)[:, None] * cells + cell).ravel()
-    weight = np.broadcast_to(fwt, cell.shape)
+    coef = _spline_coefficients(xe, columns)[::-1]  # constant term first
     out = np.zeros((rows, columns.shape[1]))
-    for c in _spline_coefficients(xe, columns)[::-1]:  # constant term first
-        per_cell = np.bincount(flat, weight.ravel(), minlength=rows * cells)
-        out += per_cell.reshape(rows, cells) @ c
-        weight = weight * offset
+    step = max(1, _MOMENT_ELEMS // cells)
+    for s in range(0, rows, step):
+        cb, ob = cell[s : s + step], offset[s : s + step]
+        m = cb.shape[0]
+        flat = (np.arange(m)[:, None] * cells + cb).ravel()
+        weight = np.broadcast_to(fwt, cb.shape)
+        for c in coef:
+            per_cell = np.bincount(flat, weight.ravel(), minlength=m * cells)
+            out[s : s + step] += per_cell.reshape(m, cells) @ c
+            weight = weight * ob
     return out
 
 
@@ -385,8 +406,8 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     wts = sample.design.weights
     y = sample.responses
     r = pseudo_residuals(y)
-    v_nw_e = (ws.wt_e @ r) / ws.sw_e
-    v_nw_w = (ws.wt_w @ r) / ws.sw_w
+    v_nw = window_read(window_sums(ws.vmoments, r), ws.vindex, ws.vcoef) / ws.vsums
+    v_nw_e, v_nw_w = v_nw[: ws.xe.size], v_nw[ws.xe.size :]
     s2min = float(np.min(v_nw_e))
     sc2 = float(np.mean(r))
 

@@ -366,14 +366,17 @@ def _gauss_rule(edges, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the panels between ``edges``.
 
     A panel [lo, hi] gets ceil(3 (hi - lo) rate / 2 pi) + 24 nodes, for
-    an integrand oscillating at rates up to ``rate``.
+    an integrand oscillating at rates up to ``rate``.  Panels of equal
+    node count share one _legendre_rule.
     """
-    nodes, weights = [], []
+    nodes, weights, rules = [], [], {}
     for lo, hi in zip(edges[:-1], edges[1:]):
         m = _PANEL_NODES + math.ceil(
             _NODES_PER_TURN * (hi - lo) * rate / (2.0 * math.pi)
         )
-        x, q = _legendre_rule(m)
+        if m not in rules:
+            rules[m] = _legendre_rule(m)
+        x, q = rules[m]
         nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         weights.append(0.5 * (hi - lo) * q)
     return np.concatenate(nodes), np.concatenate(weights)

@@ -1,9 +1,10 @@
 """Dense reference band: every kernel matrix is the exact factor product.
 
 This is the band construction written with dense grid x design and
-design x design kernel matrices, pilot curves read through CubicSpline
-and moments taken with np.trapezoid.  The package builds the same band
-from low-rank kernel factors; tests compare the two.
+design x design kernel matrices, dense Epanechnikov weight matrices for
+the local variance, pilot curves read through CubicSpline and moments
+taken with np.trapezoid.  The package builds the same band from
+low-rank kernel factors and window sums; tests compare the two.
 """
 from __future__ import annotations
 
@@ -18,10 +19,17 @@ from berkson_bands.bands import (_CLAMP_FACTOR, _NW_FLOOR_FRAC, _XE_POINTS,
                                  _noise_delta_grid, default_taper, quantile)
 from berkson_bands.design import identifiable_range
 from berkson_bands.variance_estimation import (midpoints, pseudo_residuals,
-                                               smoothing_bandwidth,
-                                               smoothing_weights)
+                                               smoothing_bandwidth)
 
 from conftest import kernel_matrix, operator_for
+
+
+def epanechnikov_weights(mids, x, h_v):
+    """Dense Epanechnikov weights of ``mids`` around each x, and their row
+    sums."""
+    u = (mids[None, :] - np.asarray(x, dtype=float)[:, None]) / h_v
+    wts = np.maximum(1.0 - u**2, 0.0)
+    return wts, wts.sum(axis=1)
 
 
 @functools.cache
@@ -45,8 +53,8 @@ def _geometry(design, noise, spec, h, interval):
         "kg": kernel_matrix(op, grid, w), "ke": kernel_matrix(op, xe, w),
         "k2w": kernel_matrix(op, w, w) ** 2,
         "kfw2_w2": kernel_matrix(taper, w, w) ** 2 * (design.weights**2)[None, :],
-        "smooth_e": smoothing_weights(mids, xe, hv),
-        "smooth_w": smoothing_weights(mids, w, hv),
+        "smooth_e": epanechnikov_weights(mids, xe, hv),
+        "smooth_w": epanechnikov_weights(mids, w, hv),
     }
 
 

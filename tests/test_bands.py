@@ -487,3 +487,15 @@ def test_workspace_holds_no_dense_kernel_matrix():
             assert not ({a, b} & wide and size in (a, b)), name
             assert (a, b) != (size, size), name
     assert sum(v.nbytes for v in arrays.values()) <= 60e6
+
+
+def test_workspace_holds_no_smoothing_weight_matrix():
+    sc = SCENARIOS["gb_n750_s05"]
+    design = build_regular(sc.n, sc.a_n)
+    noise = sc.noise()
+    ws = bands_mod._workspace(design, noise, bands_mod.default_taper(noise),
+                              sc.h, sc.interval, 1)
+    arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
+    # no field is as large as a design x midpoint weight matrix
+    assert max(v.size for v in arrays) < design.size * (design.size - 1)
+    assert sum(v.nbytes for v in arrays) <= 30e6

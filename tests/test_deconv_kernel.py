@@ -12,6 +12,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, phi_k
+import berkson_bands.deconv_kernel as dk
 from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums, kernel_table,
                                          spectral_kernels, squared_kernel)
 
@@ -138,6 +139,26 @@ def test_legendre_rule_matches_scipy(m):
     for d in range(2 * m):
         assert abs(w @ power - (2.0 / (d + 1) if d % 2 == 0 else 0.0)) <= 1e-13
         power *= x
+
+
+def test_gauss_rule_builds_each_node_count_once(monkeypatch):
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return _legendre_rule(m)
+
+    # panels of 1, 1, 2 and 1 units at rate 2 pi: m = 27, 27, 30, 27
+    edges = [0.0, 1.0, 2.0, 4.0, 5.0]
+    monkeypatch.setattr(dk, "_legendre_rule", counted)
+    nodes, weights = dk._gauss_rule(edges, 2.0 * math.pi)
+    assert sorted(built) == [27, 30]
+    rules = [_legendre_rule(m) for m in (27, 27, 30, 27)]
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    assert np.array_equal(nodes, np.concatenate(
+        [0.5 * (b - a) * x + 0.5 * (b + a) for (x, _), a, b in zip(rules, lo, hi)]))
+    assert np.array_equal(weights, np.concatenate(
+        [0.5 * (b - a) * q for (_, q), a, b in zip(rules, lo, hi)]))
 
 
 def test_fourier_sums_match_direct_evaluation():

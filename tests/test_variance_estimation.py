@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from berkson_bands import RegressionSample, build_regular, estimate_nu, g_a
+from berkson_bands.variance_estimation import VarianceCurve
 
 from conftest import A_N, LAP01
+from dense_band import epanechnikov_weights
 from oracles import nu2_profile
 
 
@@ -81,3 +85,77 @@ def test_bandwidth_and_window_validation():
     with pytest.raises(ValueError, match="empty smoothing window"):
         curve(5.0)
     assert isinstance(curve.variance(0.0), float)
+
+
+def dense_average(mids, r, h_v, x):
+    """Epanechnikov local average of r from dense weights, 64 points at a
+    time."""
+    out = []
+    for s in range(0, x.size, 64):
+        wts, sums = epanechnikov_weights(mids, x[s : s + 64], h_v)
+        out.append(wts @ r / sums)
+    return np.concatenate(out)
+
+
+# 10,001 midpoints are those of the n = 5,000 design.
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(size=st.integers(2, 10_001), jitter=st.sampled_from([0.0, 0.45]),
+       offset=st.integers(-800, 800), reach=st.floats(0.5, 13.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(size=10_001, jitter=0.0, offset=0, reach=10.4, seed=5000)
+@example(size=10_001, jitter=0.45, offset=800, reach=10.4, seed=5000)
+@example(size=10_001, jitter=0.0, offset=-800, reach=0.5, seed=5000)
+@example(size=1_000, jitter=0.45, offset=800, reach=0.5, seed=1)
+def test_window_smoother_matches_dense_weights(size, jitter, offset, reach, seed):
+    """Prefix-sum local averages agree with dense Epanechnikov weights to
+    1e-12 relative, for midpoints anywhere (up to 100 from 0) with about
+    2^reach midpoints in h_v, at random points and at points whose window
+    edge lands on a midpoint.  Uniform midpoints sit on a binary grid, so
+    m +- h_v there is exact.
+
+    Every x lies within the midpoints' range, so its window holds a
+    midpoint of weight above 1/2, and the residuals lie in [1/2, 2].  An
+    average is then relatively as accurate as its weighted sums.  Written
+    as a quadratic in the midpoint, a weight w near 0 carries an error of
+    about 1e-16/w relative, so a window whose midpoints all sit near its
+    edges (beyond the range), or whose large residuals all carry tiny
+    weights (residuals near 0), has an average that the window sums do
+    not give to 1e-12."""
+    rng = np.random.default_rng(seed)
+    step = 2.0**-12
+    mids = offset / 8.0 + step * (np.arange(size)
+                                  + jitter * rng.uniform(-1.0, 1.0, size))
+    h_v = step * max(1.0, round(2.0**reach)) if jitter == 0.0 else step * 2.0**reach
+    r = rng.uniform(0.5, 2.0, size)
+    edge = np.concatenate((mids + h_v, mids - h_v))
+    edge = edge[(edge >= mids[0]) & (edge <= mids[-1])]
+    x = np.concatenate((rng.uniform(mids[0], mids[-1], 256),
+                        edge[:: max(1, edge.size // 64)]))
+    curve = VarianceCurve(midpoints=mids, residuals=r, h_v=h_v, floor=0.0)
+    got, want = curve.variance(x), dense_average(mids, r, h_v, x)
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def test_window_smoother_counts_empty_windows():
+    mids = np.linspace(0.0, 1.0, 101)
+    curve = VarianceCurve(midpoints=mids, residuals=np.ones(101), h_v=0.05,
+                          floor=0.0)
+    # windows strictly inside x +- h_v: beyond either end, or touching the
+    # first or last midpoint at an edge, they are empty
+    x = np.array([-0.2, -0.05, -0.0499, 0.5, 1.05, 1.0499, 3.0])
+    with pytest.raises(ValueError, match="empty smoothing window at 4 of 7 "
+                                         "evaluation points"):
+        curve.variance(x)
+    assert np.array_equal(curve.variance(x[[2, 3, 5]]), np.ones(3))
+
+
+def test_window_holds_every_midpoint_of_positive_weight():
+    # x -+ h_v rounds onto the end midpoint 32.1, which lies inside the
+    # window at weight 5e-12, read to about 1e-16/5e-12 relative
+    h_v = 0.001
+    steps = 0.0015 * np.arange(6)
+    for mids, x in ((32.1 - steps[::-1], 32.1 + h_v), (32.1 + steps, 32.1 - h_v)):
+        assert 32.1 in (x - h_v, x + h_v) and abs(x - 32.1) < h_v
+        curve = VarianceCurve(midpoints=mids, residuals=np.full(6, 1.5),
+                              h_v=h_v, floor=0.0)
+        assert curve.variance(x) == pytest.approx(1.5, rel=1e-3)
