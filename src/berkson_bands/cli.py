@@ -419,6 +419,12 @@ def _selftest_checks() -> list[dict]:
     err = float(np.max(np.abs(summed - direct)) / np.max(np.abs(direct)))
     record("Fourier sums vs direct node sum", err, 1e-6)
 
+    # factors fills its phases by angle addition on the uniform grids
+    basis, lefts = kernel.factors(w, grid, w)
+    err = max(float(np.max(np.abs(left @ basis.T - dense)) / np.max(np.abs(dense)))
+              for left, dense in zip(lefts, (_dense(kernel, x, w) for x in (grid, w))))
+    record("uniform factors vs direct cos/sin", err, 1e-12)
+
     coef = h**noise.beta / math.sqrt(n * a_n * h)
     worst = 0.0
     for x0 in (-0.5, 0.0, 0.5):

@@ -15,10 +15,12 @@ matrix between two point sets has low-rank factors
 (SpectralKernel.factors).  squared_kernel gives the same
 operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  Every read of K
 goes through these operators: the estimator, the Lepski rule and the
-bands form no grid x design matrix, and the exact kernel matrix between
-two point sets (SpectralKernel.exact_factors) serves as the dense
-reference.  kernel_table holds K on a uniform grid, the values the CLI's
-kernel-dump writes.
+bands form no grid x design matrix.  Their point sets are uniform,
+and transform, kernel_sum, factors and fourier_sums demand it: they take
+exponentials of anchors and offsets alone (_uniform_blocks).
+SpectralKernel.exact_factors, a cos and a sin per entry at any points,
+is the dense reference.  kernel_table holds K on a uniform grid, the
+values the CLI's kernel-dump writes.
 """
 from __future__ import annotations
 
@@ -197,7 +199,8 @@ class SpectralKernel:
 
     factor_r = h q_r phi_k(omega_r h) / (pi charfn(-omega_r)), where q_r
     are the node rule's weights (see spectral_kernels).  ``kernel_sum``
-    evaluates that sum for x on a uniform grid; ``exact_factors`` gives the
+    evaluates that sum and ``factors`` the kernel matrix's low-rank
+    factors, both for uniform point sets; ``exact_factors`` gives the
     kernel matrix between any two point sets.
     """
 
@@ -207,25 +210,31 @@ class SpectralKernel:
     factor: np.ndarray
 
     def transform(self, points, coef) -> np.ndarray:
-        """T_r = sum_j coef_j exp(i omega_r points_j), in blocks of nodes."""
+        """T_r = sum_j coef_j exp(i omega_r points_j) = sum_A exp(i omega_r
+        anchor_A) sum_B exp(i omega_r offset_B) coef_{A,B} for uniform
+        points (_uniform_blocks), one matrix product per chunk of nodes."""
+        anchors, offsets = _uniform_blocks(points)
+        c = np.zeros((anchors.size, offsets.size), dtype=np.result_type(coef, float))
+        c.flat[: np.size(points)] = coef
         out = np.empty(self.omega.size, dtype=complex)
-        block = max(1, _BLOCK_ELEMS // max(1, points.size))
-        for s in range(0, self.omega.size, block):
-            phase = np.outer(self.omega[s : s + block], points)
-            out[s : s + block] = np.cos(phase) @ coef + 1j * (
-                np.sin(phase) @ coef
-            )
+        rows = max(1, _BLOCK_ELEMS // max(anchors.size, offsets.size))
+        for s in range(0, self.omega.size, rows):
+            om = self.omega[s : s + rows, None]
+            inner = np.exp(1j * om * offsets) @ c.T
+            out[s : s + rows] = np.sum(np.exp(1j * om * anchors) * inner, axis=1)
         return out
 
     def kernel_sum(self, x, points, coef) -> np.ndarray:
-        """sum_j coef_j K((points_j - x_i)/h; h) for x on a uniform grid."""
+        """sum_j coef_j K((points_j - x_i)/h; h) for points and x on
+        uniform grids."""
         spectrum = self.factor * self.transform(points, coef)
         return fourier_sums(x, self.omega, spectrum[:, None])[:, 0]
 
     def exact_factors(self, x, points) -> tuple[np.ndarray, np.ndarray]:
         """(left, right) with K((points_j - x_i)/h; h) = (left @ right.T)[i, j]:
         left = [factor cos(omega x), factor sin(omega x)] and
-        right = [cos(omega w), sin(omega w)], 2 x node-count columns each."""
+        right = [cos(omega w), sin(omega w)], 2 x node-count columns each,
+        by a cos and a sin per entry at any points: the dense reference."""
         phase = np.outer(x, self.omega)
         left = np.hstack((self.factor * np.cos(phase), self.factor * np.sin(phase)))
         phase = np.outer(np.asarray(points, dtype=float), self.omega)
@@ -239,14 +248,52 @@ class SpectralKernel:
         columns, and K((points_j - x_i)/h; h) = (lefts[k] @ basis.T)[i, j]
         for x_i in grids[k].  basis spans the rows of the exact factors'
         product to _RANK_TOL (see _row_basis), so R is the numerical
-        rank, not the node count.
+        rank, not the node count.  ``points`` and each grid must be
+        uniform, each grid with a spacing of its own (see _phases).
         """
-        x = np.concatenate([np.atleast_1d(np.asarray(g, dtype=float)) for g in grids])
-        left, right = self.exact_factors(x, points)
+        ends = np.cumsum([np.size(g) for g in grids])
+        left = np.empty((ends[-1], 2 * self.omega.size))
+        for g, end in zip(grids, ends):
+            _phases(left[end - np.size(g) : end], g, self.omega, self.factor)
+        right = np.empty((np.size(points), 2 * self.omega.size))
+        _phases(right, points, self.omega)
         basis = _row_basis(left, right)
         left = left @ (right.T @ basis)
-        cuts = np.cumsum([np.size(g) for g in grids])[:-1]
-        return basis, np.split(left, cuts)
+        return basis, np.split(left, ends[:-1])
+
+
+def _uniform_blocks(x) -> tuple[np.ndarray, np.ndarray]:
+    """(anchors, offsets) with x_{A b + B} = anchors[A] + offsets[B]: every
+    b-th point of x and b = ceil(sqrt(len(x))) multiples of its step.
+    Raises ValueError unless x is uniform to 1e-12 of its largest |x|."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    m = x.size
+    b = math.isqrt(m - 1) + 1
+    step = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0
+    offsets = np.arange(b) * step
+    anchors = x[::b]
+    model = (anchors[:, None] + offsets[None, :]).ravel()[:m]
+    if np.max(np.abs(model - x)) > 1e-12 * max(1.0, float(np.max(np.abs(x)))):
+        raise ValueError("the spectral operator needs a uniform grid")
+    return anchors, offsets
+
+
+def _phases(out: np.ndarray, x, omega: np.ndarray, scale=1.0) -> None:
+    """Write [scale cos(omega x), scale sin(omega x)] into ``out`` for
+    uniform x by angle addition over its anchors and offsets, one anchor
+    block of rows at a time: no temporary exceeds offsets x nodes."""
+    anchors, offsets = _uniform_blocks(x)
+    r, b = omega.size, offsets.size
+    near, far = np.outer(offsets, omega), np.outer(anchors, omega)
+    cos_o, sin_o = scale * np.cos(near), scale * np.sin(near)
+    cos_a, sin_a, tmp = np.cos(far), np.sin(far), near
+    for a in range(anchors.size):
+        rows = out[a * b : (a + 1) * b]
+        co, so, t = cos_o[: len(rows)], sin_o[: len(rows)], tmp[: len(rows)]
+        np.multiply(co, cos_a[a], out=rows[:, :r])
+        rows[:, :r] -= np.multiply(so, sin_a[a], out=t)
+        np.multiply(co, sin_a[a], out=rows[:, r:])
+        rows[:, r:] += np.multiply(so, cos_a[a], out=t)
 
 
 def _row_basis(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -429,24 +476,13 @@ def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fourier_sums(x, omega, coeffs) -> np.ndarray:
     """Re sum_r exp(-i omega_r x_i) coeffs[r, k] for x on a uniform grid.
 
-    The grid is cut into about sqrt(len(x)) blocks of about as many
-    consecutive points, which share their offsets from the block's first
-    point.  exp(-i omega x) = exp(-i omega x_block) exp(-i omega offset)
-    then costs two short columns of exponentials per node instead of one
-    per point, and the sums are one complex matrix product per chunk of
-    nodes.  No temporary holds more than ``_BLOCK_ELEMS`` entries beyond
-    the len(x) x K output.  Returns a len(x) x K array.
+    With x = anchor + offset (_uniform_blocks), the sums are one complex
+    matrix product per chunk of nodes.  No temporary holds more than
+    ``_BLOCK_ELEMS`` entries beyond the len(x) x K output.  Returns a
+    len(x) x K array.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    m, kk = x.size, coeffs.shape[1]
-    b = math.isqrt(m - 1) + 1  # ceil(sqrt(m)) points per block
-    step = (x[-1] - x[0]) / (m - 1) if m > 1 else 0.0
-    offsets = np.arange(b) * step
-    anchors = x[::b]
-    j = anchors.size
-    model = (anchors[:, None] + offsets[None, :]).ravel()[:m]
-    if np.max(np.abs(model - x)) > 1e-12 * max(1.0, float(np.max(np.abs(x)))):
-        raise ValueError("Fourier sums need a uniform grid")
+    anchors, offsets = _uniform_blocks(x)
+    j, b, kk = anchors.size, offsets.size, coeffs.shape[1]
     out = np.zeros((b, j, kk))
     rows = max(1, _BLOCK_ELEMS // (max(b, j) * kk))
     for s in range(0, omega.size, rows):
@@ -455,4 +491,4 @@ def fourier_sums(x, omega, coeffs) -> np.ndarray:
         far = np.exp(-1j * np.outer(anchors, om))[:, :, None]
         rhs = (far * coeffs[s : s + rows]).transpose(1, 0, 2)
         out += (near @ rhs.reshape(om.size, j * kk)).real.reshape(b, j, kk)
-    return out.transpose(1, 0, 2).reshape(j * b, kk)[:m]
+    return out.transpose(1, 0, 2).reshape(j * b, kk)[: np.size(x)]

@@ -41,10 +41,6 @@ class Laplace:
     smoothness_class: str = "S"
 
     @property
-    def sd(self) -> float:
-        return math.sqrt(2.0) / self.a
-
-    @property
     def c_lower(self) -> float:
         return min(self.a**2, 1.0)
 
@@ -91,10 +87,6 @@ class LaplaceMixture:
 
     beta: float = 2.0
     smoothness_class: str = "W"
-
-    @property
-    def sd(self) -> float:
-        return math.sqrt(2.0 / self.a**2 + self.lam * self.mu**2)
 
     @property
     def c_lower(self) -> float:
@@ -150,10 +142,6 @@ class NoError:
     smoothness_class: str = "S"
     c_lower: float = 0.5
     c_upper: float = 2.0
-
-    @property
-    def sd(self) -> float:
-        return 0.0
 
     @property
     def ripple(self) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -200,6 +199,7 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> ScenarioRepo
                 if extra is not None:
                     representative = extra
         else:
+            from concurrent.futures import ProcessPoolExecutor  # off the CLI path
             with ProcessPoolExecutor(max_workers=min(workers, scenario.reps)) as pool:
                 for rec, spacing, extra in pool.map(
                     _run_rep, [scenario] * scenario.reps, reps

@@ -278,27 +278,39 @@ def test_config_rejects_unknown_keys(capsys):
     assert "unrecognized arguments: --nonsense" in capsys.readouterr().err
 
 
-def test_band_paths_load_no_scipy(data_csv, tmp_path):
-    # scipy serves only kernel_eval's reference quadrature
+def _band_paths_load_none_of(data_csv, tmp_path, absent: str) -> None:
+    """Run a plain and a Lepski + split band in a fresh interpreter and
+    check that no loaded module's name matches the regex ``absent``."""
     script = f"""
+import re
 import sys
 import berkson_bands.cli as cli
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+def loaded():
+    return sorted(m for m in sys.modules if re.match({absent!r}, m))
 
-assert not scipy_modules(), scipy_modules()
+assert not loaded(), loaded()
 band = ["band", "--input", {str(data_csv)!r}, "--density", "mixture",
         "--sigma-delta", "0.05", "--M", "100"]
 assert cli.main(band + ["--h", "0.5", "--out", {str(tmp_path / "plain.csv")!r}]) == 0
 assert cli.main(band + ["--bandwidth", "lepski", "--split",
                         "--out", {str(tmp_path / "split.csv")!r}]) == 0
-assert not scipy_modules(), scipy_modules()
+assert not loaded(), loaded()
 """
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "plain.csv").exists() and (tmp_path / "split.csv").exists()
+
+
+def test_band_paths_load_no_scipy(data_csv, tmp_path):
+    # scipy serves only kernel_eval's reference quadrature
+    _band_paths_load_none_of(data_csv, tmp_path, r"scipy(\.|$)")
+
+
+def test_band_paths_load_no_process_pool(data_csv, tmp_path):
+    # only run_scenario with workers > 1 starts a process pool
+    _band_paths_load_none_of(data_csv, tmp_path, r"concurrent\.futures\.process$")
 
 
 def test_module_entry_point_runs(tmp_path):

@@ -3,6 +3,7 @@ kernel-dump table, norm and tail bounds."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
-from berkson_bands import Laplace, NoError, TaperSpec, kernel_eval, phi_k
+import berkson_bands.bands as bands_mod
+from berkson_bands import (SCENARIOS, Laplace, NoError, TaperSpec, build_regular,
+                           default_taper, kernel_eval, make_eval_grid, phi_k)
+from berkson_bands.design import identifiable_range
 import berkson_bands.deconv_kernel as dk
 from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums, kernel_table,
                                          spectral_kernels, squared_kernel)
@@ -169,6 +173,96 @@ def test_fourier_sums_match_direct_evaluation():
         x = np.linspace(-0.7, 0.6, m)
         direct = np.real(np.exp(-1j * np.outer(x, omega)) @ coeffs)
         assert np.max(np.abs(fourier_sums(x, omega, coeffs) - direct)) < 1e-12
+
+
+def _primes(limit):
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        sieve[p * p :: p] &= ~sieve[p]
+    return [int(p) for p in np.flatnonzero(sieve)]
+
+
+# every anchor/offset split: one point, two, full and ragged last blocks
+_SIZES = sorted({1, 2, *(k * k + d for k in range(2, 72) for d in (-1, 0, 1)),
+                 *_primes(5003)})
+
+
+def _uniform_set(size, start, span):
+    return start + (span / max(size - 1, 1)) * np.arange(size)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(m=st.sampled_from(_SIZES), start=st.floats(-2.0, 2.0),
+       span=st.floats(0.01, 4.0),
+       others=st.lists(st.tuples(st.sampled_from([s for s in _SIZES if s <= 600]),
+                                 st.floats(-2.0, 2.0), st.floats(0.01, 4.0)),
+                       min_size=2, max_size=3),
+       jitter_at=st.floats(0.0, 1.0))
+def test_uniform_route_matches_direct_phases(m, start, span, others, jitter_at):
+    # transform and factors against the direct cos/sin of exact_factors,
+    # relative to the largest possible value: sum |coef| for the
+    # transform, the peak K(0) = sum factor for the kernel matrices
+    (op,) = spectral_kernels([0.25], MIX, TAPER_W, 4.0)
+    r = op.omega.size
+    x = _uniform_set(m, start, span)
+    coef = np.random.default_rng(m).standard_normal(m)
+    _, right = op.exact_factors(np.zeros(0), x)
+    direct = right[:, :r].T @ coef + 1j * (right[:, r:].T @ coef)
+    got = op.transform(x, coef)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.sum(np.abs(coef))
+
+    grids = [_uniform_set(*g) for g in others]
+    basis, lefts = op.factors(x, *grids)
+    for left, g in zip(lefts, grids):
+        gap = left @ basis.T - kernel_matrix(op, g, x)
+        assert np.max(np.abs(gap)) <= 1e-12 * np.sum(op.factor)
+
+    if m < 3:
+        return
+    bad = x.copy()
+    bad[1 + int(jitter_at * (m - 2))] += 0.1 * span / (m - 1)
+    for call in (lambda: op.transform(bad, coef), lambda: op.factors(bad, grids[0]),
+                 lambda: op.factors(grids[0], bad, grids[1]),
+                 lambda: fourier_sums(bad, op.omega, np.ones((r, 1)))):
+        with pytest.raises(ValueError,
+                           match="^the spectral operator needs a uniform grid$"):
+            call()
+
+
+def test_kernel_factors_allocate_no_node_by_point_temporary(monkeypatch):
+    sc = SCENARIOS["gb_n750_s05"]
+    design, noise = build_regular(sc.n, sc.a_n), sc.noise()
+    w = design.points
+    eg = make_eval_grid(sc.interval, sc.n, sc.a_n, sc.h).points
+    lo, hi = identifiable_range(sc.a_n, bands_mod._CLAMP_FACTOR * sc.h)
+    xe = np.linspace(lo, hi, bands_mod._XE_POINTS)
+    (op,) = spectral_kernels([sc.h], noise, default_taper(noise), float(w[-1] - w[0]))
+    row_basis, filled = dk._row_basis, []
+
+    def spy(left, right):
+        filled.append(tracemalloc.get_traced_memory()[1])
+        return row_basis(left, right)
+
+    monkeypatch.setattr(dk, "_row_basis", spy)
+    tracemalloc.start()
+    try:
+        basis, lefts = op.factors(w, eg, xe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the exact factors, left (grid x 2 nodes) and right (design x 2
+    # nodes), are the only node x point arrays: filling them takes a few
+    # anchor and offset phase tables on top, each at most offsets x nodes
+    r, sizes = op.omega.size, (eg.size, xe.size, w.size)
+    exact = sum(sizes) * 2 * r * 8
+    block = 8 * (math.isqrt(max(sizes) - 1) + 1) * r * 8
+    assert block < min(sizes) * r * 8
+    assert filled[0] <= exact + block
+    # the range finder's sketches and the outputs are rank-sized
+    outputs = basis.nbytes + sum(left.nbytes for left in lefts)
+    sketches = dk._SKETCH_COLUMNS * (eg.size + xe.size + 2 * w.size) * 8
+    assert peak <= exact + block + outputs + sketches
 
 
 def test_kernel_eval_is_symmetric():

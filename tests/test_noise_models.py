@@ -32,7 +32,9 @@ def test_laplace_parameters():
     law = Laplace(a=2.0)
     assert law.beta == 2.0
     assert law.smoothness_class == "S"
-    assert law.sd == pytest.approx(math.sqrt(2.0) / 2.0, rel=1e-12)
+    # sd sqrt(2)/a: the law of sd sqrt(2)/2 has rate 2
+    assert make_noise("laplace", sigma_delta=math.sqrt(2.0) / 2.0).a == pytest.approx(
+        2.0, rel=1e-12)
     assert law.c_lower == 1.0
     assert law.c_upper == 4.0
     assert density_kinks(law) == [0.0]
@@ -49,7 +51,6 @@ def test_rate_from_sd_round_trip():
     law = make_noise("laplace", sigma_delta=0.1)
     assert law == LAP01 == Laplace(a=math.sqrt(2.0) / 0.1)
     assert law.a == pytest.approx(math.sqrt(2.0) / 0.1, rel=1e-12)
-    assert law.sd == pytest.approx(0.1, rel=1e-12)
     with pytest.raises(ValueError, match="sigma_delta must be positive"):
         make_noise("laplace", sigma_delta=0.0)
 
@@ -58,8 +59,7 @@ def test_mixture_parameters():
     assert MIX.beta == 2.0
     assert MIX.smoothness_class == "W"
     assert MIX.a == pytest.approx(math.sqrt(2.0) / 0.05, rel=1e-12)
-    assert MIX.sd == pytest.approx(
-        math.sqrt(2.0 / MIX.a**2 + 0.2 * 0.3**2), rel=1e-12)
+    assert (MIX.lam, MIX.mu) == (0.2, 0.3)
     assert MIX.c_lower == pytest.approx(min(MIX.a**2, 1.0) * (1.0 - 2.0 * MIX.lam))
     assert MIX.c_upper == pytest.approx(max(MIX.a**2, 1.0))
     assert density_kinks(MIX) == [-0.3, 0.0, 0.3]
@@ -136,7 +136,6 @@ def test_sampler_is_deterministic():
 def test_error_free_law_degenerates():
     law = NoError()
     assert law.beta == 0.0
-    assert law.sd == 0.0
     assert (law.c_lower, law.c_upper) == (0.5, 2.0)
     assert np.array_equal(law.charfn(np.linspace(-9.0, 9.0, 7)), np.ones(7))
     assert np.array_equal(law.sample(np.random.default_rng(0), 5), np.zeros(5))

@@ -1,6 +1,7 @@
 """Scenario presets, data generation, and the coverage harness."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -20,7 +21,6 @@ from berkson_bands import (
     generate_sample,
     run_scenario,
 )
-from berkson_bands import simulation
 from berkson_bands.bandwidth import TABLE_PRESETS
 from berkson_bands.simulation import scenario_from_dict, scenario_from_file
 
@@ -161,7 +161,7 @@ def test_pool_never_exceeds_the_replication_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulation, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     sc = Scenario(signal="g_a", n=60, sigma=0.05, sigma_delta=0.05, h=0.3,
                   reps=3, draws=120, seed=7)
     report = run_scenario(sc, workers=64)
