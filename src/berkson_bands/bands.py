@@ -24,8 +24,10 @@ grid, and no band builds a kernel table or a dense kernel matrix.
 The pilot regression is a not-a-knot cubic spline over the pilot
 points, solved here in numpy (_spline_coefficients).  A spline is linear
 in its data, so the workspace holds the spline of every kernel factor
-column, and a band's pilot spline is one product with it.  Like the
-kernel operators, bands need numpy alone.
+column read on a lattice that holds the design and the error law's
+quadrature nodes, so a band's pilot moments under the error law are one
+product and one correlation (_error_moments).  Like the kernel
+operators, bands need numpy alone.
 """
 from __future__ import annotations
 
@@ -65,9 +67,6 @@ __all__ = [
 _NW_FLOOR_FRAC = 0.7
 # Pilot curves live on this many points spanning the clamp range.
 _XE_POINTS = 900
-# _spline_moments accumulates at most this many design x cell entries at
-# once (583 design rows on gb_n750_s05).
-_MOMENT_ELEMS = 1 << 19
 # The pilot range stays this many bandwidths inside the design span.
 _CLAMP_FACTOR = 1.2
 
@@ -182,21 +181,23 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
     give independent streams.
     """
     z = np.random.default_rng(root_seed).standard_normal((draws, core_t.shape[0]))
-    return np.max(np.abs(coef * ((z @ core_t) @ grid_t)) / nu_g[None, :], axis=1)
+    # the scaling rides on the rank x grid operand, not the draws x grid product
+    out = (z @ core_t) @ (grid_t * (abs(coef) / nu_g))
+    return np.max(np.abs(out, out=out), axis=1)
 
 
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-# Workspaces kept in memory; one holds 27 MB on gb_n750_s05 (n = 750):
-# 15 MB of pilot read positions, 12 MB of kernel factors and pilot
-# spline coefficients, and 0.3 MB of local-variance windows.
+# Workspaces kept in memory; one holds 13 MB on gb_n750_s05 (n = 750):
+# 12.5 MB of kernel factors, 2 MB of them the pilot spline read on the
+# error lattice, and 0.3 MB of local-variance windows.
 _WS_KEEP = 3
 
 
 @dataclass
 class _Workspace:
-    """Kernel factors, read positions and smoothing windows of one band
+    """Kernel factors, error-law lattice and smoothing windows of one band
     geometry.
 
     Each kernel matrix is a product left @ basis.T with basis on the
@@ -204,30 +205,30 @@ class _Workspace:
     K((w_j - x)/h) is kg @ basis.T on the grid; K^2 is k2g and k2w
     (design rows) times basis2.T; the squared taper kernel between
     design points is kt2w @ basis_t.T.  The pilot regression on xe is a
-    cubic spline, and a spline is linear in its data: ck @ u holds the
-    coefficients of the spline through (K on xe) @ u, so a band's pilot
-    spline costs one product.  The spline is read at w_j + delta_d,
-    clipped to xe's range, in the cell ``cell`` at ``offset`` past its
-    left end, and fwt holds the trapezoid weights times the error
-    density over delta.  The pilot variance enters only through its
-    error-law moment, which is linear in the data: spur @ u is that
-    moment of the spline through (K^2 on xe) @ basis2 @ u.  An
-    error-free law has no pilot variance term, and the fields only it
-    needs (ck, spur, basis_t, kt2w, cell, offset, fwt) are None.
+    cubic spline, and a spline is linear in its data: ku @ v is the
+    spline through (K on xe) @ v read at the error lattice u
+    (_error_lattice, clipped to xe's range), so a band's pilot read costs
+    one product.  Its moments over the error law,
+    sum_d fwt_d s(w_j + delta_d) with fwt the trapezoid weights times
+    the error density, are one correlation with fwt (_error_moments).
+    The pilot variance enters only through its error-law moment, which
+    is linear in the data: spur @ v is that moment of the spline through
+    (K^2 on xe) @ basis2 @ v.  An error-free law has no pilot variance
+    term, and the fields only it needs (ku, spur, basis_t, kt2w, u, fwt,
+    lstep) are None.
 
     The difference-based local variance is read at xe and then at the
     design points, from one window_sums table per band over the
     midpoint moments ``vmoments``: ``vindex`` and ``vcoef`` are the
     windows of both point sets (variance_estimation.windows), and
-    ``vsums`` their Epanechnikov weight sums.  These hold O(design + xe)
-    entries; the largest fields are cell and offset, design x error
-    grid (15 of 27 MB on gb_n750_s05).
+    ``vsums`` their Epanechnikov weight sums.  No field is design x
+    error grid; the largest are the factors, points x rank.
     """
 
     eg: EvalGrid
     basis: np.ndarray
     kg: np.ndarray
-    ck: np.ndarray | None
+    ku: np.ndarray | None
     basis2: np.ndarray
     k2g: np.ndarray
     k2w: np.ndarray
@@ -237,23 +238,36 @@ class _Workspace:
     basis_t: np.ndarray | None
     kt2w: np.ndarray | None
     xe: np.ndarray
-    cell: np.ndarray | None
-    offset: np.ndarray | None
+    u: np.ndarray | None
     fwt: np.ndarray | None
+    lstep: int | None
     vmoments: np.ndarray
     vindex: np.ndarray
     vcoef: np.ndarray
     vsums: np.ndarray
 
 
-def _noise_delta_grid(noise: NoiseModel):
+def _error_lattice(noise: NoiseModel, design: Design):
+    """(delta, lstep, points): the error law's quadrature nodes
+    delta_d = d tau, d = -D..D, reaching past 16/a (plus the mixture's
+    shift), with tau = dw/lstep a divisor of the design step 1/(n a_n) no
+    coarser than the reach over 320 (Laplace) or 400 (the mixture); and
+    the uniform points of step tau that hold every read point,
+    w_j + delta_d = points[j lstep + d + D].  None for an error-free law.
+    """
     if isinstance(noise, Laplace):
-        reach = 16.0 / noise.a
-        return np.linspace(-reach, reach, 641)
-    if isinstance(noise, LaplaceMixture):
-        reach = noise.mu + 16.0 / noise.a
-        return np.linspace(-reach, reach, 801)
-    return None
+        reach, cells = 16.0 / noise.a, 640
+    elif isinstance(noise, LaplaceMixture):
+        reach, cells = noise.mu + 16.0 / noise.a, 800
+    else:
+        return None
+    dw = 1.0 / (design.n * design.a_n)
+    lstep = max(1, math.ceil(dw * cells / (2.0 * reach)))
+    tau = dw / lstep
+    half = math.ceil(reach / tau)
+    delta = np.arange(-half, half + 1) * tau
+    last = (design.size - 1) * lstep + half
+    return delta, lstep, design.points[0] + np.arange(-half, last + 1) * tau
 
 
 @functools.lru_cache(maxsize=_WS_KEEP)
@@ -282,19 +296,17 @@ def _workspace(
     k2sg = np.maximum(k2g @ ones, 1e-300)
     k2sw = np.maximum(k2w @ ones, 1e-300)
 
-    dgrid = _noise_delta_grid(noise)
-    if dgrid is None:
-        ck = cell = offset = fwt = spur = basis_t = kt2w = None
+    lattice = _error_lattice(noise, design)
+    if lattice is None:
+        ku = spur = basis_t = kt2w = u = fwt = lstep = None
     else:
-        ck = _spline_coefficients(xe, ke)
-        fw = noise.density(dgrid)
-        fw = fw / np.trapezoid(fw, dgrid)
-        step = np.diff(dgrid)
-        fwt = fw * 0.5 * (np.append(step, 0.0) + np.insert(step, 0, 0.0))
-        wd = np.clip(w[:, None] + dgrid[None, :], clamp_lo, clamp_hi)
-        cell = np.clip(np.searchsorted(xe, wd, side="right") - 1, 0, xe.size - 2)
-        offset = wd - xe[cell]
-        spur = _spline_moments(xe, k2e, cell, offset, fwt)
+        delta, lstep, points = lattice
+        # trapezoid weights times the error density, normalized to sum 1
+        fwt = noise.density(delta) * np.r_[0.5, np.ones(delta.size - 2), 0.5]
+        fwt /= fwt.sum()
+        u = np.clip(points, clamp_lo, clamp_hi)
+        ku = _spline_read(xe, ke, u)
+        spur = _error_moments(_spline_read(xe, k2e, u), fwt, lstep)
         basis_t, (kt2w,) = squared_kernel(h, NoError(), spec, reach).factors(w, w)
 
     mids = midpoints(w)
@@ -309,9 +321,9 @@ def _workspace(
     vsums = window_read(window_sums(vmoments, np.ones(mids.size)), vindex, vcoef)
 
     return _Workspace(
-        eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, k2w=k2w,
+        eg=eg, basis=basis, kg=kg, ku=ku, basis2=basis2, k2g=k2g, k2w=k2w,
         spur=spur, k2sg=k2sg, k2sw=k2sw, basis_t=basis_t, kt2w=kt2w, xe=xe,
-        cell=cell, offset=offset, fwt=fwt, vmoments=vmoments, vindex=vindex,
+        u=u, fwt=fwt, lstep=lstep, vmoments=vmoments, vindex=vindex,
         vcoef=vcoef, vsums=vsums,
     )
 
@@ -357,40 +369,28 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      s[:-1], y[:-1]))
 
 
-def _spline_moments(xe, columns, cell, offset, fwt) -> np.ndarray:
-    """sum_d fwt_d s_k(w_j + delta_d) for s_k the not-a-knot cubic spline
-    through column k of ``columns`` at xe, as a design x column matrix.
-
-    The read points are given by ``cell`` and ``offset`` as in
-    _Workspace.  The weight of each cell's power of the offset is
-    accumulated per design point, so no read point is evaluated; design
-    rows go in blocks of at most _MOMENT_ELEMS design x cell entries.
-    """
-    rows, cells = cell.shape[0], xe.size - 1
-    coef = _spline_coefficients(xe, columns)[::-1]  # constant term first
-    out = np.zeros((rows, columns.shape[1]))
-    step = max(1, _MOMENT_ELEMS // cells)
-    for s in range(0, rows, step):
-        cb, ob = cell[s : s + step], offset[s : s + step]
-        m = cb.shape[0]
-        flat = (np.arange(m)[:, None] * cells + cb).ravel()
-        weight = np.broadcast_to(fwt, cb.shape)
-        for c in coef:
-            per_cell = np.bincount(flat, weight.ravel(), minlength=m * cells)
-            out[s : s + step] += per_cell.reshape(m, cells) @ c
-            weight = weight * ob
-    return out
-
-
-def _spline_read(coef: np.ndarray, cell: np.ndarray, offset: np.ndarray):
-    """Piecewise cubic with coefficients ``coef`` (4 x cells, highest power
-    first, as _spline_coefficients gives them) at ``offset`` past the left
-    end of ``cell``, by Horner's rule."""
+def _spline_read(xe: np.ndarray, columns: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The not-a-knot cubic splines through the columns of ``columns`` at
+    the knots xe, read at the points x (any shape, within xe's range) by
+    Horner's rule in each point's cell: an x.shape + (columns,) array."""
+    cell = np.clip(np.searchsorted(xe, x, side="right") - 1, 0, xe.size - 2)
+    offset = (x - xe[cell])[..., None]
+    coef = _spline_coefficients(xe, columns)
     out = coef[0][cell]
     for c in coef[1:]:
         out *= offset
         out += c[cell]
     return out
+
+
+def _error_moments(values: np.ndarray, fwt: np.ndarray, lstep: int) -> np.ndarray:
+    """sum_d fwt_d values[j lstep + d + D], design x column, for values
+    read on an error lattice (_error_lattice): each column's correlation
+    with fwt, taken by FFT and kept at every lstep-th lag."""
+    rows = values.shape[0]
+    nfft = 1 << (rows - 1).bit_length()
+    spec = np.fft.rfft(values, nfft, axis=0) * np.conj(np.fft.rfft(fwt, nfft))[:, None]
+    return np.fft.irfft(spec, nfft, axis=0)[: rows - fwt.size + 1 : lstep]
 
 
 def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
@@ -401,7 +401,8 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     own sampling variation (spur1 - spur2); a global noise floor s2min
     taken over the full pilot range; the v_nw fraction floor; and squared
     kernel weight smoothing with a sigma^2/4 floor.  The moments over the
-    error law are trapezoid sums, weights fwt.
+    error law are trapezoid sums, weights fwt, over the pilot spline read
+    on the error lattice.
     """
     wts = sample.design.weights
     y = sample.responses
@@ -414,10 +415,8 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     if ws.fwt is None:
         vmod = np.zeros(sample.design.size)
     else:
-        gw = _spline_read(ws.ck @ (ws.basis.T @ (wts * y)) / h, ws.cell,
-                          ws.offset)
-        m1 = gw @ ws.fwt
-        m2 = (gw * gw) @ ws.fwt
+        s = ws.ku @ (ws.basis.T @ (wts * y)) / h
+        m1, m2 = _error_moments(np.column_stack((s, s * s)), ws.fwt, ws.lstep).T
         vm = np.maximum(m2 - m1**2, 0.0)
         spur1 = ws.spur @ (ws.basis2.T @ (wts**2 * v_nw_w)) / h**2
         spur2 = ws.kt2w @ (ws.basis_t.T @ (wts**2 * v_nw_w)) / h**2

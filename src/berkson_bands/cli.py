@@ -21,8 +21,8 @@ from .bands import (
     BandRequest,
     _assemble,
     _band_variance_field,
-    _spline_coefficients,
-    _spline_moments,
+    _error_moments,
+    _spline_read,
     _sup_batch,
     _workspace,
     build_band,
@@ -461,9 +461,9 @@ def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
     kg, ke, kw = (_dense(kernel, x, w) for x in (ws.eg.points, ws.xe, w))
     (taper,) = spectral_kernels([h], NoError(), spec, float(w[-1] - w[0]))
     dense = dataclasses.replace(
-        ws, basis=eye, kg=kg, ck=_spline_coefficients(ws.xe, ke), basis2=eye,
+        ws, basis=eye, kg=kg, ku=_spline_read(ws.xe, ke, ws.u), basis2=eye,
         k2g=kg**2, k2w=kw**2,
-        spur=_spline_moments(ws.xe, ke**2, ws.cell, ws.offset, ws.fwt),
+        spur=_error_moments(_spline_read(ws.xe, ke**2, ws.u), ws.fwt, ws.lstep),
         k2sg=np.maximum((kg**2).sum(axis=1), 1e-300),
         k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,
         kt2w=_dense(taper, w, w) ** 2)

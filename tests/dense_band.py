@@ -2,9 +2,11 @@
 
 This is the band construction written with dense grid x design and
 design x design kernel matrices, dense Epanechnikov weight matrices for
-the local variance, pilot curves read through CubicSpline and moments
-taken with np.trapezoid.  The package builds the same band from
-low-rank kernel factors and window sums; tests compare the two.
+the local variance, pilot curves read through CubicSpline at every
+design point plus error node, and moments taken over those nodes with
+np.trapezoid.  The package builds the same band from low-rank kernel
+factors, window sums and one correlation on the error lattice; tests
+compare the two.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from scipy.interpolate import CubicSpline
 
 from berkson_bands import NoError, make_eval_grid
 from berkson_bands.bands import (_CLAMP_FACTOR, _NW_FLOOR_FRAC, _XE_POINTS,
-                                 _noise_delta_grid, default_taper, quantile)
+                                 _error_lattice, default_taper, quantile)
 from berkson_bands.design import identifiable_range
 from berkson_bands.variance_estimation import (midpoints, pseudo_residuals,
                                                smoothing_bandwidth)
@@ -40,9 +42,10 @@ def _geometry(design, noise, spec, h, interval):
     grid = make_eval_grid(interval, design.n, design.a_n, h).points
     lo, hi = identifiable_range(design.a_n, _CLAMP_FACTOR * h)
     xe = np.linspace(lo, hi, _XE_POINTS)
-    dgrid = _noise_delta_grid(noise)
-    fw = wd = None
-    if dgrid is not None:
+    lattice = _error_lattice(noise, design)
+    dgrid = fw = wd = None
+    if lattice is not None:
+        dgrid = lattice[0]
         fw = noise.density(dgrid)
         fw = fw / np.trapezoid(fw, dgrid)
         wd = np.clip(w[:, None] + dgrid[None, :], lo, hi)

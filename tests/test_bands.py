@@ -31,7 +31,7 @@ from berkson_bands import (
     write_band,
 )
 from berkson_bands.deconv_kernel import spectral_kernels
-from berkson_bands.design import default_b_n
+from berkson_bands.design import default_b_n, identifiable_range
 
 from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, kernel_matrix, operator_for
 from dense_band import dense_band
@@ -294,13 +294,63 @@ def test_spline_coefficients_match_cubic_spline(knots):
     else:
         x = np.sort(rng.uniform(-1.3, 0.9, 60))
     y = rng.standard_normal((x.size, 5))
-    coef = bands_mod._spline_coefficients(x, y)
-    at = np.concatenate((x, rng.uniform(x[0], x[-1], 2000)))
-    cell = np.clip(np.searchsorted(x, at, side="right") - 1, 0, x.size - 2)
+    at = np.concatenate((x, rng.uniform(x[0], x[-1], 2000))).reshape(-1, 2)
     want = CubicSpline(x, y)(at)
+    got = bands_mod._spline_read(x, y, at)
     for k in range(y.shape[1]):
-        got = bands_mod._spline_read(coef[..., k], cell, at - x[cell])
-        assert_close(got, want[:, k], rel=1e-13)
+        assert_close(got[..., k], want[..., k], rel=1e-13)
+
+
+def old_delta_grid(noise):
+    """The fixed 641-point (Laplace) or 801-point (mixture) error grid the
+    lattice rule replaced: (reach, step)."""
+    if noise.smoothness_class == "W":
+        reach = noise.mu + 16.0 / noise.a
+        return reach, 2.0 * reach / 800
+    reach = 16.0 / noise.a
+    return reach, 2.0 * reach / 640
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_delta_grid_sits_on_the_design_lattice(name):
+    sc = SCENARIOS[name]
+    design, noise = build_regular(sc.n, sc.a_n), sc.noise()
+    delta, lstep, points = bands_mod._error_lattice(noise, design)
+    half, tau, dw = delta.size // 2, delta[1] - delta[0], 1.0 / (sc.n * sc.a_n)
+    assert np.allclose(np.diff(delta), tau, rtol=1e-12, atol=0.0)
+    assert np.array_equal(delta, -delta[::-1]) and delta[half] == 0.0
+    assert dw / tau == pytest.approx(lstep, rel=1e-12)
+    reach, step = old_delta_grid(noise)
+    assert tau <= step and delta[-1] >= reach * (1.0 - 1e-12)
+    j = np.arange(design.size)
+    assert_close(points[j * lstep + half], design.points, rel=1e-14)
+    reads = np.add.outer(design.points, delta)
+    assert_close(points[np.add.outer(j * lstep, np.arange(delta.size))], reads,
+                 rel=1e-14)
+    assert bands_mod._error_lattice(NoError(), design) is None
+
+
+@pytest.mark.parametrize("noise,n,lstep", [(LAP01, 750, 1), (LAP01, 100, 5),
+                                           (MIX, 750, 1), (MIX, 100, 7)])
+def test_lattice_moments_match_a_direct_read(noise, n, lstep):
+    design = build_regular(n, A_N)
+    lo, hi = identifiable_range(A_N, bands_mod._CLAMP_FACTOR * 0.25)
+    xe = np.linspace(lo, hi, bands_mod._XE_POINTS)
+    delta, got_lstep, points = bands_mod._error_lattice(noise, design)
+    assert got_lstep == lstep
+    # the trapezoid weights times the normalized error density
+    fw, step = noise.density(delta), np.diff(delta)
+    fwt = fw * 0.5 * (np.append(step, 0.0) + np.insert(step, 0, 0.0))
+    fwt /= np.trapezoid(fw, delta)
+    columns = np.random.default_rng(n).standard_normal((xe.size, 2))
+    got = bands_mod._error_moments(
+        bands_mod._spline_read(xe, columns, np.clip(points, lo, hi)), fwt, lstep)
+    # every (j, d) read on its own, through the cell gather
+    reads = np.add.outer(design.points, delta)
+    assert np.any(reads < lo) and np.any(reads > hi)
+    direct = bands_mod._spline_read(xe, columns, np.clip(reads, lo, hi))
+    for k in range(columns.shape[1]):
+        assert_close(got[:, k], direct[..., k] @ fwt, rel=1e-12)
 
 
 def test_workspace_cache_keys_designs_by_value():
@@ -478,11 +528,13 @@ def test_workspace_holds_no_dense_kernel_matrix():
     ws = bands_mod._workspace(design, noise, bands_mod.default_taper(noise),
                               sc.h, sc.interval, 1)
     size = design.size
-    wide = {ws.eg.points.size, ws.xe.size}
+    # no grid, pilot or error-grid axis pairs with a design axis
+    wide = {ws.eg.points.size, ws.xe.size,
+            bands_mod._error_lattice(noise, design)[0].size}
     arrays = {name: v for name, v in vars(ws).items()
               if isinstance(v, np.ndarray)}
     for name, v in arrays.items():
-        if v.ndim == 2 and v.dtype.kind == "f":
+        if v.ndim == 2:
             a, b = v.shape
             assert not ({a, b} & wide and size in (a, b)), name
             assert (a, b) != (size, size), name
