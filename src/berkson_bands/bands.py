@@ -24,10 +24,8 @@ grid, and no band builds a kernel table or a dense kernel matrix.
 The pilot regression is a not-a-knot cubic spline over the pilot
 points, solved here in numpy (_spline_coefficients).  A spline is linear
 in its data, so the workspace holds the spline of every kernel factor
-column read on a lattice that holds the design and the error law's
-quadrature nodes, so a band's pilot moments under the error law are one
-product and one correlation (_error_moments).  Like the kernel
-operators, bands need numpy alone.
+column, and a band's pilot spline is one product with it.  Like the
+kernel operators, bands need numpy alone.
 """
 from __future__ import annotations
 
@@ -69,6 +67,8 @@ _NW_FLOOR_FRAC = 0.7
 _XE_POINTS = 900
 # The pilot range stays this many bandwidths inside the design span.
 _CLAMP_FACTOR = 1.2
+# _error_moments reads splines in blocks of about this many values.
+_READ_ELEMS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,6 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
     give independent streams.
     """
     z = np.random.default_rng(root_seed).standard_normal((draws, core_t.shape[0]))
-    # the scaling rides on the rank x grid operand, not the draws x grid product
     out = (z @ core_t) @ (grid_t * (abs(coef) / nu_g))
     return np.max(np.abs(out, out=out), axis=1)
 
@@ -189,15 +188,14 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-# Workspaces kept in memory; one holds 13 MB on gb_n750_s05 (n = 750):
-# 12.5 MB of kernel factors, 2 MB of them the pilot spline read on the
-# error lattice, and 0.3 MB of local-variance windows.
+# Workspaces kept in memory; one holds 12.5 MB on gb_n750_s05 (n = 750):
+# kernel factors, 1.7 MB of pilot spline coefficients, 0.3 MB of windows.
 _WS_KEEP = 3
 
 
 @dataclass
 class _Workspace:
-    """Kernel factors, error-law lattice and smoothing windows of one band
+    """Kernel factors, error-law nodes and smoothing windows of one band
     geometry.
 
     Each kernel matrix is a product left @ basis.T with basis on the
@@ -205,17 +203,14 @@ class _Workspace:
     K((w_j - x)/h) is kg @ basis.T on the grid; K^2 is k2g and k2w
     (design rows) times basis2.T; the squared taper kernel between
     design points is kt2w @ basis_t.T.  The pilot regression on xe is a
-    cubic spline, and a spline is linear in its data: ku @ v is the
-    spline through (K on xe) @ v read at the error lattice u
-    (_error_lattice, clipped to xe's range), so a band's pilot read costs
-    one product.  Its moments over the error law,
-    sum_d fwt_d s(w_j + delta_d) with fwt the trapezoid weights times
-    the error density, are one correlation with fwt (_error_moments).
-    The pilot variance enters only through its error-law moment, which
-    is linear in the data: spur @ v is that moment of the spline through
-    (K^2 on xe) @ basis2 @ v.  An error-free law has no pilot variance
-    term, and the fields only it needs (ku, spur, basis_t, kt2w, u, fwt,
-    lstep) are None.
+    cubic spline, and a spline is linear in its data: ck @ v holds the
+    coefficients of the spline through (K on xe) @ v, so a band's pilot
+    costs one product; its moments over the error law's nodes are
+    _error_moments on ``lattice`` (_error_lattice).  The pilot variance
+    enters only through its error-law moment, which is linear in the
+    data: spur @ v is that moment of the spline through (K^2 on xe) @
+    basis2 @ v.  An error-free law has no pilot variance term, and the
+    fields only it needs (ck, spur, basis_t, kt2w, lattice) are None.
 
     The difference-based local variance is read at xe and then at the
     design points, from one window_sums table per band over the
@@ -228,7 +223,7 @@ class _Workspace:
     eg: EvalGrid
     basis: np.ndarray
     kg: np.ndarray
-    ku: np.ndarray | None
+    ck: np.ndarray | None
     basis2: np.ndarray
     k2g: np.ndarray
     k2w: np.ndarray
@@ -238,9 +233,7 @@ class _Workspace:
     basis_t: np.ndarray | None
     kt2w: np.ndarray | None
     xe: np.ndarray
-    u: np.ndarray | None
-    fwt: np.ndarray | None
-    lstep: int | None
+    lattice: tuple | None
     vmoments: np.ndarray
     vindex: np.ndarray
     vcoef: np.ndarray
@@ -248,13 +241,12 @@ class _Workspace:
 
 
 def _error_lattice(noise: NoiseModel, design: Design):
-    """(delta, lstep, points): the error law's quadrature nodes
-    delta_d = d tau, d = -D..D, reaching past 16/a (plus the mixture's
-    shift), with tau = dw/lstep a divisor of the design step 1/(n a_n) no
-    coarser than the reach over 320 (Laplace) or 400 (the mixture); and
-    the uniform points of step tau that hold every read point,
-    w_j + delta_d = points[j lstep + d + D].  None for an error-free law.
-    """
+    """(delta, fwt, stride): nodes delta_d = d tau, d = -D..D, past 16/a
+    (plus the mixture's shift), tau = dw/L no coarser than the reach over
+    320 (Laplace) or 400 (mixture), dw = 1/(n a_n); trapezoid weights
+    times the error density, summing to 1; and the stride of _read_points:
+    L while neighbouring design points share over half their 2D + 1 read
+    points, else 2D + 1.  None for an error-free law."""
     if isinstance(noise, Laplace):
         reach, cells = 16.0 / noise.a, 640
     elif isinstance(noise, LaplaceMixture):
@@ -263,11 +255,17 @@ def _error_lattice(noise: NoiseModel, design: Design):
         return None
     dw = 1.0 / (design.n * design.a_n)
     lstep = max(1, math.ceil(dw * cells / (2.0 * reach)))
-    tau = dw / lstep
-    half = math.ceil(reach / tau)
-    delta = np.arange(-half, half + 1) * tau
-    last = (design.size - 1) * lstep + half
-    return delta, lstep, design.points[0] + np.arange(-half, last + 1) * tau
+    half = math.ceil(reach * lstep / dw)
+    delta = np.arange(-half, half + 1) * (dw / lstep)
+    fwt = noise.density(delta) * np.r_[0.5, np.ones(delta.size - 2), 0.5]
+    return delta, fwt / fwt.sum(), lstep if 2 * lstep < delta.size else delta.size
+
+
+def _read_points(w, delta, stride, xe) -> np.ndarray:
+    """Point j stride + d + D is w_j + delta_d, clipped to xe's range."""
+    points = np.concatenate((np.add.outer(w, delta[:stride]).ravel(),
+                             w[-1] + delta[stride:]))
+    return np.clip(points, xe[0], xe[-1], out=points)
 
 
 @functools.lru_cache(maxsize=_WS_KEEP)
@@ -298,15 +296,10 @@ def _workspace(
 
     lattice = _error_lattice(noise, design)
     if lattice is None:
-        ku = spur = basis_t = kt2w = u = fwt = lstep = None
+        ck = spur = basis_t = kt2w = None
     else:
-        delta, lstep, points = lattice
-        # trapezoid weights times the error density, normalized to sum 1
-        fwt = noise.density(delta) * np.r_[0.5, np.ones(delta.size - 2), 0.5]
-        fwt /= fwt.sum()
-        u = np.clip(points, clamp_lo, clamp_hi)
-        ku = _spline_read(xe, ke, u)
-        spur = _error_moments(_spline_read(xe, k2e, u), fwt, lstep)
+        ck = _spline_coefficients(xe, ke)
+        spur = _error_moments(xe, _spline_coefficients(xe, k2e), w, lattice)
         basis_t, (kt2w,) = squared_kernel(h, NoError(), spec, reach).factors(w, w)
 
     mids = midpoints(w)
@@ -321,10 +314,10 @@ def _workspace(
     vsums = window_read(window_sums(vmoments, np.ones(mids.size)), vindex, vcoef)
 
     return _Workspace(
-        eg=eg, basis=basis, kg=kg, ku=ku, basis2=basis2, k2g=k2g, k2w=k2w,
+        eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, k2w=k2w,
         spur=spur, k2sg=k2sg, k2sw=k2sw, basis_t=basis_t, kt2w=kt2w, xe=xe,
-        u=u, fwt=fwt, lstep=lstep, vmoments=vmoments, vindex=vindex,
-        vcoef=vcoef, vsums=vsums,
+        lattice=lattice, vmoments=vmoments, vindex=vindex, vcoef=vcoef,
+        vsums=vsums,
     )
 
 
@@ -369,28 +362,36 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
                      s[:-1], y[:-1]))
 
 
-def _spline_read(xe: np.ndarray, columns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The not-a-knot cubic splines through the columns of ``columns`` at
-    the knots xe, read at the points x (any shape, within xe's range) by
-    Horner's rule in each point's cell: an x.shape + (columns,) array."""
-    cell = np.clip(np.searchsorted(xe, x, side="right") - 1, 0, xe.size - 2)
-    offset = (x - xe[cell])[..., None]
-    coef = _spline_coefficients(xe, columns)
-    out = coef[0][cell]
+def _spline_read(xe: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The pieces ``coef`` (_spline_coefficients over the knots xe) read at
+    the points x, within xe's range, by Horner's rule in each one's cell."""
+    cell = np.minimum(np.searchsorted(xe, x, side="right") - 1, xe.size - 2)
+    offset = (x - xe[cell]).reshape(x.shape + (1,) * (coef.ndim - 2))
+    out = np.take(coef[0], cell, axis=0)
     for c in coef[1:]:
         out *= offset
-        out += c[cell]
+        out += np.take(c, cell, axis=0)
     return out
 
 
-def _error_moments(values: np.ndarray, fwt: np.ndarray, lstep: int) -> np.ndarray:
-    """sum_d fwt_d values[j lstep + d + D], design x column, for values
-    read on an error lattice (_error_lattice): each column's correlation
-    with fwt, taken by FFT and kept at every lstep-th lag."""
-    rows = values.shape[0]
-    nfft = 1 << (rows - 1).bit_length()
-    spec = np.fft.rfft(values, nfft, axis=0) * np.conj(np.fft.rfft(fwt, nfft))[:, None]
-    return np.fft.irfft(spec, nfft, axis=0)[: rows - fwt.size + 1 : lstep]
+def _error_moments(xe, coef, w, lattice, square=False) -> np.ndarray:
+    """sum_d fwt_d s(w_j + delta_d), design x column, for s the spline
+    pieces ``coef`` (with ``square``, s and then s^2), in blocks of design
+    rows of about _READ_ELEMS read points x columns.  Disjoint windows are
+    summed one by one, overlapping ones by FFT correlation with fwt."""
+    delta, fwt, stride = lattice
+    rows = max(1, _READ_ELEMS // (stride * coef.shape[-1]))
+    out = []
+    for j in range(0, w.size, rows):
+        v = _spline_read(xe, coef, _read_points(w[j : j + rows], delta, stride, xe))
+        v = np.hstack((v, v * v)) if square else v
+        if stride == fwt.size:
+            out.append(fwt @ v.reshape(-1, fwt.size, v.shape[1]))
+        else:
+            nfft = 1 << (v.shape[0] - 1).bit_length()
+            spec = np.fft.rfft(v, nfft, axis=0) * np.fft.rfft(fwt[::-1], nfft)[:, None]
+            out.append(np.fft.irfft(spec, nfft, axis=0)[fwt.size - 1 : v.shape[0] : stride])
+    return np.vstack(out)
 
 
 def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
@@ -401,8 +402,7 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     own sampling variation (spur1 - spur2); a global noise floor s2min
     taken over the full pilot range; the v_nw fraction floor; and squared
     kernel weight smoothing with a sigma^2/4 floor.  The moments over the
-    error law are trapezoid sums, weights fwt, over the pilot spline read
-    on the error lattice.
+    error law are trapezoid sums, weights fwt.
     """
     wts = sample.design.weights
     y = sample.responses
@@ -412,11 +412,12 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     s2min = float(np.min(v_nw_e))
     sc2 = float(np.mean(r))
 
-    if ws.fwt is None:
+    if ws.lattice is None:
         vmod = np.zeros(sample.design.size)
     else:
-        s = ws.ku @ (ws.basis.T @ (wts * y)) / h
-        m1, m2 = _error_moments(np.column_stack((s, s * s)), ws.fwt, ws.lstep).T
+        pilot = (ws.ck @ (ws.basis.T @ (wts * y)) / h)[..., None]
+        m1, m2 = _error_moments(ws.xe, pilot, sample.design.points, ws.lattice,
+                                square=True).T
         vm = np.maximum(m2 - m1**2, 0.0)
         spur1 = ws.spur @ (ws.basis2.T @ (wts**2 * v_nw_w)) / h**2
         spur2 = ws.kt2w @ (ws.basis_t.T @ (wts**2 * v_nw_w)) / h**2

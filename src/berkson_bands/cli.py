@@ -22,7 +22,7 @@ from .bands import (
     _assemble,
     _band_variance_field,
     _error_moments,
-    _spline_read,
+    _spline_coefficients,
     _sup_batch,
     _workspace,
     build_band,
@@ -461,9 +461,9 @@ def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
     kg, ke, kw = (_dense(kernel, x, w) for x in (ws.eg.points, ws.xe, w))
     (taper,) = spectral_kernels([h], NoError(), spec, float(w[-1] - w[0]))
     dense = dataclasses.replace(
-        ws, basis=eye, kg=kg, ku=_spline_read(ws.xe, ke, ws.u), basis2=eye,
+        ws, basis=eye, kg=kg, ck=_spline_coefficients(ws.xe, ke), basis2=eye,
         k2g=kg**2, k2w=kw**2,
-        spur=_error_moments(_spline_read(ws.xe, ke**2, ws.u), ws.fwt, ws.lstep),
+        spur=_error_moments(ws.xe, _spline_coefficients(ws.xe, ke**2), w, ws.lattice),
         k2sg=np.maximum((kg**2).sum(axis=1), 1e-300),
         k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,
         kt2w=_dense(taper, w, w) ** 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from berkson_bands import (
     g_a,
     generate_sample,
     make_eval_grid,
+    make_noise,
     quantile,
     write_band,
 )
@@ -41,6 +43,9 @@ pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
 
 REQ = BandRequest(interval=(-0.7, 0.6), h=0.25, alpha=0.05, draws=250, seed=42)
 MIX_REQ = BandRequest(interval=(-0.7, 0.6), h=0.59, alpha=0.05, draws=150, seed=2)
+# error laws far narrower than the design step
+NARROW = make_noise("laplace", sigma_delta=1e-4)
+NARROW_MIX = make_noise("mixture", sigma_delta=1e-4, lam=0.2, mu=0.3)
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +301,7 @@ def test_spline_coefficients_match_cubic_spline(knots):
     y = rng.standard_normal((x.size, 5))
     at = np.concatenate((x, rng.uniform(x[0], x[-1], 2000))).reshape(-1, 2)
     want = CubicSpline(x, y)(at)
-    got = bands_mod._spline_read(x, y, at)
+    got = bands_mod._spline_read(x, bands_mod._spline_coefficients(x, y), at)
     for k in range(y.shape[1]):
         assert_close(got[..., k], want[..., k], rel=1e-13)
 
@@ -311,46 +316,71 @@ def old_delta_grid(noise):
     return reach, 2.0 * reach / 640
 
 
+def lattice_step(design, delta):
+    """L, the design step over the node step."""
+    return round(1.0 / (design.n * design.a_n) / (delta[1] - delta[0]))
+
+
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_delta_grid_sits_on_the_design_lattice(name):
     sc = SCENARIOS[name]
     design, noise = build_regular(sc.n, sc.a_n), sc.noise()
-    delta, lstep, points = bands_mod._error_lattice(noise, design)
+    delta, _, stride = bands_mod._error_lattice(noise, design)
     half, tau, dw = delta.size // 2, delta[1] - delta[0], 1.0 / (sc.n * sc.a_n)
     assert np.allclose(np.diff(delta), tau, rtol=1e-12, atol=0.0)
     assert np.array_equal(delta, -delta[::-1]) and delta[half] == 0.0
-    assert dw / tau == pytest.approx(lstep, rel=1e-12)
+    assert dw / tau == pytest.approx(stride, rel=1e-12)
     reach, step = old_delta_grid(noise)
     assert tau <= step and delta[-1] >= reach * (1.0 - 1e-12)
+    # every preset reads one lattice: design point j at index j L + D
+    xe = np.array([-1e9, 1e9])
+    points = bands_mod._read_points(design.points, delta, stride, xe)
+    assert np.allclose(np.diff(points), tau, rtol=1e-9, atol=0.0)
     j = np.arange(design.size)
-    assert_close(points[j * lstep + half], design.points, rel=1e-14)
+    assert_close(points[j * stride + half], design.points, rel=1e-14)
     reads = np.add.outer(design.points, delta)
-    assert_close(points[np.add.outer(j * lstep, np.arange(delta.size))], reads,
+    assert_close(points[np.add.outer(j * stride, np.arange(delta.size))], reads,
                  rel=1e-14)
     assert bands_mod._error_lattice(NoError(), design) is None
 
 
-@pytest.mark.parametrize("noise,n,lstep", [(LAP01, 750, 1), (LAP01, 100, 5),
-                                           (MIX, 750, 1), (MIX, 100, 7)])
-def test_lattice_moments_match_a_direct_read(noise, n, lstep):
+@pytest.mark.parametrize("blocks", [False, True])
+@pytest.mark.parametrize("noise,n", [(LAP01, 750), (LAP01, 100), (MIX, 750),
+                                     (MIX, 100), (NARROW, 750), (NARROW, 100)])
+def test_lattice_moments_match_a_direct_read(noise, n, blocks):
     design = build_regular(n, A_N)
     lo, hi = identifiable_range(A_N, bands_mod._CLAMP_FACTOR * 0.25)
     xe = np.linspace(lo, hi, bands_mod._XE_POINTS)
-    delta, got_lstep, points = bands_mod._error_lattice(noise, design)
-    assert got_lstep == lstep
+    lattice = bands_mod._error_lattice(noise, design)
+    delta, fwt, stride = lattice
+    lstep = lattice_step(design, delta)
+    assert lstep == {(LAP01, 750): 1, (LAP01, 100): 5, (MIX, 750): 1,
+                     (MIX, 100): 7, (NARROW, 750): 566,
+                     (NARROW, 100): 4243}[noise, n]
+    # a lattice while neighbours share most nodes, else one window each
+    assert stride == (lstep if 2 * lstep < delta.size else delta.size)
+    assert bands_mod._read_points(design.points, delta, stride, xe).size \
+        <= design.size * delta.size
     # the trapezoid weights times the normalized error density
     fw, step = noise.density(delta), np.diff(delta)
-    fwt = fw * 0.5 * (np.append(step, 0.0) + np.insert(step, 0, 0.0))
-    fwt /= np.trapezoid(fw, delta)
-    columns = np.random.default_rng(n).standard_normal((xe.size, 2))
-    got = bands_mod._error_moments(
-        bands_mod._spline_read(xe, columns, np.clip(points, lo, hi)), fwt, lstep)
+    want = fw * 0.5 * (np.append(step, 0.0) + np.insert(step, 0, 0.0))
+    assert_close(fwt, want / np.trapezoid(fw, delta), rel=1e-13)
+    coef = bands_mod._spline_coefficients(
+        xe, np.random.default_rng(n).standard_normal((xe.size, 2)))
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks:  # blocks of 7 design rows (14 for one column)
+            mp.setattr(bands_mod, "_READ_ELEMS", 7 * stride * 2)
+        got = bands_mod._error_moments(xe, coef, design.points, lattice)
+        squares = bands_mod._error_moments(xe, coef[..., :1], design.points,
+                                           lattice, square=True)
     # every (j, d) read on its own, through the cell gather
     reads = np.add.outer(design.points, delta)
     assert np.any(reads < lo) and np.any(reads > hi)
-    direct = bands_mod._spline_read(xe, columns, np.clip(reads, lo, hi))
-    for k in range(columns.shape[1]):
+    direct = bands_mod._spline_read(xe, coef, np.clip(reads, lo, hi))
+    for k in range(coef.shape[-1]):
         assert_close(got[:, k], direct[..., k] @ fwt, rel=1e-12)
+    assert_close(squares[:, 0], got[:, 0], rel=1e-14)
+    assert_close(squares[:, 1], direct[..., 0] ** 2 @ fwt, rel=1e-12)
 
 
 def test_workspace_cache_keys_designs_by_value():
@@ -539,6 +569,34 @@ def test_workspace_holds_no_dense_kernel_matrix():
             assert not ({a, b} & wide and size in (a, b)), name
             assert (a, b) != (size, size), name
     assert sum(v.nbytes for v in arrays.values()) <= 60e6
+
+
+@pytest.mark.parametrize("n", [100, 750])
+@pytest.mark.parametrize("noise", [NARROW, NARROW_MIX], ids=["laplace", "mixture"])
+def test_narrow_error_law_band_stays_small_and_exact(noise, n):
+    """An error law far narrower than the design step puts L near or past
+    2D + 1; the band still reads at most design x node points, in blocks."""
+    design = build_regular(n, A_N)
+    rng = np.random.default_rng(n)
+    y = g_a(design.points + noise.sample(rng, design.size)) \
+        + 0.1 * rng.standard_normal(design.size)
+    sample = RegressionSample(design=design, responses=y)
+    bands_mod._workspace.cache_clear()
+    tracemalloc.start()
+    try:
+        got = build_band(sample, REQ, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ws = bands_mod._workspace(design, noise, bands_mod.default_taper(noise),
+                              REQ.h, REQ.interval, 1)
+    assert sum(v.nbytes for v in vars(ws).values()
+               if isinstance(v, np.ndarray)) <= 20e6
+    assert peak <= 100e6
+    want = dense_band(sample, REQ, noise)
+    assert got.quantile == pytest.approx(want["quantile"], rel=1e-10)
+    for field in ("ghat", "nuhat", "lower", "upper"):
+        assert_close(getattr(got, field), want[field])
 
 
 def test_workspace_holds_no_smoothing_weight_matrix():
