@@ -469,7 +469,7 @@ def _assemble(
     denom = math.sqrt(n * a_n) * h ** (0.5 + beta)
     half = q * nu_g / denom
     return BandResult(
-        grid=eg.points,
+        grid=eg.points.copy(),  # a cached workspace's grid serves later bands
         ghat=ghat,
         nuhat=nu_g,
         quantile=q,
@@ -577,12 +577,24 @@ def _split_shortest(held, carried, a_n: float, h: float) -> float:
                shortest_interval(mids, np.concatenate((carried, far)), held.size))
 
 
-def write_band(result: BandResult, csv_path) -> None:
-    """Write the band as CSV plus a JSON sidecar with the run parameters.
+def _sidecar(csv_path: Path) -> Path:
+    """``csv_path`` with the suffix .json; raises if that is csv_path."""
+    sidecar = csv_path.with_suffix(".json")
+    if sidecar == csv_path:
+        raise ValueError(f"{csv_path} ends in .json: the JSON sidecar would "
+                         f"overwrite it")
+    return sidecar
 
-    The sidecar sits next to the CSV with the suffix ``.json``.
+
+def write_band(result: BandResult, csv_path) -> dict:
+    """Write the band as CSV plus a JSON sidecar with the run parameters,
+    and return those parameters.
+
+    The sidecar sits next to the CSV with the suffix ``.json``; a CSV
+    path ending in ``.json`` raises before anything is written.
     """
     csv_path = Path(csv_path)
+    sidecar = _sidecar(csv_path)
     write_columns(csv_path, "x,ghat,nuhat,lower,upper", result.grid,
                   result.ghat, result.nuhat, result.lower, result.upper)
     meta = {
@@ -593,6 +605,7 @@ def write_band(result: BandResult, csv_path) -> None:
         "seed": result.seed,
         "spacing": result.spacing,
     }
-    with open(csv_path.with_suffix(".json"), "w", encoding="utf-8") as fh:
+    with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
+    return meta

@@ -1,12 +1,11 @@
-"""Bandwidth selection: fixed presets, an adaptive rule, undersmoothing.
+"""Bandwidth selection: an adaptive rule and undersmoothing.
 
 The adaptive rule compares estimates along the dyadic grid h_k = 2^(-k)
 and picks the largest bandwidth whose estimate stays within a deviation
 threshold of every finer one.  Its estimates come from spectral kernel
 operators that share one frequency rule and one data transform, so the
-rule builds no kernel table.  Presets reproduce the bandwidths used by
-the reference simulation scenarios, which were chosen by inspection and
-are shipped as data rather than re-derived.
+rule builds no kernel table.  The preset bandwidths of the reference
+scenarios live with those scenarios, in simulation.SCENARIOS.
 """
 from __future__ import annotations
 
@@ -16,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bands import make_eval_grid
-from .design import RegressionSample
+from .design import _A_N, RegressionSample
 from .deconv_kernel import (SpectralKernel, TaperSpec, fourier_sums,
                             spectral_kernels)
 from .noise_models import NoiseModel
@@ -27,7 +26,6 @@ __all__ = [
     "default_lepski_config",
     "lepski_select",
     "undersmooth",
-    "TABLE_PRESETS",
 ]
 
 # Defaults of the Lepski rule: threshold constant, smoothness of the
@@ -35,18 +33,6 @@ __all__ = [
 _C_L = 1.0
 _M_BAR = 4.0
 _MAX_DEPTH = 5
-
-# Bandwidths used by the reference scenarios, keyed (signal, n, sigma).
-TABLE_PRESETS: dict[tuple[str, int, float], float] = {
-    ("g_a", 100, 0.1): 0.25,
-    ("g_a", 100, 0.05): 0.24,
-    ("g_a", 750, 0.1): 0.21,
-    ("g_a", 750, 0.05): 0.12,
-    ("g_b", 100, 0.1): 0.20,
-    ("g_b", 100, 0.05): 0.22,
-    ("g_b", 750, 0.1): 0.22,
-    ("g_b", 750, 0.05): 0.11,
-}
 
 
 @dataclass(frozen=True)
@@ -73,7 +59,7 @@ class LepskiResult:
     # each record is (k, l, sup deviation, threshold tau_l)
 
 
-def default_lepski_config(n: int, beta: float, a_n: float = 2.0 / 3.0) -> LepskiConfig:
+def default_lepski_config(n: int, beta: float, a_n: float = _A_N) -> LepskiConfig:
     """Dyadic grid bounds matched to the adaptation range.
 
     The coarse end tracks ((log n)/(n a_n))^(1/(beta+_M_BAR)); the fine

@@ -22,6 +22,7 @@ from .bands import (
     _assemble,
     _band_variance_field,
     _error_moments,
+    _sidecar,
     _spline_coefficients,
     _sup_batch,
     _workspace,
@@ -34,11 +35,13 @@ from .bands import (
 from .bandwidth import default_lepski_config, lepski_select, undersmooth
 from .deconv_kernel import (TaperSpec, kernel_eval, kernel_table,
                             spectral_kernels)
-from .design import RegressionSample, build_regular, load_sample, write_columns
+from .design import (_A_N, RegressionSample, build_regular, load_sample,
+                     write_columns)
 from .estimator import estimate_g
-from .noise_models import Laplace, LaplaceMixture, NoError, make_noise
+from .noise_models import _LAM, _MU, NoError, make_noise
 from .simulation import (
     SCENARIOS,
+    Scenario,
     export_report,
     run_scenario,
     scenario_from_file,
@@ -75,8 +78,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--density", choices=["laplace", "mixture", "none"],
                         required=True)
         sp.add_argument("--sigma-delta", type=float, dest="sigma_delta")
-        sp.add_argument("--lam", type=float, default=0.2)
-        sp.add_argument("--mu", type=float, default=0.3)
+        sp.add_argument("--lam", type=float, default=_LAM)
+        sp.add_argument("--mu", type=float, default=_MU)
 
     def add_taper_flags(sp):
         sp.add_argument("--taper", choices=["damped_cutoff", "smooth_poly"])
@@ -87,14 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_estimation_flags(sp):
         sp.add_argument("--input", required=True,
                         help="CSV with header w,Y")
-        sp.add_argument("--a-n", type=positive_real, default=2.0 / 3.0,
-                        dest="a_n")
+        sp.add_argument("--a-n", type=positive_real, default=_A_N, dest="a_n")
         sp.add_argument("--h", type=float)
         sp.add_argument("--bandwidth",
                         help="fixed:<value> | preset:<scenario> | lepski")
         sp.add_argument("--undersmooth", action="store_true")
         sp.add_argument("--interval", type=float, nargs=2,
-                        default=(-0.7, 0.6), metavar=("A", "B"))
+                        default=Scenario.interval, metavar=("A", "B"))
         add_noise_flags(sp)
         add_taper_flags(sp)
 
@@ -104,8 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("band", help="write a uniform confidence band")
     add_estimation_flags(sp)
-    sp.add_argument("--alpha", type=float, default=0.05)
-    sp.add_argument("--M", type=int, default=250)
+    sp.add_argument("--alpha", type=float, default=BandRequest.alpha)
+    sp.add_argument("--M", type=int, default=BandRequest.draws)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--d-n", type=int, dest="d_n")
     sp.add_argument("--b-n", type=float, dest="b_n")
@@ -124,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=positive_real, required=True)
     add_noise_flags(sp)
     add_taper_flags(sp)
-    sp.add_argument("--a-n", type=positive_real, default=2.0 / 3.0, dest="a_n")
+    sp.add_argument("--a-n", type=positive_real, default=_A_N, dest="a_n")
     sp.add_argument("--grid-len", type=int, default=1 << 14, dest="grid_len")
     sp.add_argument("--span", type=float)
     sp.add_argument("--out", default="kernel.csv")
@@ -266,6 +268,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_band(args: argparse.Namespace) -> int:
+    out = Path(args.out)
+    try:
+        sidecar = _sidecar(out)
+    except ValueError as exc:
+        raise ConfigError(f"--out: {exc}") from exc
     interval, noise, taper, sample, h, _ = _prepare(args)
     try:
         request = BandRequest(
@@ -289,23 +296,9 @@ def _cmd_band(args: argparse.Namespace) -> int:
             if key in str(exc):
                 raise ConfigError(f"{flag}: {exc}") from exc
         raise
-    out = Path(args.out)
-    write_band(band, out)
-    _emit(
-        {
-            "op": "band",
-            "out": str(out),
-            "sidecar": str(out.with_suffix(".json")),
-            "quantile": band.quantile,
-            "h": band.h,
-            "alpha": band.alpha,
-            "M": band.draws,
-            "seed": band.seed,
-            "spacing": band.spacing,
-            "mean_width": band.mean_width,
-        },
-        args.json_out,
-    )
+    summary = write_band(band, out)
+    _emit({"op": "band", "out": str(out), "sidecar": str(sidecar), **summary,
+           "mean_width": band.mean_width}, args.json_out)
     return 0
 
 
@@ -375,13 +368,11 @@ def _selftest_checks() -> list[dict]:
             {"name": name, "error": err, "tol": tol, "pass": bool(err <= tol)}
         )
 
-    cases = [
-        ("laplace", Laplace(a=math.sqrt(2.0) / 0.1), 0.25,
-         TaperSpec(kind="damped_cutoff", cutoff=5.5)),
-        ("mixture", LaplaceMixture(a=math.sqrt(2.0) / 0.05, lam=0.2, mu=0.3),
-         0.59, TaperSpec(kind="damped_cutoff", cutoff=16.0)),
-    ]
-    for label, noise, h, spec in cases:
+    cases = [(label, SCENARIOS[name].noise(), SCENARIOS[name].h)
+             for label, name in (("laplace", "ga_n100_s10"),
+                                 ("mixture", "mix_ga_n100"))]
+    for label, noise, h in cases:
+        spec = default_taper(noise)
         (op,) = spectral_kernels([h], noise, spec, 6.0 * h)
         us = np.linspace(-5.5, 5.5, 9)
         # one unit point at 0: the kernel sum at x = -h u is K(u)
@@ -390,7 +381,7 @@ def _selftest_checks() -> list[dict]:
                   for u, v in zip(us, vals))
         record(f"kernel quadrature vs operator ({label})", err, 1e-6)
 
-    for label, noise, _, _ in cases:
+    for label, noise, _ in cases:
         reach = 40.0 / noise.a + (noise.mu if hasattr(noise, "mu") else 0.0)
         xs = np.linspace(-reach, reach, 40001)
         dens = noise.density(xs)
@@ -400,16 +391,15 @@ def _selftest_checks() -> list[dict]:
         )
         record(f"characteristic function vs density ({label})", err, 1e-6)
 
-    n, a_n, h = 200, 2.0 / 3.0, 0.25
-    noise = Laplace(a=math.sqrt(2.0) / 0.1)
-    spec = TaperSpec(kind="damped_cutoff", cutoff=5.5)
+    sc = dataclasses.replace(SCENARIOS["ga_n100_s10"], n=200)
+    n, a_n, h, noise = sc.n, sc.a_n, sc.h, sc.noise()
+    spec = default_taper(noise)
     design = build_regular(n, a_n)
     w = design.points
     # every evaluation point lies in the design span, as in _workspace
     (kernel,) = spectral_kernels([h], noise, spec, float(w[-1] - w[0]))
 
-    interval = (-0.7, 0.6)
-    grid = make_eval_grid(interval, n, a_n, h).points
+    grid = make_eval_grid(sc.interval, n, a_n, h).points
     sample = RegressionSample(
         design=design,
         responses=np.random.default_rng(7).standard_normal(design.size),
@@ -436,7 +426,7 @@ def _selftest_checks() -> list[dict]:
         worst = max(worst, abs(float(np.mean(sups**2)) / target - 1.0))
     record("multiplier process variance", worst, 0.05)
 
-    request = BandRequest(interval=interval, h=h, seed=3)
+    request = sc.request(3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the regime warning
         band = build_band(sample, request, noise, taper=spec)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .design import _A_N
 from .noise_models import NoiseModel
 
 __all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_eval",
@@ -166,7 +167,7 @@ def kernel_table(
     spec: TaperSpec,
     grid_len: int = 1 << 14,
     span: float | None = None,
-    a_n: float = 2.0 / 3.0,
+    a_n: float = _A_N,
 ) -> KernelTable:
     """K(.;h) on [-span, span]: the operator of spectral_kernels for reach
     span h, with K at grid_len + 1 uniform points over [-span, span].

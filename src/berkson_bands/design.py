@@ -31,6 +31,7 @@ __all__ = [
 
 # Largest deviation of a sample file's w column from the regular design.
 _W_TOL = 1e-9
+_A_N = 2.0 / 3.0  # the paper's a_n; every default a_n in the package reads it
 
 
 def _is_int(v) -> bool:
@@ -129,7 +130,7 @@ class SplitDesign:
     gap_weights: np.ndarray
 
 
-def build_regular(n: int, a_n: float = 2.0 / 3.0) -> Design:
+def build_regular(n: int, a_n: float = _A_N) -> Design:
     """Equispaced design w_j = j/(n a_n), j = -n..n, weights 1/(n a_n)."""
     return Design(n=n, a_n=a_n)
 

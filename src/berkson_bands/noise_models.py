@@ -22,6 +22,9 @@ __all__ = [
     "make_noise",
 ]
 
+# The mixture law of the paper's study; every default lam and mu reads these
+_LAM, _MU = 0.2, 0.3
+
 
 def _check_rate(a: float) -> None:
     if not (math.isfinite(a) and a > 0):
@@ -165,8 +168,8 @@ def make_noise(
     kind: str,
     *,
     sigma_delta: float | None = None,
-    lam: float = 0.2,
-    mu: float = 0.3,
+    lam: float = _LAM,
+    mu: float = _MU,
 ) -> NoiseModel:
     """Build a noise model from config-style fields.
 

@@ -210,7 +210,7 @@ def test_band_result_fields_and_writer(s200, tmp_path):
     assert res.covers(res.ghat)
     assert not res.covers(res.upper + 1.0)
     csv_path = tmp_path / "band.csv"
-    write_band(res, csv_path)
+    returned = write_band(res, csv_path)
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "x,ghat,nuhat,lower,upper"
     assert len(lines) == 1 + len(res.grid)
@@ -220,6 +220,25 @@ def test_band_result_fields_and_writer(s200, tmp_path):
     meta = json.loads((tmp_path / "band.json").read_text())
     assert meta == {"quantile": res.quantile, "h": 0.25, "alpha": 0.05,
                     "M": 250, "seed": 42, "spacing": res.spacing}
+    assert returned == meta
+    # a CSV path ending in .json is its own sidecar path
+    with pytest.raises(ValueError, match="sidecar would overwrite"):
+        write_band(res, tmp_path / "other.json")
+    assert not (tmp_path / "other.json").exists()
+
+
+def test_editing_a_band_cannot_change_a_later_band():
+    sc = SCENARIOS["ga_n100_s10"]
+    sample = generate_sample(sc, np.random.SeedSequence(1))
+    first = build_band(sample, sc.request(1), sc.noise())
+    ghat = first.ghat.copy()
+    # the second band reads the first one's cached workspace
+    first.grid[:] += 0.05
+    first.ghat[:] = 0.0
+    again = build_band(sample, sc.request(1), sc.noise())
+    assert again.grid[0] == sc.interval[0]
+    assert np.array_equal(again.grid + 0.05, first.grid)
+    assert np.array_equal(again.ghat, ghat)
 
 
 @pytest.mark.filterwarnings("ignore:constant responses")

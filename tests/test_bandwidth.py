@@ -1,4 +1,4 @@
-"""Bandwidth presets, the dyadic selection rule, and undersmoothing."""
+"""The dyadic selection rule and undersmoothing."""
 from __future__ import annotations
 
 import math
@@ -16,7 +16,6 @@ from berkson_bands import (
     make_eval_grid,
     undersmooth,
 )
-from berkson_bands.bandwidth import TABLE_PRESETS
 
 from conftest import A_N, LAP01, TAPER_S, kernel_matrix, operator_for
 
@@ -26,15 +25,6 @@ def noisy_sample(n, seed):
     rng = np.random.default_rng(seed)
     y = g_a(d.points + LAP01.sample(rng, d.size)) + 0.1 * rng.standard_normal(d.size)
     return RegressionSample(design=d, responses=y)
-
-
-def test_preset_table_lookup():
-    assert TABLE_PRESETS[("g_a", 100, 0.1)] == 0.25
-    assert TABLE_PRESETS[("g_a", 750, 0.05)] == 0.12
-    assert TABLE_PRESETS[("g_b", 750, 0.1)] == 0.22
-    assert TABLE_PRESETS[("g_b", 100, 0.05)] == 0.22
-    assert len(TABLE_PRESETS) == 8
-    assert ("g_a", 300, 0.1) not in TABLE_PRESETS
 
 
 def test_default_config_spans_a_dyadic_range():

@@ -13,6 +13,7 @@ import pytest
 from berkson_bands import (SCENARIOS, RegressionSample, build_regular,
                            default_taper, g_a, generate_sample, kernel_eval,
                            load_sample, save_sample)
+from berkson_bands import cli
 from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
 from conftest import A_N, LAP01, kernel_matrix, operator_for
@@ -48,9 +49,9 @@ def test_estimate_writes_curve(data_csv, tmp_path):
     assert np.max(np.abs(ghat - direct)) < 1e-6
 
 
-def test_band_writes_csv_and_sidecar(data_csv, tmp_path):
+def test_band_writes_csv_and_sidecar(data_csv, tmp_path, capsys):
     out = tmp_path / "band.csv"
-    code = parse_and_dispatch(["band", "--input", str(data_csv),
+    code = parse_and_dispatch(["--json", "band", "--input", str(data_csv),
                                "--density", "laplace", "--sigma-delta", "0.1",
                                "--h", "0.25", "--M", "150", "--seed", "4",
                                "--out", str(out)])
@@ -58,6 +59,23 @@ def test_band_writes_csv_and_sidecar(data_csv, tmp_path):
     assert out.read_text().splitlines()[0] == "x,ghat,nuhat,lower,upper"
     meta = json.loads((tmp_path / "band.json").read_text())
     assert (meta["M"], meta["seed"], meta["h"]) == (150, 4, 0.25)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sidecar"] == str(tmp_path / "band.json")
+    assert meta == {key: payload[key] for key in meta}
+
+
+def test_band_out_ending_in_json_exits_two_before_any_work(
+        data_csv, tmp_path, capsys, monkeypatch):
+    def no_work(args):
+        raise AssertionError("the band was computed")
+
+    monkeypatch.setattr(cli, "_prepare", no_work)
+    out = tmp_path / "band.json"
+    assert parse_and_dispatch(["band", "--input", str(data_csv),
+                               "--density", "laplace", "--sigma-delta", "0.1",
+                               "--h", "0.25", "--out", str(out)]) == 2
+    assert "config error: --out:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_band_accepts_preset_fixed_and_lepski_bandwidths(data_csv, tmp_path):

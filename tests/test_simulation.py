@@ -5,7 +5,6 @@ import concurrent.futures
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from berkson_bands import (
     generate_sample,
     run_scenario,
 )
-from berkson_bands.bandwidth import TABLE_PRESETS
 from berkson_bands.simulation import scenario_from_dict, scenario_from_file
 
 from conftest import A_N, LAP01
@@ -59,14 +57,6 @@ def test_preset_scenario_table():
     assert SCENARIOS["mix_ga_n100"].density == "mixture"
     assert SCENARIOS["mix_ga_n100"].sigma_delta == 0.05
     assert len(SCENARIOS) == 10
-
-
-def test_table_scenarios_use_the_preset_bandwidths():
-    tags = [t for t in SCENARIOS if re.fullmatch(r"g[ab]_n\d+_s\d+", t)]
-    assert len(tags) == 8
-    for tag in tags:
-        sc = SCENARIOS[tag]
-        assert sc.h == TABLE_PRESETS[(sc.signal, sc.n, sc.sigma)], tag
 
 
 def test_scenario_validation():
