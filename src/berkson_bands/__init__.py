@@ -23,7 +23,7 @@ from .bandwidth import (
     lepski_select,
     undersmooth,
 )
-from .deconv_kernel import TaperSpec, kernel_eval, phi_k
+from .deconv_kernel import TaperSpec, phi_k
 from .design import (
     Design,
     RegressionSample,
@@ -67,7 +67,6 @@ __all__ = [
     "lepski_select",
     "undersmooth",
     "TaperSpec",
-    "kernel_eval",
     "phi_k",
     "Design",
     "RegressionSample",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bands import make_eval_grid
-from .design import _A_N, RegressionSample
+from .design import _A_N, RegressionSample, _is_int
 from .deconv_kernel import (SpectralKernel, TaperSpec, fourier_sums,
                             spectral_kernels)
 from .noise_models import NoiseModel
@@ -42,12 +42,15 @@ class LepskiConfig:
     C_L: float
 
     def __post_init__(self) -> None:
+        for name, k in (("k_l", self.k_l), ("k_u", self.k_u)):
+            if not _is_int(k):
+                raise ValueError(f"{name} must be an integer, got {k!r}")
         if self.k_l >= self.k_u:
             raise ValueError(
                 f"need k_l < k_u, got k_l={self.k_l}, k_u={self.k_u}"
             )
-        if self.C_L <= 0:
-            raise ValueError(f"C_L must be positive, got {self.C_L}")
+        if not (math.isfinite(self.C_L) and self.C_L > 0):
+            raise ValueError(f"C_L must be positive and finite, got {self.C_L}")
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,11 @@ def default_lepski_config(n: int, beta: float, a_n: float = _A_N) -> LepskiConfi
     The coarse end tracks ((log n)/(n a_n))^(1/(beta+_M_BAR)); the fine
     end tracks 1/n but is capped at ``_MAX_DEPTH`` steps below the coarse
     end, since estimates at very small h cost far more than the rule can
-    use.  The threshold constant is ``_C_L``.
+    use.  The threshold constant is ``_C_L``.  Needs n >= 2, where
+    log n > 0.
     """
+    if not (_is_int(n) and n >= 2):
+        raise ValueError(f"the Lepski rule needs n >= 2, got n={n}")
     rate = (math.log(n) / (n * a_n)) ** (1.0 / (beta + _M_BAR))
     k_l = max(0, round(math.log2(1.0 / rate)))
     k_u = min(int(math.floor(math.log2(n))), k_l + _MAX_DEPTH)
@@ -163,6 +169,6 @@ def undersmooth(h: float, n: int) -> float:
     """Undersmoothing adjustment h -> h/log(n)."""
     if n < 3:
         raise ValueError(f"undersmoothing needs n >= 3, got {n}")
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"bandwidth must be positive and finite, got {h}")
     return h / math.log(n)

@@ -33,8 +33,7 @@ from .bands import (
     write_band,
 )
 from .bandwidth import default_lepski_config, lepski_select, undersmooth
-from .deconv_kernel import (TaperSpec, kernel_eval, kernel_table,
-                            spectral_kernels)
+from .deconv_kernel import TaperSpec, kernel_table, phi_k, spectral_kernels
 from .design import (_A_N, RegressionSample, build_regular, load_sample,
                      write_columns)
 from .estimator import estimate_g
@@ -208,7 +207,10 @@ def _resolve_h(args: argparse.Namespace, sample, noise, taper,
             )
         h = SCENARIOS[name].h
     elif args.bandwidth == "lepski":
-        config = default_lepski_config(sample.design.n, noise.beta, args.a_n)
+        try:
+            config = default_lepski_config(sample.design.n, noise.beta, args.a_n)
+        except ValueError as exc:
+            raise ConfigError(f"--bandwidth lepski: {exc}") from exc
         try:
             h = lepski_select(sample, config, noise, taper, interval).h
         except ValueError as exc:
@@ -218,10 +220,13 @@ def _resolve_h(args: argparse.Namespace, sample, noise, taper,
             f"--bandwidth must be fixed:<value>, preset:<scenario>, or "
             f"lepski; got {args.bandwidth!r}"
         )
-    if args.undersmooth:
-        h = undersmooth(h, sample.design.n)
     if not (math.isfinite(h) and h > 0):
         raise ConfigError(f"--h must be positive and finite, got {h}")
+    if args.undersmooth:
+        try:
+            h = undersmooth(h, sample.design.n)
+        except ValueError as exc:
+            raise ConfigError(f"--undersmooth: {exc}") from exc
     return h
 
 
@@ -377,8 +382,7 @@ def _selftest_checks() -> list[dict]:
         us = np.linspace(-5.5, 5.5, 9)
         # one unit point at 0: the kernel sum at x = -h u is K(u)
         vals = op.kernel_sum(-h * us, np.zeros(1), np.ones(1))
-        err = max(abs(kernel_eval(float(u), h, noise, spec) - float(v))
-                  for u, v in zip(us, vals))
+        err = float(np.max(np.abs(_simpson_kernel(us, h, noise, spec) - vals)))
         record(f"kernel quadrature vs operator ({label})", err, 1e-6)
 
     for label, noise, _ in cases:
@@ -433,6 +437,22 @@ def _selftest_checks() -> list[dict]:
     record("factored vs dense band",
            _dense_band_error(sample, request, noise, spec, kernel, band), 1e-9)
     return checks
+
+
+def _simpson_kernel(us, h, noise, spec, intervals=2000) -> np.ndarray:
+    """K(u;h) = (1/pi) int_0^cutoff phi_k(t) cos(t u) / charfn(-t/h) dt at
+    each of ``us``, by composite Simpson on the taper's two smooth panels
+    [0, knot cutoff] and [knot cutoff, cutoff]: a reference that shares no
+    node rule with the spectral operator it checks."""
+    simpson = np.ones(intervals + 1)
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+    total = np.zeros(np.size(us))
+    for lo, hi in ((0.0, spec.knot), (spec.knot, 1.0)):
+        t = np.linspace(lo * spec.cutoff, hi * spec.cutoff, intervals + 1)
+        step = (hi - lo) * spec.cutoff / intervals  # not t[1] - t[0], rounded
+        f = simpson * phi_k(t, spec) / noise.charfn(-t / h) * (step / 3.0)
+        total += np.cos(np.outer(us, t)) @ f
+    return total / math.pi
 
 
 def _dense(kernel, x, points) -> np.ndarray:

@@ -4,9 +4,8 @@ K(w;h) = (1/2pi) int exp(-itw) phi_k(t) / charfn(-t/h) dt. The taper
 phi_k is supported on [-cutoff, cutoff]; dividing by the error law's
 Fourier transform undoes the Berkson smoothing up to that frequency.
 
-K is computed one way, with kernel_eval's adaptive quadrature as the slow
-reference it is checked against; that quadrature is scipy's, imported
-on first use, and everything else here needs numpy alone.  The kernel
+K is computed one way, with numpy alone; the adaptive-quadrature
+reference it is checked against lives with the tests.  The kernel
 is band-limited, so spectral_kernels writes it as a Gauss-Legendre sum
 over its frequency band [0, cutoff/h], with nodes from Newton's method
 on the Legendre recurrence (_legendre_rule).  A kernel sum over the
@@ -32,16 +31,16 @@ import numpy as np
 from .design import _A_N
 from .noise_models import NoiseModel
 
-__all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_eval",
-           "kernel_table", "spectral_kernels", "squared_kernel", "fourier_sums"]
+__all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_table",
+           "spectral_kernels", "squared_kernel", "fourier_sums"]
 
 # Elements of the largest temporary array of a kernel sum.
 _BLOCK_ELEMS = 1 << 22
 # Gauss-Legendre nodes of the spectral operator on a frequency panel
 # [lo, hi]: _NODES_PER_TURN per 2 pi of the phase (hi - lo) * rate, plus
-# _PANEL_NODES (see spectral_kernels).  The operator then matches
-# kernel_eval to 1e-12 relative for both shipped error laws at h from 1/2
-# to 1/64.
+# _PANEL_NODES (see spectral_kernels).  The operator then matches an
+# adaptive-quadrature reference to 1e-12 relative for both shipped error
+# laws at h from 1/2 to 1/64.
 _NODES_PER_TURN = 3
 _PANEL_NODES = 24
 # Newton steps of the Gauss-Legendre rule.  Convergence is quadratic, so
@@ -135,30 +134,6 @@ class KernelTable:
             phase = np.outer(op.h * flat[s : s + block], op.omega)
             vals[s : s + block] = np.cos(phase) @ op.factor
         return vals.reshape(u.shape)
-
-
-def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float:
-    """Adaptive-quadrature reference value of K(u;h), to about 1e-10.
-
-    Splits at the bridge knot and uses a cosine-weighted rule; this is the
-    slow path the spectral operator is checked against.
-    """
-    from scipy.integrate import quad  # loaded on first use, off the band path
-
-    if h <= 0:
-        raise ValueError(f"bandwidth must be positive, got {h}")
-    s = spec.cutoff
-
-    def f(t):
-        return phi_k(t, spec) / float(noise.charfn(-t / h))
-
-    total = 0.0
-    for lo, hi in ((0.0, spec.knot * s), (spec.knot * s, s)):
-        val, _ = quad(
-            f, lo, hi, weight="cos", wvar=float(u), epsabs=1e-10, limit=400
-        )
-        total += val
-    return total / math.pi
 
 
 def kernel_table(
@@ -266,7 +241,8 @@ class SpectralKernel:
 def _uniform_blocks(x) -> tuple[np.ndarray, np.ndarray]:
     """(anchors, offsets) with x_{A b + B} = anchors[A] + offsets[B]: every
     b-th point of x and b = ceil(sqrt(len(x))) multiples of its step.
-    Raises ValueError unless x is uniform to 1e-12 of its largest |x|."""
+    Raises ValueError unless x is uniform to 1e-12 of its largest |x|,
+    which no x holding a NaN is."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     m = x.size
     b = math.isqrt(m - 1) + 1
@@ -274,7 +250,7 @@ def _uniform_blocks(x) -> tuple[np.ndarray, np.ndarray]:
     offsets = np.arange(b) * step
     anchors = x[::b]
     model = (anchors[:, None] + offsets[None, :]).ravel()[:m]
-    if np.max(np.abs(model - x)) > 1e-12 * max(1.0, float(np.max(np.abs(x)))):
+    if not np.max(np.abs(model - x)) <= 1e-12 * max(1.0, float(np.max(np.abs(x)))):
         raise ValueError("the spectral operator needs a uniform grid")
     return anchors, offsets
 

@@ -55,7 +55,7 @@ def check_identifiable(interval, a_n: float, h: float) -> None:
     """Raise unless ``interval`` lies in the identifiable range at h."""
     a, b = interval
     lo, hi = identifiable_range(a_n, h)
-    if a < lo - 1e-12 or b > hi + 1e-12:
+    if not (lo - 1e-12 <= a and b <= hi + 1e-12):  # a NaN fails too
         raise ValueError(
             f"interval [{a}, {b}] exceeds the identifiable range "
             f"[{lo:.4g}, {hi:.4g}] at h={h}"

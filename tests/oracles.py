@@ -1,7 +1,8 @@
-"""Quadrature oracles: gamma, the conditional variance nu^2, and the exact
-mean and variance of the estimator ghat, the references the estimator,
-simulation and variance tests and acceptance criteria 5-6 compare against.
-The error laws' density kinks, where the quadratures split, live here too.
+"""Quadrature oracles: the deconvolution kernel K(u;h), gamma, the
+conditional variance nu^2, and the exact mean and variance of the
+estimator ghat, the references the kernel, estimator, simulation and
+variance tests and acceptance criteria 4-6 compare against.  The error
+laws' density kinks, where the quadratures split, live here too.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from berkson_bands import (Design, Laplace, LaplaceMixture, NoError, NoiseModel,
-                           RegressionSample, estimate_g)
+                           RegressionSample, TaperSpec, estimate_g, phi_k)
 from berkson_bands.deconv_kernel import SpectralKernel
 
 from conftest import kernel_matrix
@@ -20,6 +21,28 @@ from conftest import kernel_matrix
 # spacing of their Simpson rule.
 _W_BLOCK = 256
 _SIMPSON_STEP = 1e-3
+
+
+def kernel_eval(u: float, h: float, noise: NoiseModel, spec: TaperSpec) -> float:
+    """Adaptive-quadrature reference value of K(u;h), to about 1e-10.
+
+    Splits at the bridge knot and uses a cosine-weighted rule; this is the
+    slow path the spectral operator is checked against.
+    """
+    if h <= 0:
+        raise ValueError(f"bandwidth must be positive, got {h}")
+    s = spec.cutoff
+
+    def f(t):
+        return phi_k(t, spec) / float(noise.charfn(-t / h))
+
+    total = 0.0
+    for lo, hi in ((0.0, spec.knot * s), (spec.knot * s, s)):
+        val, _ = quad(
+            f, lo, hi, weight="cos", wvar=float(u), epsabs=1e-10, limit=400
+        )
+        total += val
+    return total / math.pi
 
 
 def density_kinks(noise: NoiseModel) -> list[float]:

@@ -29,14 +29,13 @@ from berkson_bands import (
     estimate_g,
     estimate_nu,
     g_a,
-    kernel_eval,
     run_scenario,
 )
 from berkson_bands.bands import _sup_batch
 from berkson_bands.deconv_kernel import spectral_kernels
 
 from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, kernel_matrix, operator_for
-from oracles import oracle_mean, oracle_nu2, oracle_variance
+from oracles import kernel_eval, oracle_mean, oracle_nu2, oracle_variance
 
 FAST = os.environ.get("BB_ACCEPT_FAST") == "1"
 

@@ -37,8 +37,17 @@ def test_default_config_spans_a_dyadic_range():
 def test_config_validation():
     with pytest.raises(ValueError, match="k_l < k_u"):
         LepskiConfig(k_l=3, k_u=3, C_L=1.0)
-    with pytest.raises(ValueError, match="C_L must be positive"):
-        LepskiConfig(k_l=1, k_u=2, C_L=0.0)
+    for c_l in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="C_L must be positive and finite"):
+            LepskiConfig(k_l=1, k_u=2, C_L=c_l)
+    with pytest.raises(ValueError, match="k_l must be an integer"):
+        LepskiConfig(k_l=1.5, k_u=3, C_L=1.0)
+    with pytest.raises(ValueError, match="k_u must be an integer"):
+        LepskiConfig(k_l=1, k_u=3.0, C_L=1.0)
+    # log 1 = 0 leaves the rate undefined
+    with pytest.raises(ValueError, match="n >= 2, got n=1"):
+        default_lepski_config(1, 2.0)
+    assert default_lepski_config(np.int64(200), 2.0) == default_lepski_config(200, 2.0)
 
 
 def test_selection_on_flat_responses_keeps_coarsest_bandwidth():
@@ -116,6 +125,7 @@ def test_undersmoothing_divides_by_log_n():
     assert undersmooth(0.5, 100) == pytest.approx(0.5 / math.log(100), rel=1e-12)
     with pytest.raises(ValueError, match="n >= 3"):
         undersmooth(0.5, 2)
-    with pytest.raises(ValueError, match="bandwidth must be positive"):
-        undersmooth(0.0, 100)
+    for h in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            undersmooth(h, 100)
 

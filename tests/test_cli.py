@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 from berkson_bands import (SCENARIOS, RegressionSample, build_regular,
-                           default_taper, g_a, generate_sample, kernel_eval,
-                           load_sample, save_sample)
+                           default_taper, g_a, generate_sample, load_sample,
+                           save_sample)
 from berkson_bands import cli
 from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
-from conftest import A_N, LAP01, kernel_matrix, operator_for
+from conftest import A_N, LAP01, SMOOTH, kernel_matrix, operator_for
+from oracles import kernel_eval
 
 pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
 
@@ -76,6 +77,22 @@ def test_band_out_ending_in_json_exits_two_before_any_work(
                                "--h", "0.25", "--out", str(out)]) == 2
     assert "config error: --out:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_too_small_samples_exit_with_code_two(tmp_path, capsys):
+    # a 3-row file is the design of n = 1: log n = 0 leaves the Lepski
+    # rule undefined and undersmoothing needs n >= 3
+    tiny = tmp_path / "tiny.csv"
+    save_sample(RegressionSample(design=build_regular(1, A_N),
+                                 responses=np.array([0.1, 0.2, 0.3])), tiny)
+    common = ["estimate", "--input", str(tiny), "--density", "laplace",
+              "--sigma-delta", "0.1", "--out", str(tmp_path / "e.csv")]
+    assert parse_and_dispatch(common + ["--bandwidth", "lepski"]) == 2
+    err = capsys.readouterr().err
+    assert "--bandwidth" in err and "n >= 2" in err
+    assert parse_and_dispatch(common + ["--h", "0.25", "--undersmooth"]) == 2
+    err = capsys.readouterr().err
+    assert "--undersmooth" in err and "n >= 3" in err
 
 
 def test_band_accepts_preset_fixed_and_lepski_bandwidths(data_csv, tmp_path):
@@ -321,9 +338,49 @@ assert not loaded(), loaded()
     assert (tmp_path / "plain.csv").exists() and (tmp_path / "split.csv").exists()
 
 
-def test_band_paths_load_no_scipy(data_csv, tmp_path):
-    # scipy serves only kernel_eval's reference quadrature
-    _band_paths_load_none_of(data_csv, tmp_path, r"scipy(\.|$)")
+def test_every_subcommand_runs_with_scipy_blocked(data_csv, tmp_path):
+    # the package needs numpy alone: scipy serves only the tests' references
+    script = f"""
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+import berkson_bands.cli as cli
+
+common = ["--input", {str(data_csv)!r}, "--density", "mixture",
+          "--sigma-delta", "0.05"]
+runs = [
+    ["estimate", *common, "--h", "0.5", "--out", {str(tmp_path / "est.csv")!r}],
+    ["band", *common, "--M", "100", "--h", "0.5",
+     "--out", {str(tmp_path / "plain.csv")!r}],
+    ["band", *common, "--M", "100", "--bandwidth", "lepski", "--split",
+     "--out", {str(tmp_path / "split.csv")!r}],
+    ["simulate", "--scenario", "ga_n100_s10", "--reps", "2", "--bootstrap",
+     "100", "--out", {str(tmp_path / "sim")!r}],
+    ["kernel-dump", "--h", "0.25", "--density", "laplace", "--sigma-delta",
+     "0.1", "--grid-len", "64", "--out", {str(tmp_path / "kernel.csv")!r}],
+    ["selftest"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+"""
+    proc = subprocess.run([sys.executable, "-W", "ignore", "-c", script],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("est.csv", "plain.csv", "split.csv", "sim/summary.json",
+                 "kernel.csv"):
+        assert (tmp_path / name).exists(), name
+    assert "selftest: all checks passed" in proc.stdout
+
+
+@pytest.mark.parametrize("noise,spec,h", [
+    (SCENARIOS["ga_n100_s10"].noise(), None, SCENARIOS["ga_n100_s10"].h),
+    (SCENARIOS["mix_ga_n100"].noise(), None, SCENARIOS["mix_ga_n100"].h),
+    (LAP01, SMOOTH, 0.25),
+], ids=["laplace", "mixture", "smooth_poly"])
+def test_selftest_reference_matches_quadrature(noise, spec, h):
+    spec = spec or default_taper(noise)
+    us = np.linspace(-5.5, 5.5, 9)  # the selftest's arguments
+    want = [kernel_eval(float(u), h, noise, spec) for u in us]
+    assert np.max(np.abs(cli._simpson_kernel(us, h, noise, spec) - want)) <= 1e-12
 
 
 def test_band_paths_load_no_process_pool(data_csv, tmp_path):

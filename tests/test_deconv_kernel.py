@@ -14,13 +14,16 @@ from scipy.special import roots_legendre
 
 import berkson_bands.bands as bands_mod
 from berkson_bands import (SCENARIOS, Laplace, NoError, TaperSpec, build_regular,
-                           default_taper, kernel_eval, make_eval_grid, phi_k)
-from berkson_bands.design import identifiable_range
+                           default_taper, estimate_g, generate_sample,
+                           make_eval_grid, phi_k)
+from berkson_bands.design import check_identifiable, identifiable_range
 import berkson_bands.deconv_kernel as dk
 from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums, kernel_table,
                                          spectral_kernels, squared_kernel)
 
-from conftest import A_N, LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, kernel_matrix
+from conftest import (A_N, LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, kernel_matrix,
+                      operator_for)
+from oracles import kernel_eval
 
 
 def test_taper_validation():
@@ -93,6 +96,35 @@ def test_spectral_operator_matches_direct_quadrature(noise, spec, h):
     got = op.kernel_sum(x, np.zeros(1), np.ones(1))
     want = np.array([kernel_eval(float(-v / h), h, noise, spec) for v in x])
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("after", [0, 1], ids=["anchor", "offset"])
+def test_nan_points_fail_the_uniform_grid_checks(after):
+    # _uniform_blocks anchors every b-th point, b = isqrt(len - 1) + 1
+    def with_nan(x):
+        x = np.array(x, dtype=float)
+        x[math.isqrt(x.size - 1) + 1 + after] = np.nan
+        return x
+
+    sc = SCENARIOS["ga_n100_s10"]
+    sample = generate_sample(sc, np.random.SeedSequence(1))
+    grid = make_eval_grid(sc.interval, sc.n, sc.a_n, sc.h).points
+    w = sample.design.points
+    op = operator_for(sample.design, sc.h, sc.noise(), default_taper(sc.noise()))
+    calls = [
+        lambda: estimate_g(sample, with_nan(grid), op),
+        lambda: op.transform(with_nan(w), np.ones(w.size)),
+        lambda: op.factors(with_nan(w), grid),
+        lambda: op.factors(w, with_nan(grid)),
+        lambda: fourier_sums(with_nan(grid), op.omega, op.factor[:, None]),
+        lambda: dk._uniform_blocks(with_nan(np.linspace(0.0, 1.0, 10))),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+    for interval in ((np.nan, 0.5), (-0.5, np.nan)):
+        with pytest.raises(ValueError, match="identifiable range"):
+            check_identifiable(interval, A_N, 0.25)
 
 
 def test_spectral_operator_shares_nodes_across_bandwidths():
