@@ -17,9 +17,12 @@ weights so its shape matches what the supremum actually feels.
 Every kernel matrix a band needs, between the grid, the pilot points or
 the design points and the design points, is held as low-rank factors
 from the spectral kernel operator (deconv_kernel.SpectralKernel.factors
-and squared_kernel): left @ basis.T, with basis on the design side.  A
-multiplier draw then costs (design + grid) x rank instead of design x
-grid, and no band builds a kernel table or a dense kernel matrix.
+and squared_kernel): left @ basis.T, with basis on the design side, so
+no band builds a kernel table or a dense kernel matrix.  The multiplier
+process lives in the rank coordinates of K's basis: a draw takes rank
+normals, not one per design point, and costs (rank + grid) x rank
+(_sup_batch).  The basis is turned to a fixed orientation where it is
+built (_oriented), so the draws do not depend on how it was found.
 
 The pilot regression is a not-a-knot cubic spline over the pilot
 points, solved here in numpy (_spline_coefficients).  A spline is linear
@@ -169,20 +172,49 @@ def quantile(sups, level: float) -> float:
     return float(sups[min(int(math.ceil(m * level)), m) - 1])
 
 
+def _draw_factor(core_t: np.ndarray) -> np.ndarray:
+    """R of the thin QR core_t = Q R, each row signed so that R's diagonal
+    is >= 0: R.T @ R = core_t.T @ core_t, R is unique where core_t has
+    full column rank, and c core_t gives c R for c > 0.  Householder QR
+    needs no full rank, so zero rows (points left out of the process)
+    are fine."""
+    r = np.linalg.qr(core_t, mode="r")
+    return r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]
+
+
 def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
                coef: float, draws: int, root_seed: int) -> np.ndarray:
     """Supremum draws of |coef * sum_j Z_j (core_t @ grid_t)[j, x]| / nu_g(x).
 
     Row j of ``core_t`` belongs to design point j; a point left out of
-    the process has a zero row, so every point keeps its own Z_j.  The
-    process goes through the rank of the factors, so a draw costs
-    (design + grid) x rank, not design x grid.  All draws come from one
-    generator seeded with SeedSequence(root_seed), so different seeds
-    give independent streams.
+    the process has a zero row.  Given the data, the process Z @ core_t,
+    Z ~ N(0, I_design), is a centred Gaussian with covariance
+    core_t.T @ core_t, which is the law of z @ R for z ~ N(0, I_rank)
+    and R = _draw_factor(core_t).  So a draw takes rank normals instead
+    of one per design point, and costs (rank + grid) x rank.  All draws
+    come from one generator seeded with SeedSequence(root_seed), so
+    different seeds give independent streams.
     """
-    z = np.random.default_rng(root_seed).standard_normal((draws, core_t.shape[0]))
-    out = (z @ core_t) @ (grid_t * (abs(coef) / nu_g))
+    r = _draw_factor(core_t)
+    z = np.random.default_rng(root_seed).standard_normal((draws, r.shape[0]))
+    out = (z @ r) @ (grid_t * (abs(coef) / nu_g))
     return np.max(np.abs(out, out=out), axis=1)
+
+
+def _oriented(w: np.ndarray, basis: np.ndarray, lefts: list[np.ndarray]):
+    """(basis, lefts), SpectralKernel.factors at the design points w,
+    turned by the eigenvectors V of basis.T diag(w) basis, the position
+    operator on basis's span, and each column signed so that its entry
+    of largest magnitude is positive.  Every left @ basis.T is
+    unchanged.  The turned basis depends on the span alone, not on the
+    sketch that found it (the eigenvalues are distinct), so the
+    multiplier draws do not depend on which grid the range finder
+    sketched."""
+    v = np.linalg.eigh(basis.T @ (w[:, None] * basis))[1]
+    basis = basis @ v
+    peak = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    sign = np.where(peak < 0.0, -1.0, 1.0)
+    return basis * sign, [left @ (v * sign) for left in lefts]
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +319,7 @@ def _workspace(
     # every evaluation point lies in the design span
     reach = float(w[-1] - w[0])
     (kernel,) = spectral_kernels([h], noise, spec, reach)
-    basis, (kg, ke) = kernel.factors(w, eg.points, xe)
+    basis, (kg, ke) = _oriented(w, *kernel.factors(w, eg.points, xe))
     basis2, (k2g, k2e, k2w) = squared_kernel(h, noise, spec, reach).factors(
         w, eg.points, xe, w)
     ones = basis2.T @ np.ones(design.size)
@@ -554,7 +586,7 @@ def build_band_extension(
         raise _too_short(request.interval, exc,
                          _split_shortest(w[held], w[carry], a_n, h)) from None
     (kernel,) = spectral_kernels([h], noise, spec, design.reach(request.interval))
-    basis, (kg,) = kernel.factors(w, eg.points)
+    basis, (kg,) = _oriented(w, *kernel.factors(w, eg.points))
 
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights

@@ -19,7 +19,6 @@ import numpy as np
 
 from .bands import (
     BandRequest,
-    _assemble,
     _band_variance_field,
     _error_moments,
     _sidecar,
@@ -30,6 +29,7 @@ from .bands import (
     build_band_extension,
     default_taper,
     make_eval_grid,
+    quantile,
     write_band,
 )
 from .bandwidth import default_lepski_config, lepski_select, undersmooth
@@ -478,13 +478,23 @@ def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
         k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,
         kt2w=_dense(taper, w, w) ** 2)
     nu_w, nu_g = _band_variance_field(sample, dense, h)
-    ref = _assemble(sample, request, noise.beta, ws.eg, kg, eye,
-                    design.weights, design.weights * nu_w, nu_g)
-    return max(
-        float(np.max(np.abs(np.subtract(getattr(band, f), getattr(ref, f))))
-              / np.max(np.abs(getattr(ref, f))))
-        for f in ("ghat", "nuhat", "quantile", "lower", "upper")
-    )
+    n, a_n, beta = design.n, design.a_n, noise.beta
+    mult = design.weights * nu_w * n * a_n
+    # the engine's rank normals z, mapped into design space as Z = z @ Q.T
+    # with Z @ core = z @ R: core = Q R is the thin QR of this band's own
+    # weights on the workspace basis, R's diagonal non-negative
+    qf, r = np.linalg.qr(ws.basis * mult[:, None])
+    z = np.random.default_rng(request.seed).standard_normal((request.draws, r.shape[0]))
+    z = z @ (qf * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)).T
+    coef = h**beta / math.sqrt(n * a_n * h)
+    q = quantile(np.max(np.abs(coef * (z @ (kg * mult).T)) / nu_g, axis=1),
+                 1.0 - request.alpha)
+    ghat = kg @ (design.weights * sample.responses) / h
+    half = q * nu_g / (math.sqrt(n * a_n) * h ** (0.5 + beta))
+    ref = {"ghat": ghat, "nuhat": nu_g, "quantile": q, "lower": ghat - half,
+           "upper": ghat + half}
+    return max(float(np.max(np.abs(np.subtract(getattr(band, f), v)))
+                     / np.max(np.abs(v))) for f, v in ref.items())
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

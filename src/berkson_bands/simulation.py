@@ -154,9 +154,8 @@ def generate_sample(scenario: Scenario, rep_seed) -> RegressionSample:
 
 def _run_rep(scenario: Scenario, rep: int):
     data_seed = np.random.SeedSequence((scenario.seed, rep, 0))
-    band_seed = int(
-        np.random.SeedSequence((scenario.seed, rep, 1)).generate_state(1)[0]
-    )
+    words = np.random.SeedSequence((scenario.seed, rep, 1)).generate_state(4)
+    band_seed = sum(int(v) << (32 * i) for i, v in enumerate(words))  # 128 bits
     sample = generate_sample(scenario, data_seed)
     band = build_band(sample, scenario.request(band_seed), scenario.noise(),
                       taper=scenario.taper)

@@ -4,9 +4,11 @@ This is the band construction written with dense grid x design and
 design x design kernel matrices, dense Epanechnikov weight matrices for
 the local variance, pilot curves read through CubicSpline at every
 design point plus error node, and moments taken over those nodes with
-np.trapezoid.  The package builds the same band from low-rank kernel
-factors, window sums and one correlation on the error lattice; tests
-compare the two.
+np.trapezoid.  Its multiplier process sums dense kernel rows over one
+multiplier per design point; the multipliers are the engine's rank
+normals mapped into design space (design_normals).  The package builds
+the same band from low-rank kernel factors, window sums and one
+correlation on the error lattice; tests compare the two.
 """
 from __future__ import annotations
 
@@ -18,12 +20,29 @@ from scipy.interpolate import CubicSpline
 
 from berkson_bands import NoError, make_eval_grid
 from berkson_bands.bands import (_CLAMP_FACTOR, _NW_FLOOR_FRAC, _XE_POINTS,
-                                 _error_lattice, default_taper, quantile)
+                                 _error_lattice, _workspace, default_taper,
+                                 quantile)
 from berkson_bands.design import identifiable_range
 from berkson_bands.variance_estimation import (midpoints, pseudo_residuals,
                                                smoothing_bandwidth)
 
 from conftest import kernel_matrix, operator_for
+
+
+def design_normals(basis, weights, draws, seed):
+    """The engine's rank normals z (draws x rank, from SeedSequence(seed))
+    mapped into design space: Z = z @ Q.T, draws x len(weights), for the
+    thin QR core = basis * weights[:, None] = Q R signed so that R's
+    diagonal is non-negative.  Then Z @ core = z @ R, the engine's draw,
+    and column j of Z holds the multipliers of point j.  Where R is
+    invertible Q.T = lstsq(R.T, core.T); Q alone does not amplify the
+    part of a dense kernel matrix outside basis's span when the process
+    barely reaches some basis direction (a split band with b_n < 1)."""
+    core = basis * weights[:, None]
+    q, r = np.linalg.qr(core)
+    q *= np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    z = np.random.default_rng(seed).standard_normal((draws, r.shape[0]))
+    return z @ q.T
 
 
 def epanechnikov_weights(mids, x, h_v):
@@ -51,7 +70,10 @@ def _geometry(design, noise, spec, h, interval):
         wd = np.clip(w[:, None] + dgrid[None, :], lo, hi)
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
+    # the engine draws in the coordinates of its workspace's basis
+    basis = _workspace(design, noise, spec, h, interval, 1).basis
     return {
+        "basis": basis,
         "grid": grid, "xe": xe, "dgrid": dgrid, "fw": fw, "wd": wd,
         "kg": kernel_matrix(op, grid, w), "ke": kernel_matrix(op, xe, w),
         "k2w": kernel_matrix(op, w, w) ** 2,
@@ -97,10 +119,9 @@ def dense_band(sample, request, noise, taper=None):
     kg = geo["kg"]
     ghat = kg @ (wts * y) / h
     coef = h**beta / math.sqrt(n * a_n * h)
-    core = kg * (wts * nu_w * n * a_n)[None, :]
-    z = np.random.default_rng(request.seed).standard_normal(
-        (request.draws, design.size))
-    sups = np.max(np.abs(coef * (z @ core.T)) / nu_g[None, :], axis=1)
+    mult = wts * nu_w * n * a_n
+    z = design_normals(geo["basis"], mult, request.draws, request.seed)
+    sups = np.max(np.abs(coef * (z @ (kg * mult).T)) / nu_g[None, :], axis=1)
     q = quantile(sups, 1.0 - request.alpha)
     half = q * nu_g / (math.sqrt(n * a_n) * h ** (0.5 + beta))
     return {"ghat": ghat, "nuhat": nu_g, "quantile": q, "lower": ghat - half,
