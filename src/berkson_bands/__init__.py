@@ -17,12 +17,7 @@ from .bands import (
     quantile,
     write_band,
 )
-from .bandwidth import (
-    LepskiConfig,
-    default_lepski_config,
-    lepski_select,
-    undersmooth,
-)
+from .bandwidth import lepski_select, undersmooth
 from .deconv_kernel import TaperSpec, phi_k
 from .design import (
     Design,
@@ -62,8 +57,6 @@ __all__ = [
     "make_eval_grid",
     "quantile",
     "write_band",
-    "LepskiConfig",
-    "default_lepski_config",
     "lepski_select",
     "undersmooth",
     "TaperSpec",

@@ -144,19 +144,16 @@ def default_taper(noise: NoiseModel) -> TaperSpec:
 
 
 def make_eval_grid(
-    interval: tuple[float, float], n: int, a_n: float, h: float,
-    refine: int = 1,
+    interval: tuple[float, float], n: int, a_n: float, h: float
 ) -> EvalGrid:
-    """Uniform grid over ``interval`` with spacing <= sqrt(h)/(n sqrt(a_n)).
-
-    ``refine`` tightens the spacing bound by that factor; it exists so
-    grid-sufficiency can be audited against finer grids.
-    """
+    """Uniform grid over ``interval`` with spacing <= sqrt(h)/(n sqrt(a_n)),
+    the fewest points that keep to that bound; a single point when the
+    interval is one."""
     a, b = ordered_interval(interval)
     check_identifiable((a, b), a_n, h)
     if b == a:
         return EvalGrid(points=np.array([a], dtype=float), spacing=0.0)
-    bound = math.sqrt(h) / (n * math.sqrt(a_n) * max(1, refine))
+    bound = math.sqrt(h) / (n * math.sqrt(a_n))
     m = int(math.ceil((b - a) / bound))
     return EvalGrid(points=np.linspace(a, b, m + 1), spacing=(b - a) / m)
 
@@ -307,11 +304,10 @@ def _workspace(
     spec: TaperSpec,
     h: float,
     interval: tuple[float, float],
-    refine: int,
 ) -> _Workspace:
     n, a_n = design.n, design.a_n
     w = design.points
-    eg = make_eval_grid(interval, n, a_n, h, refine)
+    eg = make_eval_grid(interval, n, a_n, h)
     clamp_lo, clamp_hi = identifiable_range(a_n, _CLAMP_FACTOR * h)
     if clamp_lo >= clamp_hi:
         raise ValueError(f"bandwidth h={h} too large for the design span")
@@ -521,17 +517,17 @@ def build_band(
     request: BandRequest,
     noise: NoiseModel,
     taper: TaperSpec | None = None,
-    grid_refine: int = 1,
 ) -> BandResult:
-    """Uniform confidence band for g over the requested interval.
+    """Uniform confidence band for g over the requested interval, on the
+    evaluation grid of make_eval_grid.
 
-    The calibrated variance field is estimated from the sample.
-    ``grid_refine`` tightens the evaluation grid for audits.
+    The calibrated variance field is estimated from the sample; ``taper``
+    defaults to default_taper(noise).
     """
     design = sample.design
     spec = taper if taper is not None else default_taper(noise)
     _assumption_check(design.n, design.a_n, request.h, noise.beta)
-    ws = _workspace(design, noise, spec, request.h, request.interval, grid_refine)
+    ws = _workspace(design, noise, spec, request.h, request.interval)
     nu_w, nu_g = _band_variance_field(sample, ws, request.h)
     return _assemble(sample, request, noise.beta, ws.eg, ws.kg, ws.basis,
                      design.weights, design.weights * nu_w, nu_g)
@@ -580,7 +576,7 @@ def build_band_extension(
         raise ValueError(f"d_n={sd.d_n} holds out one design point; the "
                          f"variance curve needs at least two")
     try:
-        nu_curve = estimate_nu(sample, interval=request.interval, mask=held)
+        nu_curve = estimate_nu(sample, request.interval, mask=held)
         nu_carry, nu_g = nu_curve(w[carry]), nu_curve(eg.points)
     except ValueError as exc:
         raise _too_short(request.interval, exc,

@@ -32,12 +32,12 @@ from .bands import (
     quantile,
     write_band,
 )
-from .bandwidth import default_lepski_config, lepski_select, undersmooth
+from .bandwidth import lepski_select, undersmooth
 from .deconv_kernel import TaperSpec, kernel_table, phi_k, spectral_kernels
 from .design import (_A_N, RegressionSample, build_regular, load_sample,
                      write_columns)
 from .estimator import estimate_g
-from .noise_models import _LAM, _MU, NoError, make_noise
+from .noise_models import _KINDS, _LAM, _MU, NoError, make_noise
 from .simulation import (
     SCENARIOS,
     Scenario,
@@ -74,8 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def add_noise_flags(sp):
-        sp.add_argument("--density", choices=["laplace", "mixture", "none"],
-                        required=True)
+        sp.add_argument("--density", choices=_KINDS, required=True)
         sp.add_argument("--sigma-delta", type=float, dest="sigma_delta")
         sp.add_argument("--lam", type=float, default=_LAM)
         sp.add_argument("--mu", type=float, default=_MU)
@@ -90,9 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", required=True,
                         help="CSV with header w,Y")
         sp.add_argument("--a-n", type=positive_real, default=_A_N, dest="a_n")
-        sp.add_argument("--h", type=float)
-        sp.add_argument("--bandwidth",
-                        help="fixed:<value> | preset:<scenario> | lepski")
+        sp.add_argument("--h", type=positive_real)
+        sp.add_argument("--bandwidth", help="preset:<scenario> | lepski")
         sp.add_argument("--undersmooth", action="store_true")
         sp.add_argument("--interval", type=float, nargs=2,
                         default=Scenario.interval, metavar=("A", "B"))
@@ -193,11 +191,6 @@ def _resolve_h(args: argparse.Namespace, sample, noise, taper,
         h = args.h
     elif args.bandwidth is None:
         raise ConfigError("one of --h or --bandwidth is required")
-    elif args.bandwidth.startswith("fixed:"):
-        try:
-            h = float(args.bandwidth.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"--bandwidth {args.bandwidth!r}: bad fixed value") from exc
     elif args.bandwidth.startswith("preset:"):
         name = args.bandwidth.split(":", 1)[1]
         if name not in SCENARIOS:
@@ -208,20 +201,12 @@ def _resolve_h(args: argparse.Namespace, sample, noise, taper,
         h = SCENARIOS[name].h
     elif args.bandwidth == "lepski":
         try:
-            config = default_lepski_config(sample.design.n, noise.beta, args.a_n)
+            h = lepski_select(sample, noise, taper, interval).h
         except ValueError as exc:
-            raise ConfigError(f"--bandwidth lepski: {exc}") from exc
-        try:
-            h = lepski_select(sample, config, noise, taper, interval).h
-        except ValueError as exc:
-            raise ConfigError(f"--interval: {exc}") from exc
+            raise ConfigError(f"--bandwidth lepski/--interval: {exc}") from exc
     else:
-        raise ConfigError(
-            f"--bandwidth must be fixed:<value>, preset:<scenario>, or "
-            f"lepski; got {args.bandwidth!r}"
-        )
-    if not (math.isfinite(h) and h > 0):
-        raise ConfigError(f"--h must be positive and finite, got {h}")
+        raise ConfigError(f"--bandwidth must be preset:<scenario> or lepski; "
+                          f"got {args.bandwidth!r}")
     if args.undersmooth:
         try:
             h = undersmooth(h, sample.design.n)
@@ -420,13 +405,17 @@ def _selftest_checks() -> list[dict]:
     record("uniform factors vs direct cos/sin", err, 1e-12)
 
     coef = h**noise.beta / math.sqrt(n * a_n * h)
+    # the band's basis with non-constant multipliers: R is the QR of a
+    # design x rank core, as in a band
+    basis = _workspace(design, noise, spec, h, sc.interval).basis
+    m = 0.5 + w**2
     worst = 0.0
     for x0 in (-0.5, 0.0, 0.5):
         kvec = _dense(kernel, [x0], w)[0]
-        target = coef**2 * float(kvec @ kvec)
+        target = coef**2 * float(np.sum((m * kvec) ** 2))
         # the band's draw engine at one point with nu = 1: sup = |process|
-        sups = _sup_batch(kvec[:, None], np.ones((1, 1)), np.ones(1), coef,
-                          8000, 7)
+        sups = _sup_batch(basis * m[:, None], basis.T @ kvec[:, None],
+                          np.ones(1), coef, 8000, 7)
         worst = max(worst, abs(float(np.mean(sups**2)) / target - 1.0))
     record("multiplier process variance", worst, 0.05)
 
@@ -467,7 +456,7 @@ def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
     is the operator at reach = design span, as _workspace builds it."""
     design, h = sample.design, request.h
     w, eye = design.points, np.eye(design.size)
-    ws = _workspace(design, noise, spec, h, request.interval, 1)
+    ws = _workspace(design, noise, spec, h, request.interval)
     kg, ke, kw = (_dense(kernel, x, w) for x in (ws.eg.points, ws.xe, w))
     (taper,) = spectral_kernels([h], NoError(), spec, float(w[-1] - w[0]))
     dense = dataclasses.replace(

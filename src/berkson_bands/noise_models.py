@@ -24,6 +24,8 @@ __all__ = [
 
 # The mixture law of the paper's study; every default lam and mu reads these
 _LAM, _MU = 0.2, 0.3
+# The kinds make_noise builds
+_KINDS = ("laplace", "mixture", "none")
 
 
 def _check_rate(a: float) -> None:
@@ -171,14 +173,17 @@ def make_noise(
     lam: float = _LAM,
     mu: float = _MU,
 ) -> NoiseModel:
-    """Build a noise model from config-style fields.
+    """Build a noise model from config-style fields: ``kind`` is one of
+    _KINDS, the CLI's --density choices.
 
     ``sigma_delta`` fixes the scale: for ``laplace`` it is the law's sd,
     for ``mixture`` the sd of the Laplace core.  It must be positive and
     finite for every kind but ``none``.
     """
-    kind = kind.lower()
-    if kind in ("none", "noerror"):
+    if kind not in _KINDS:
+        raise ValueError(
+            f"unknown noise kind {kind!r}; known: {', '.join(_KINDS)}")
+    if kind == "none":
         return NoError()
     if sigma_delta is None or not (math.isfinite(sigma_delta) and sigma_delta > 0):
         raise ValueError(
@@ -186,6 +191,4 @@ def make_noise(
     a = math.sqrt(2.0) / sigma_delta
     if kind == "laplace":
         return Laplace(a=a)
-    if kind in ("mixture", "laplace_mixture"):
-        return LaplaceMixture(a=a, lam=lam, mu=mu)
-    raise ValueError(f"unknown noise kind {kind!r}")
+    return LaplaceMixture(a=a, lam=lam, mu=mu)

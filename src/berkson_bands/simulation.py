@@ -10,6 +10,7 @@ chosen by inspection and are shipped as data rather than re-derived.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -20,9 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .bands import BandRequest, build_band, make_eval_grid
-from .deconv_kernel import TaperSpec
 from .design import _A_N, RegressionSample, _is_int, build_regular, write_columns
-from .noise_models import _LAM, _MU, NoiseModel, make_noise
+from .noise_models import _KINDS, _LAM, _MU, NoiseModel, make_noise
 
 __all__ = [
     "g_a",
@@ -76,7 +76,6 @@ class Scenario:
     density: str = "laplace"
     lam: float = _LAM
     mu: float = _MU
-    taper: TaperSpec | None = None
 
     def __post_init__(self) -> None:
         if self.signal not in SIGNALS:
@@ -107,9 +106,10 @@ class Scenario:
 
         For the Laplace kind ``sigma_delta`` is the error sd; for the
         mixture kind it is the sd of the Laplace component, with the
-        shift mass ``lam`` at +/- ``mu`` on top.
+        shift mass ``lam`` at +/- ``mu`` on top.  A zero ``sigma_delta``
+        gives the error-free law, whatever the (known) kind.
         """
-        if self.density in ("none", "noerror") or self.sigma_delta == 0.0:
+        if self.sigma_delta == 0.0 and self.density in _KINDS:
             return make_noise("none")
         return make_noise(
             self.density,
@@ -157,8 +157,7 @@ def _run_rep(scenario: Scenario, rep: int):
     words = np.random.SeedSequence((scenario.seed, rep, 1)).generate_state(4)
     band_seed = sum(int(v) << (32 * i) for i, v in enumerate(words))  # 128 bits
     sample = generate_sample(scenario, data_seed)
-    band = build_band(sample, scenario.request(band_seed), scenario.noise(),
-                      taper=scenario.taper)
+    band = build_band(sample, scenario.request(band_seed), scenario.noise())
     g_true = SIGNALS[scenario.signal](band.grid)
     rec = RepRecord(
         rep=rep, covered=band.covers(g_true), width=band.mean_width
@@ -189,23 +188,20 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> ScenarioRepo
     spacing = 0.0
     representative = None
     interrupted = False
-    reps = range(scenario.reps)
+    serial = workers is None or workers <= 1 or scenario.reps <= 1
     try:
-        if workers is None or workers <= 1 or scenario.reps <= 1:
-            for rep in reps:
-                rec, spacing, extra = _run_rep(scenario, rep)
+        if serial:
+            pool = contextlib.nullcontext()
+        else:
+            from concurrent.futures import ProcessPoolExecutor  # off the CLI path
+            pool = ProcessPoolExecutor(max_workers=min(workers, scenario.reps))
+        with pool:
+            runs = (map if serial else pool.map)(
+                _run_rep, [scenario] * scenario.reps, range(scenario.reps))
+            for rec, spacing, extra in runs:
                 records.append(rec)
                 if extra is not None:
                     representative = extra
-        else:
-            from concurrent.futures import ProcessPoolExecutor  # off the CLI path
-            with ProcessPoolExecutor(max_workers=min(workers, scenario.reps)) as pool:
-                for rec, spacing, extra in pool.map(
-                    _run_rep, [scenario] * scenario.reps, reps
-                ):
-                    records.append(rec)
-                    if extra is not None:
-                        representative = extra
     except KeyboardInterrupt:
         interrupted = True
     runtime = time.perf_counter() - start
@@ -237,11 +233,7 @@ def export_report(report: ScenarioReport, out_dir) -> None:
                   [r.width for r in recs])
     sc = report.scenario
     summary = {
-        "scenario": {
-            f.name: getattr(sc, f.name)
-            for f in fields(sc)
-            if f.name != "taper"
-        },
+        "scenario": {f.name: getattr(sc, f.name) for f in fields(sc)},
         "rejection_rate": report.rejection_rate,
         "mean_width": report.mean_width,
         "completed_reps": len(report.records),
@@ -267,8 +259,6 @@ def scenario_from_dict(data: dict) -> Scenario:
     data = dict(data)
     if "interval" in data:
         data["interval"] = tuple(data["interval"])
-    if "taper" in data and data["taper"] is not None:
-        data["taper"] = TaperSpec(**data["taper"])
     return Scenario(**data)
 
 

@@ -183,18 +183,19 @@ class VarianceCurve:
 
 def estimate_nu(
     sample: RegressionSample,
-    h_v: float | None = None,
-    interval: tuple[float, float] | None = None,
+    interval: tuple[float, float],
     mask: np.ndarray | None = None,
 ) -> VarianceCurve:
     """Smoothed standard-deviation curve from pseudo squared residuals.
 
     ``mask`` holds the positions of the observations to use (the held-out
     split of the extension), strictly increasing integers in [0, size);
-    residuals pair consecutive selected points.
-    The default bandwidth is (b-a) * n_points^(-1/5) over the requested
-    interval, and the floor is max(sigma_hat/2, 1e-8) with sigma_hat the
-    difference-based level of the same subsequence.
+    residuals pair consecutive selected points.  The smoothing bandwidth
+    is h_v = (b - a) m^(-1/5) over ``interval`` = (a, b), m the number of
+    points used (smoothing_bandwidth); an interval so short that h_v is
+    at most half the largest gap between them raises.  The floor is
+    max(sigma_hat/2, 1e-8) with sigma_hat the difference-based level of
+    the same subsequence.
     """
     w = sample.design.points
     y = sample.responses
@@ -210,13 +211,8 @@ def estimate_nu(
             raise ValueError(
                 f"mask positions must be strictly increasing in [0, {len(w)})")
         w, y = w[idx], y[idx]
-    if interval is None:
-        interval = (float(w[0]), float(w[-1]))
-    interval = ordered_interval(interval)
     r = pseudo_residuals(y)
-    mids = midpoints(w)
-    if h_v is None:
-        h_v = smoothing_bandwidth(interval, len(w))
+    h_v = smoothing_bandwidth(ordered_interval(interval), len(w))
     spacing = float(np.max(np.diff(w))) if len(w) > 1 else 0.0
     if h_v <= 0.5 * spacing:
         raise ValueError(
@@ -233,9 +229,9 @@ def estimate_nu(
         )
     floor = max(np.sqrt(mean_r) / 2.0, 1e-8)
     return VarianceCurve(
-        midpoints=mids,
+        midpoints=midpoints(w),
         residuals=r,
-        h_v=float(h_v),
+        h_v=h_v,
         floor=float(floor),
         degenerate=degenerate,
     )

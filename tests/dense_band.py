@@ -71,7 +71,7 @@ def _geometry(design, noise, spec, h, interval):
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
     # the engine draws in the coordinates of its workspace's basis
-    basis = _workspace(design, noise, spec, h, interval, 1).basis
+    basis = _workspace(design, noise, spec, h, interval).basis
     return {
         "basis": basis,
         "grid": grid, "xe": xe, "dgrid": dgrid, "fw": fw, "wd": wd,

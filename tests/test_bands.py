@@ -226,7 +226,7 @@ def test_turned_basis_depends_on_the_span_alone(seed):
 def test_warm_band_draws_rank_normals():
     sc = SCENARIOS["gb_n750_s05"]
     sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
-    build_band(sample, sc.request(1), sc.noise(), taper=sc.taper)
+    build_band(sample, sc.request(1), sc.noise())
     shapes = []
     default_rng = np.random.default_rng
 
@@ -243,11 +243,11 @@ def test_warm_band_draws_rank_normals():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", Recorder)
-        build_band(sample, sc.request(2), sc.noise(), taper=sc.taper)
+        build_band(sample, sc.request(2), sc.noise())
     noise = sc.noise()
-    spec = sc.taper or bands_mod.default_taper(noise)
-    rank = bands_mod._workspace(sample.design, noise, spec, sc.h, sc.interval,
-                                1).basis.shape[1]
+    spec = bands_mod.default_taper(noise)
+    rank = bands_mod._workspace(sample.design, noise, spec, sc.h,
+                                sc.interval).basis.shape[1]
     assert rank < sample.design.size / 10
     assert shapes == [(sc.draws, rank)]
 
@@ -263,10 +263,24 @@ def test_neighbouring_seeds_draw_independent_quantiles():
 
 def test_band_is_insensitive_to_grid_refinement(s200):
     # the finer grid's range finder finds K's basis in another orientation
-    for seed in (REQ.seed, *range(10)):
-        req = replace(REQ, seed=seed)
-        one = build_band(s200, req, LAP01)
-        four = build_band(s200, req, LAP01, grid_refine=4)
+    def quarter_grid(interval, n, a_n, h):
+        a, b = interval
+        m = math.ceil((b - a) / (math.sqrt(h) / (n * math.sqrt(a_n) * 4)))
+        return bands_mod.EvalGrid(points=np.linspace(a, b, m + 1),
+                                  spacing=(b - a) / m)
+
+    seeds = (REQ.seed, *range(10))
+    ones = [build_band(s200, replace(REQ, seed=seed), LAP01) for seed in seeds]
+    bands_mod._workspace.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bands_mod, "make_eval_grid", quarter_grid)
+            fours = [build_band(s200, replace(REQ, seed=seed), LAP01)
+                     for seed in seeds]
+    finally:
+        bands_mod._workspace.cache_clear()
+    for seed, one, four in zip(seeds, ones, fours):
+        assert four.grid.size > 3 * one.grid.size
         assert abs(four.quantile / one.quantile - 1.0) < 0.02, seed
 
 
@@ -652,7 +666,7 @@ def test_workspace_holds_no_dense_kernel_matrix():
     design = build_regular(sc.n, sc.a_n)
     noise = sc.noise()
     ws = bands_mod._workspace(design, noise, bands_mod.default_taper(noise),
-                              sc.h, sc.interval, 1)
+                              sc.h, sc.interval)
     size = design.size
     # no grid, pilot or error-grid axis pairs with a design axis
     wide = {ws.eg.points.size, ws.xe.size,
@@ -685,7 +699,7 @@ def test_narrow_error_law_band_stays_small_and_exact(noise, n):
     finally:
         tracemalloc.stop()
     ws = bands_mod._workspace(design, noise, bands_mod.default_taper(noise),
-                              REQ.h, REQ.interval, 1)
+                              REQ.h, REQ.interval)
     assert sum(v.nbytes for v in vars(ws).values()
                if isinstance(v, np.ndarray)) <= 20e6
     assert peak <= 100e6
@@ -700,7 +714,7 @@ def test_workspace_holds_no_smoothing_weight_matrix():
     design = build_regular(sc.n, sc.a_n)
     noise = sc.noise()
     ws = bands_mod._workspace(design, noise, bands_mod.default_taper(noise),
-                              sc.h, sc.interval, 1)
+                              sc.h, sc.interval)
     arrays = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
     # no field is as large as a design x midpoint weight matrix
     assert max(v.size for v in arrays) < design.size * (design.size - 1)

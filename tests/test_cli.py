@@ -95,19 +95,23 @@ def test_too_small_samples_exit_with_code_two(tmp_path, capsys):
     assert "--undersmooth" in err and "n >= 3" in err
 
 
-def test_band_accepts_preset_fixed_and_lepski_bandwidths(data_csv, tmp_path):
+def test_band_accepts_preset_and_lepski_bandwidths(data_csv, tmp_path, capsys):
     common = ["band", "--input", str(data_csv), "--density", "laplace",
               "--sigma-delta", "0.1", "--M", "120"]
     assert parse_and_dispatch(common + ["--bandwidth", "preset:ga_n100_s10",
                                         "--out", str(tmp_path / "p.csv")]) == 0
     assert json.loads((tmp_path / "p.json").read_text())["h"] == 0.25
-    assert parse_and_dispatch(common + ["--bandwidth", "fixed:0.3",
-                                        "--out", str(tmp_path / "f.csv")]) == 0
-    assert json.loads((tmp_path / "f.json").read_text())["h"] == 0.3
     assert parse_and_dispatch(common + ["--bandwidth", "lepski", "--undersmooth",
                                         "--out", str(tmp_path / "l.csv")]) == 0
     picked = json.loads((tmp_path / "l.json").read_text())["h"]
     assert picked == pytest.approx(0.5 / math.log(100), rel=1e-9)
+    capsys.readouterr()
+    # a fixed bandwidth is --h alone
+    assert parse_and_dispatch(common + ["--bandwidth", "fixed:0.3",
+                                        "--out", str(tmp_path / "f.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "--bandwidth must be preset:<scenario> or lepski" in err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):

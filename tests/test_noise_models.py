@@ -146,10 +146,11 @@ def test_error_free_law_degenerates():
 
 def test_make_noise_dispatch():
     assert isinstance(make_noise("none"), NoError)
-    assert isinstance(make_noise("noerror"), NoError)
     assert make_noise("laplace", sigma_delta=0.1) == Laplace(a=math.sqrt(2.0) / 0.1)
     assert make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3) == MIX
-    with pytest.raises(ValueError, match="unknown noise kind"):
-        make_noise("gauss", sigma_delta=1.0)
+    # the kind is checked first, so no sigma_delta is needed to reject it
+    for kind in ("gauss", "noerror", "laplace_mixture", "Laplace"):
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            make_noise(kind)
     with pytest.raises(ValueError, match="sigma_delta must be positive"):
         make_noise("laplace")

@@ -20,6 +20,7 @@ from berkson_bands import (
     generate_sample,
     run_scenario,
 )
+from berkson_bands.cli import parse_and_dispatch
 from berkson_bands.simulation import scenario_from_dict, scenario_from_file
 
 from conftest import A_N, LAP01
@@ -67,8 +68,10 @@ def test_scenario_validation():
         Scenario(**{**base, "sigma": -0.1})
     with pytest.raises(ValueError, match="identifiable range"):
         Scenario(**{**base, "h": 1.0})
-    with pytest.raises(ValueError, match="unknown noise kind"):
-        Scenario(**{**base, "density": "gauss"})
+    # sigma_delta = 0 is the error-free law, but only of a known kind
+    for density, sd in (("gauss", 0.1), ("noerror", 0.1), ("noerror", 0.0)):
+        with pytest.raises(ValueError, match="unknown noise kind"):
+            Scenario(**{**base, "density": density, "sigma_delta": sd})
     with pytest.raises(ValueError, match="draws must be an integer"):
         Scenario(**{**base, "draws": 120.5})
     with pytest.raises(ValueError, match="reps must be a non-negative integer"):
@@ -182,7 +185,7 @@ def test_report_export_round_trip(tmp_path):
     assert np.all(band[:, 3] <= band[:, 4])
 
 
-def test_scenario_round_trip_and_unknown_fields(tmp_path):
+def test_scenario_round_trip_and_unknown_fields(tmp_path, capsys):
     data = {"signal": "g_a", "n": 60, "sigma": 0.05, "sigma_delta": 0.05, "h": 0.3}
     sc = scenario_from_dict(data)
     assert (sc.n, sc.h) == (60, 0.3)
@@ -192,3 +195,10 @@ def test_scenario_round_trip_and_unknown_fields(tmp_path):
     assert (sc2.reps, sc2.seed) == (7, 3)
     with pytest.raises(ValueError, match="unknown scenario fields"):
         scenario_from_dict({**data, "bogus": 1})
+    # every band of a scenario takes the error law's default taper
+    path.write_text(json.dumps({**data, "taper": {"kind": "damped_cutoff",
+                                                   "cutoff": 5.5}}))
+    assert parse_and_dispatch(["simulate", "--scenario", str(path),
+                               "--out", str(tmp_path / "run")]) == 2
+    assert "unknown scenario fields: ['taper']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from berkson_bands import RegressionSample, build_regular, estimate_nu, g_a
-from berkson_bands.variance_estimation import VarianceCurve
+from berkson_bands.variance_estimation import (VarianceCurve, midpoints,
+                                               pseudo_residuals)
 
 from conftest import A_N, LAP01
 from dense_band import epanechnikov_weights
@@ -44,8 +45,9 @@ def test_curve_tracks_heteroscedastic_target():
 def test_curve_scale_equivariance():
     d = build_regular(300, A_N)
     y = np.random.default_rng(1).standard_normal(d.size)
-    one = estimate_nu(RegressionSample(design=d, responses=y))
-    two = estimate_nu(RegressionSample(design=d, responses=2.0 * y))
+    span = (d.points[0], d.points[-1])
+    one = estimate_nu(RegressionSample(design=d, responses=y), span)
+    two = estimate_nu(RegressionSample(design=d, responses=2.0 * y), span)
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.array_equal(two(xs), 2.0 * one(xs))
 
@@ -54,7 +56,7 @@ def test_constant_responses_reduce_curve_to_floor():
     d = build_regular(40, A_N)
     s = RegressionSample(design=d, responses=np.zeros(d.size))
     with pytest.warns(RuntimeWarning, match="variance curve reduced to its floor"):
-        curve = estimate_nu(s)
+        curve = estimate_nu(s, (d.points[0], d.points[-1]))
     assert curve.degenerate
     assert curve.floor == 1e-8
     assert np.array_equal(curve(np.linspace(-0.5, 0.5, 7)), np.full(7, 1e-8))
@@ -64,24 +66,28 @@ def test_mask_selects_positions():
     s = sample_from(300, seed=1)
     pos = np.arange(0, s.design.size, 7)
     w, y = s.design.points[pos], s.responses[pos]
-    curve = estimate_nu(s, mask=pos)
+    curve = estimate_nu(s, (w[0], w[-1]), mask=pos)
     assert np.array_equal(curve.midpoints, 0.5 * (w[1:] + w[:-1]))
     assert np.array_equal(curve.residuals, 0.5 * (y[1:] - y[:-1]) ** 2)
     with pytest.raises(ValueError, match="at least two observations"):
-        estimate_nu(s, mask=np.array([4]))
+        estimate_nu(s, (-0.7, 0.6), mask=np.array([4]))
     with pytest.raises(ValueError, match="mask must be a 1-d array of integer"):
-        estimate_nu(s, mask=[1.7, 3.2, 6.9])
+        estimate_nu(s, (-0.7, 0.6), mask=[1.7, 3.2, 6.9])
     for bad in ([-1, 3, 5, 9], [3, 5, 5, 9], [9, 5, 3], [0, s.design.size]):
         with pytest.raises(ValueError, match="mask positions must be strictly"):
-            estimate_nu(s, interval=(-0.7, 0.6), mask=bad)
+            estimate_nu(s, (-0.7, 0.6), mask=bad)
 
 
 def test_bandwidth_and_window_validation():
     s = sample_from(300, seed=1)
     spacing = 1.0 / (300 * A_N)
+    # h_v = length * size^(-1/5) is 0.4 of the spacing on this interval
+    short = 0.4 * spacing * s.design.size**0.2
     with pytest.raises(ValueError, match="below the data spacing"):
-        estimate_nu(s, h_v=0.4 * spacing)
-    curve = estimate_nu(s, h_v=0.01)
+        estimate_nu(s, (0.0, short))
+    curve = VarianceCurve(midpoints=midpoints(s.design.points),
+                          residuals=pseudo_residuals(s.responses), h_v=0.01,
+                          floor=1e-8)
     with pytest.raises(ValueError, match="empty smoothing window"):
         curve(5.0)
     assert isinstance(curve.variance(0.0), float)
