@@ -5,8 +5,9 @@ and picks the largest bandwidth whose estimate stays within a deviation
 threshold of every finer one (Lepski, Mammen & Spokoiny 1997, Ann.
 Statist. 25(3)).  The dyadic range and the threshold follow from n, a_n
 and the error law's beta alone, so the rule takes no settings.  Its
-estimates come from spectral kernel operators that share one frequency
-rule and one data transform, so the rule builds no kernel table.  The
+estimates are estimate_g's on spectral kernel operators that share one
+frequency rule, all bandwidths on an evaluation grid from one data
+transform and one Fourier sum, so the rule builds no kernel table.  The
 preset bandwidths of the reference scenarios live with those scenarios,
 in simulation.SCENARIOS.
 """
@@ -19,8 +20,8 @@ import numpy as np
 
 from .bands import make_eval_grid
 from .design import RegressionSample
-from .deconv_kernel import (SpectralKernel, TaperSpec, fourier_sums,
-                            spectral_kernels)
+from .deconv_kernel import TaperSpec, spectral_kernels
+from .estimator import estimate_g
 from .noise_models import NoiseModel
 
 __all__ = ["LepskiResult", "lepski_select", "undersmooth"]
@@ -57,27 +58,6 @@ def _dyadic_range(n: int, beta: float, a_n: float) -> tuple[int, int]:
     return k_l, max(k_u, k_l + 1)
 
 
-def _estimate_on(
-    sample: RegressionSample,
-    grid: np.ndarray,
-    kernels: list[SpectralKernel],
-    spectrum: np.ndarray,
-) -> np.ndarray:
-    """ghat(grid; h) of every kernel, one row each, from one Fourier sum.
-
-    The kernels come from one spectral_kernels call, ordered by
-    decreasing h, so the last one's nodes hold every other's as a
-    leading part; ``spectrum`` is its transform of ``sample``'s weighted
-    responses.
-    """
-    nodes = kernels[-1].omega
-    coeffs = np.zeros((nodes.size, len(kernels)), dtype=complex)
-    for i, op in enumerate(kernels):
-        r = op.omega.size
-        coeffs[:r, i] = op.factor * spectrum[:r] / op.h
-    return fourier_sums(grid, nodes, coeffs).T
-
-
 def lepski_select(
     sample: RegressionSample,
     noise: NoiseModel,
@@ -103,17 +83,12 @@ def lepski_select(
     grids = {k: make_eval_grid(interval, n, a_n, hs[k]).points for k in ks}
     kernels = dict(zip(ks, spectral_kernels(
         [hs[k] for k in ks], noise, spec, design.reach(interval))))
-    # the finest bandwidth's nodes are the whole rule
-    spectrum = kernels[k_u].transform(
-        design.points, design.weights * sample.responses
-    )
     on_grid: dict[int, dict[int, np.ndarray]] = {}
 
     def est(k: int, on_l: int) -> np.ndarray:
         if on_l not in on_grid:
             coarser = [j for j in ks if j <= on_l]
-            rows = _estimate_on(sample, grids[on_l],
-                                [kernels[j] for j in coarser], spectrum)
+            rows = estimate_g(sample, grids[on_l], [kernels[j] for j in coarser])
             on_grid[on_l] = dict(zip(coarser, rows))
         return on_grid[on_l][k]
 

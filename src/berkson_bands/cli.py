@@ -33,7 +33,8 @@ from .bands import (
     write_band,
 )
 from .bandwidth import lepski_select, undersmooth
-from .deconv_kernel import TaperSpec, kernel_table, phi_k, spectral_kernels
+from .deconv_kernel import (TaperSpec, fourier_sums, kernel_table, phi_k,
+                            spectral_kernels)
 from .design import (_A_N, RegressionSample, build_regular, load_sample,
                      write_columns)
 from .estimator import estimate_g
@@ -245,13 +246,11 @@ def _prepare(args: argparse.Namespace):
 def _cmd_estimate(args: argparse.Namespace) -> int:
     interval, noise, taper, sample, h, grid = _prepare(args)
     reach = sample.design.reach(interval)
-    (kernel,) = spectral_kernels([h], noise, taper, reach)
-    curve = estimate_g(sample, grid, kernel)
+    (values,) = estimate_g(sample, grid, spectral_kernels([h], noise, taper, reach))
     out = Path(args.out)
-    write_columns(out, "x,ghat", curve.grid, curve.values)
+    write_columns(out, "x,ghat", grid, values)
     _emit(
-        {"op": "estimate", "out": str(out), "h": h,
-         "points": len(curve.grid)},
+        {"op": "estimate", "out": str(out), "h": h, "points": len(grid)},
         args.json_out,
     )
     return 0
@@ -365,8 +364,8 @@ def _selftest_checks() -> list[dict]:
         spec = default_taper(noise)
         (op,) = spectral_kernels([h], noise, spec, 6.0 * h)
         us = np.linspace(-5.5, 5.5, 9)
-        # one unit point at 0: the kernel sum at x = -h u is K(u)
-        vals = op.kernel_sum(-h * us, np.zeros(1), np.ones(1))
+        # K(u) = sum_r factor_r cos(omega_r h u), as kernel_table reads it
+        vals = fourier_sums(h * us, op.omega, op.factor[:, None])[:, 0]
         err = float(np.max(np.abs(_simpson_kernel(us, h, noise, spec) - vals)))
         record(f"kernel quadrature vs operator ({label})", err, 1e-6)
 
@@ -393,15 +392,15 @@ def _selftest_checks() -> list[dict]:
         design=design,
         responses=np.random.default_rng(7).standard_normal(design.size),
     )
-    summed = estimate_g(sample, grid, kernel).values
-    direct = _dense(kernel, grid, w) @ (design.weights * sample.responses) / h
+    (summed,) = estimate_g(sample, grid, [kernel])
+    direct = kernel.exact_matrix(grid, w) @ (design.weights * sample.responses) / h
     err = float(np.max(np.abs(summed - direct)) / np.max(np.abs(direct)))
     record("Fourier sums vs direct node sum", err, 1e-6)
 
     # factors fills its phases by angle addition on the uniform grids
     basis, lefts = kernel.factors(w, grid, w)
     err = max(float(np.max(np.abs(left @ basis.T - dense)) / np.max(np.abs(dense)))
-              for left, dense in zip(lefts, (_dense(kernel, x, w) for x in (grid, w))))
+              for left, dense in zip(lefts, (kernel.exact_matrix(x, w) for x in (grid, w))))
     record("uniform factors vs direct cos/sin", err, 1e-12)
 
     coef = h**noise.beta / math.sqrt(n * a_n * h)
@@ -411,7 +410,7 @@ def _selftest_checks() -> list[dict]:
     m = 0.5 + w**2
     worst = 0.0
     for x0 in (-0.5, 0.0, 0.5):
-        kvec = _dense(kernel, [x0], w)[0]
+        kvec = kernel.exact_matrix([x0], w)[0]
         target = coef**2 * float(np.sum((m * kvec) ** 2))
         # the band's draw engine at one point with nu = 1: sup = |process|
         sups = _sup_batch(basis * m[:, None], basis.T @ kvec[:, None],
@@ -444,12 +443,6 @@ def _simpson_kernel(us, h, noise, spec, intervals=2000) -> np.ndarray:
     return total / math.pi
 
 
-def _dense(kernel, x, points) -> np.ndarray:
-    """K((points_j - x_i)/h; h), the exact product of the kernel's factors."""
-    left, right = kernel.exact_factors(x, points)
-    return left @ right.T
-
-
 def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
     """Largest relative gap between ``band`` and the band assembled from
     dense kernel matrices in place of the workspace's factors; ``kernel``
@@ -457,7 +450,7 @@ def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
     design, h = sample.design, request.h
     w, eye = design.points, np.eye(design.size)
     ws = _workspace(design, noise, spec, h, request.interval)
-    kg, ke, kw = (_dense(kernel, x, w) for x in (ws.eg.points, ws.xe, w))
+    kg, ke, kw = (kernel.exact_matrix(x, w) for x in (ws.eg.points, ws.xe, w))
     (taper,) = spectral_kernels([h], NoError(), spec, float(w[-1] - w[0]))
     dense = dataclasses.replace(
         ws, basis=eye, kg=kg, ck=_spline_coefficients(ws.xe, ke), basis2=eye,
@@ -465,7 +458,7 @@ def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
         spur=_error_moments(ws.xe, _spline_coefficients(ws.xe, ke**2), w, ws.lattice),
         k2sg=np.maximum((kg**2).sum(axis=1), 1e-300),
         k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,
-        kt2w=_dense(taper, w, w) ** 2)
+        kt2w=taper.exact_matrix(w, w) ** 2)
     nu_w, nu_g = _band_variance_field(sample, dense, h)
     n, a_n, beta = design.n, design.a_n, noise.beta
     mult = design.weights * nu_w * n * a_n

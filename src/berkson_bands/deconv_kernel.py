@@ -15,9 +15,9 @@ matrix between two point sets has low-rank factors
 operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  Every read of K
 goes through these operators: the estimator, the Lepski rule and the
 bands form no grid x design matrix.  Their point sets are uniform,
-and transform, kernel_sum, factors and fourier_sums demand it: they take
+and transform, factors and fourier_sums demand it: they take
 exponentials of anchors and offsets alone (_uniform_blocks).
-SpectralKernel.exact_factors, a cos and a sin per entry at any points,
+SpectralKernel.exact_matrix, a cos and a sin per entry at any points,
 is the dense reference.  kernel_table holds K on a uniform grid, the
 values the CLI's kernel-dump writes.
 """
@@ -174,10 +174,11 @@ class SpectralKernel:
         sum_j c_j K((w_j - x)/h; h) = sum_r factor_r Re(exp(-i omega_r x) T_r),
 
     factor_r = h q_r phi_k(omega_r h) / (pi charfn(-omega_r)), where q_r
-    are the node rule's weights (see spectral_kernels).  ``kernel_sum``
-    evaluates that sum and ``factors`` the kernel matrix's low-rank
-    factors, both for uniform point sets; ``exact_factors`` gives the
-    kernel matrix between any two point sets.
+    are the node rule's weights (see spectral_kernels).  ``transform``
+    gives T and fourier_sums the node sum, so estimate_g evaluates the
+    kernel sum; ``factors`` gives the kernel matrix's low-rank factors.
+    All three take uniform point sets; ``exact_matrix`` gives the kernel
+    matrix between any two point sets.
     """
 
     h: float
@@ -200,30 +201,24 @@ class SpectralKernel:
             out[s : s + rows] = np.sum(np.exp(1j * om * anchors) * inner, axis=1)
         return out
 
-    def kernel_sum(self, x, points, coef) -> np.ndarray:
-        """sum_j coef_j K((points_j - x_i)/h; h) for points and x on
-        uniform grids."""
-        spectrum = self.factor * self.transform(points, coef)
-        return fourier_sums(x, self.omega, spectrum[:, None])[:, 0]
-
-    def exact_factors(self, x, points) -> tuple[np.ndarray, np.ndarray]:
-        """(left, right) with K((points_j - x_i)/h; h) = (left @ right.T)[i, j]:
+    def exact_matrix(self, x, points) -> np.ndarray:
+        """K((points_j - x_i)/h; h), one row per x_i: left @ right.T with
         left = [factor cos(omega x), factor sin(omega x)] and
-        right = [cos(omega w), sin(omega w)], 2 x node-count columns each,
-        by a cos and a sin per entry at any points: the dense reference."""
+        right = [cos(omega w), sin(omega w)], by a cos and a sin per entry
+        at any points: the dense reference."""
         phase = np.outer(x, self.omega)
         left = np.hstack((self.factor * np.cos(phase), self.factor * np.sin(phase)))
         phase = np.outer(np.asarray(points, dtype=float), self.omega)
         right = np.hstack((np.cos(phase), np.sin(phase)))
-        return left, right
+        return left @ right.T
 
     def factors(self, points, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
         """Low-rank factors of the kernel matrices from ``grids`` to ``points``.
 
         Returns (basis, lefts): basis is len(points) x R with orthonormal
         columns, and K((points_j - x_i)/h; h) = (lefts[k] @ basis.T)[i, j]
-        for x_i in grids[k].  basis spans the rows of the exact factors'
-        product to _RANK_TOL (see _row_basis), so R is the numerical
+        for x_i in grids[k].  basis spans the rows of the kernel matrices
+        to _RANK_TOL (see _row_basis), so R is the numerical
         rank, not the node count.  ``points`` and each grid must be
         uniform, each grid with a spacing of its own (see _phases).
         """

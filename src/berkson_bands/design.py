@@ -123,7 +123,6 @@ class SplitDesign:
     tile the design span.
     """
 
-    base: Design
     d_n: int
     kept: np.ndarray
     removed: np.ndarray
@@ -161,9 +160,7 @@ def build_split(design: Design, d_n: int | None = None) -> SplitDesign:
     base_w = design.weights[kept + n]
     doubled = np.array([(j - 1) in removed_set for j in kept])
     gap_weights = np.where(doubled, 2.0 * base_w, base_w)
-    return SplitDesign(
-        base=design, d_n=d_n, kept=kept, removed=removed, gap_weights=gap_weights
-    )
+    return SplitDesign(d_n=d_n, kept=kept, removed=removed, gap_weights=gap_weights)
 
 
 def load_sample(path, a_n: float) -> RegressionSample:

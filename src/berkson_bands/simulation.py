@@ -84,9 +84,8 @@ class Scenario:
             )
         if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not _is_int(self.reps) or self.reps < 0:
-            raise ValueError(
-                f"reps must be a non-negative integer, got {self.reps!r}")
+        if not _is_int(self.reps) or self.reps < 1:
+            raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
         if not (math.isfinite(self.a_n) and self.a_n > 0):
             raise ValueError(f"a_n must be positive and finite, got {self.a_n}")
         if not (0 <= self.sigma < math.inf and 0 <= self.sigma_delta < math.inf):

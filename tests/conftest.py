@@ -1,4 +1,4 @@
-"""Shared frozen objects: reference error laws, tapers, and kernel helpers."""
+"""Shared frozen objects: reference error laws, tapers, and the operator helper."""
 from __future__ import annotations
 
 from berkson_bands import TaperSpec, make_noise
@@ -18,10 +18,3 @@ def operator_for(design, h, noise, spec):
     (op,) = spectral_kernels([h], noise, spec,
                              float(design.points[-1] - design.points[0]))
     return op
-
-
-def kernel_matrix(op, x, points):
-    """K((points_j - x_i)/h; h), one row per x_i: the exact product of the
-    operator's factors, a direct node sum at any points."""
-    left, right = op.exact_factors(x, points)
-    return left @ right.T

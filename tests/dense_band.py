@@ -26,7 +26,7 @@ from berkson_bands.design import identifiable_range
 from berkson_bands.variance_estimation import (midpoints, pseudo_residuals,
                                                smoothing_bandwidth)
 
-from conftest import kernel_matrix, operator_for
+from conftest import operator_for
 
 
 def design_normals(basis, weights, draws, seed):
@@ -75,9 +75,9 @@ def _geometry(design, noise, spec, h, interval):
     return {
         "basis": basis,
         "grid": grid, "xe": xe, "dgrid": dgrid, "fw": fw, "wd": wd,
-        "kg": kernel_matrix(op, grid, w), "ke": kernel_matrix(op, xe, w),
-        "k2w": kernel_matrix(op, w, w) ** 2,
-        "kfw2_w2": kernel_matrix(taper, w, w) ** 2 * (design.weights**2)[None, :],
+        "kg": op.exact_matrix(grid, w), "ke": op.exact_matrix(xe, w),
+        "k2w": op.exact_matrix(w, w) ** 2,
+        "kfw2_w2": taper.exact_matrix(w, w) ** 2 * (design.weights**2)[None, :],
         "smooth_e": epanechnikov_weights(mids, xe, hv),
         "smooth_w": epanechnikov_weights(mids, w, hv),
     }

@@ -15,7 +15,6 @@ from berkson_bands import (Design, Laplace, LaplaceMixture, NoError, NoiseModel,
                            RegressionSample, TaperSpec, estimate_g, phi_k)
 from berkson_bands.deconv_kernel import SpectralKernel
 
-from conftest import kernel_matrix
 
 # Design points per chunk of the quadrature profiles, and the node
 # spacing of their Simpson rule.
@@ -144,7 +143,7 @@ def oracle_mean(g, design: Design, x, op: SpectralKernel) -> np.ndarray:
     """
     gamma = gamma_profile(g, op.noise, design.points)
     sample = RegressionSample(design=design, responses=gamma)
-    return estimate_g(sample, x, op).values
+    return estimate_g(sample, x, [op])[0]
 
 
 def oracle_variance(
@@ -155,5 +154,5 @@ def oracle_variance(
     h and the error law are the operator's.
     """
     nu2 = nu2_profile(g, op.noise, sigma2, design.points)
-    km = kernel_matrix(op, x, design.points)
+    km = op.exact_matrix(x, design.points)
     return (km**2 * (design.weights / op.h) ** 2) @ nu2

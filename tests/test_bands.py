@@ -35,7 +35,7 @@ from berkson_bands import (
 from berkson_bands.deconv_kernel import spectral_kernels
 from berkson_bands.design import default_b_n, identifiable_range
 
-from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, kernel_matrix, operator_for
+from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, operator_for
 from dense_band import dense_band, design_normals
 
 # reference-scale builds sit below the asymptotic-regime threshold by design
@@ -82,11 +82,11 @@ def split_reference(sample, req, b_n=None, nu_curve=None):
     grid = make_eval_grid(req.interval, n, A_N, h).points
     op = operator_for(d, h, MIX, TAPER_W)
     kept = d.points[sd.kept + n]
-    ghat = kernel_matrix(op, grid, kept) @ (
+    ghat = op.exact_matrix(grid, kept) @ (
         sd.gap_weights * sample.responses[sd.kept + n]) / h
     sel = np.abs(sd.kept) <= int(n * b_n)
     pts = kept[sel]
-    km = kernel_matrix(op, grid, pts)
+    km = op.exact_matrix(grid, pts)
     nu_g = nu_curve(grid)
     pref = math.sqrt(n * A_N * h ** (1.0 + 2.0 * beta)) / h
     # the engine draws in the coordinates of its kernel basis, turned as

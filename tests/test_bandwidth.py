@@ -16,7 +16,7 @@ from berkson_bands import (
     undersmooth,
 )
 
-from conftest import A_N, LAP01, TAPER_S, kernel_matrix, operator_for
+from conftest import A_N, LAP01, TAPER_S, operator_for
 
 
 def noisy_sample(n, seed):
@@ -75,7 +75,7 @@ def test_selection_agrees_with_the_table_route(c_l, monkeypatch):
             if (j, l) not in ests:
                 grid = make_eval_grid(interval, d.n, A_N, 2.0 ** -l).points
                 op = operator_for(d, 2.0 ** -j, LAP01, TAPER_S)
-                ests[j, l] = kernel_matrix(op, grid, d.points) @ (
+                ests[j, l] = op.exact_matrix(grid, d.points) @ (
                     d.weights * s.responses) / op.h
         return float(np.max(np.abs(ests[k, l] - ests[l, l])))
 

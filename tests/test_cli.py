@@ -16,7 +16,7 @@ from berkson_bands import (SCENARIOS, RegressionSample, build_regular,
 from berkson_bands import cli
 from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
-from conftest import A_N, LAP01, SMOOTH, kernel_matrix, operator_for
+from conftest import A_N, LAP01, SMOOTH, operator_for
 from oracles import kernel_eval
 
 pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
@@ -46,7 +46,7 @@ def test_estimate_writes_curve(data_csv, tmp_path):
     sample = load_sample(data_csv, A_N)
     d = sample.design
     op = operator_for(d, 0.25, LAP01, default_taper(LAP01))
-    direct = kernel_matrix(op, x, d.points) @ (d.weights * sample.responses) / 0.25
+    direct = op.exact_matrix(x, d.points) @ (d.weights * sample.responses) / 0.25
     assert np.max(np.abs(ghat - direct)) < 1e-6
 
 
@@ -240,16 +240,21 @@ def test_simulate_runs_scenario_files(tmp_path, capsys):
                                "--out", str(tmp_path / "s3")]) == 2
     assert "neither a preset" in capsys.readouterr().err
     for field, value, message in (("draws", 120.5, "draws must be an integer"),
-                                  ("reps", 2.5, "reps must be a non-negative"),
+                                  ("reps", 2.5, "reps must be a positive"),
+                                  ("reps", 0, "reps must be a positive"),
                                   ("seed", -1, "seed must be a non-negative")):
         bad.write_text(json.dumps({**scen, field: value}))
         assert parse_and_dispatch(["simulate", "--scenario", str(bad),
                                    "--out", str(tmp_path / "s5")]) == 2
         assert message in capsys.readouterr().err
-    assert parse_and_dispatch(["simulate", "--scenario", "ga_n100_s10",
-                               "--reps", "1", "--seed", "-1",
-                               "--out", str(tmp_path / "s6")]) == 2
-    assert "--seed" in capsys.readouterr().err
+    # zero replications would leave a NaN rejection rate, which is not JSON
+    for flags, message in ((["--reps", "1", "--seed", "-1"], "--seed"),
+                           (["--reps", "0"], "--reps/--bootstrap/--seed: reps "
+                                             "must be a positive integer")):
+        assert parse_and_dispatch(["simulate", "--scenario", "ga_n100_s10", *flags,
+                                   "--out", str(tmp_path / "s6")]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "s6").exists()
 
 
 def test_simulate_accepts_preset_names_with_overrides(tmp_path):

@@ -21,8 +21,7 @@ import berkson_bands.deconv_kernel as dk
 from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums, kernel_table,
                                          spectral_kernels, squared_kernel)
 
-from conftest import (A_N, LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, kernel_matrix,
-                      operator_for)
+from conftest import A_N, LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, operator_for
 from oracles import kernel_eval
 
 
@@ -80,7 +79,7 @@ def test_table_matches_direct_quadrature(noise, spec, h):
     args = np.random.default_rng(42).uniform(-7.2, 7.2, 32)
     # the operator for |u| <= 8; K(u) is its matrix entry from x = 0 to h u
     (op,) = spectral_kernels([h], noise, spec, 8.0 * h)
-    vals = kernel_matrix(op, [0.0], h * args)[0]
+    vals = op.exact_matrix([0.0], h * args)[0]
     err = max(abs(kernel_eval(float(u), h, noise, spec) - float(v))
               for u, v in zip(args, vals))
     assert err < 1e-6
@@ -90,10 +89,10 @@ def test_table_matches_direct_quadrature(noise, spec, h):
                          ids=["laplace", "mixture"])
 @pytest.mark.parametrize("h", [1 / 2, 1 / 16, 1 / 64])
 def test_spectral_operator_matches_direct_quadrature(noise, spec, h):
-    # one design point at 0 with coefficient 1: the kernel sum at x is K(-x/h)
+    # the Fourier sum of the factors at x is K(x/h) = K(-x/h)
     x = np.linspace(-7.2, 7.2, 25) * h
     (op,) = spectral_kernels([h], noise, spec, 7.2 * h)
-    got = op.kernel_sum(x, np.zeros(1), np.ones(1))
+    got = fourier_sums(x, op.omega, op.factor[:, None])[:, 0]
     want = np.array([kernel_eval(float(-v / h), h, noise, spec) for v in x])
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
@@ -112,7 +111,7 @@ def test_nan_points_fail_the_uniform_grid_checks(after):
     w = sample.design.points
     op = operator_for(sample.design, sc.h, sc.noise(), default_taper(sc.noise()))
     calls = [
-        lambda: estimate_g(sample, with_nan(grid), op),
+        lambda: estimate_g(sample, with_nan(grid), [op]),
         lambda: op.transform(with_nan(w), np.ones(w.size)),
         lambda: op.factors(with_nan(w), grid),
         lambda: op.factors(w, with_nan(grid)),
@@ -135,7 +134,7 @@ def test_spectral_operator_shares_nodes_across_bandwidths():
         assert TAPER_W.cutoff / (2 * h) < op.omega[-1] < TAPER_W.cutoff / h
         assert np.array_equal(op.omega, ops[-1].omega[: op.omega.size])
     with pytest.raises(ValueError, match="uniform grid"):
-        ops[0].kernel_sum(np.array([0.0, 0.1, 0.3]), np.zeros(1), np.ones(1))
+        fourier_sums(np.array([0.0, 0.1, 0.3]), ops[0].omega, ops[0].factor[:, None])
 
 
 @pytest.mark.parametrize("noise,spec,h", [(LAP01, TAPER_S, 0.11), (MIX, TAPER_W, 0.32),
@@ -232,22 +231,22 @@ def _uniform_set(size, start, span):
                        min_size=2, max_size=3),
        jitter_at=st.floats(0.0, 1.0))
 def test_uniform_route_matches_direct_phases(m, start, span, others, jitter_at):
-    # transform and factors against the direct cos/sin of exact_factors,
-    # relative to the largest possible value: sum |coef| for the
-    # transform, the peak K(0) = sum factor for the kernel matrices
+    # transform against direct exponentials and factors against the
+    # direct cos/sin of exact_matrix, relative to the largest possible
+    # value: sum |coef| for the transform, the peak K(0) = sum factor for
+    # the kernel matrices
     (op,) = spectral_kernels([0.25], MIX, TAPER_W, 4.0)
     r = op.omega.size
     x = _uniform_set(m, start, span)
     coef = np.random.default_rng(m).standard_normal(m)
-    _, right = op.exact_factors(np.zeros(0), x)
-    direct = right[:, :r].T @ coef + 1j * (right[:, r:].T @ coef)
+    direct = np.exp(1j * np.outer(op.omega, x)) @ coef
     got = op.transform(x, coef)
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.sum(np.abs(coef))
 
     grids = [_uniform_set(*g) for g in others]
     basis, lefts = op.factors(x, *grids)
     for left, g in zip(lefts, grids):
-        gap = left @ basis.T - kernel_matrix(op, g, x)
+        gap = left @ basis.T - op.exact_matrix(g, x)
         assert np.max(np.abs(gap)) <= 1e-12 * np.sum(op.factor)
 
     if m < 3:
@@ -332,7 +331,7 @@ def test_table_reads_match_quadrature(law, octaves, core, frac):
     (op,) = spectral_kernels([h], noise, spec, span * h)
     peak = kernel_eval(0.0, h, noise, spec)
     us = [*core, frac * span]
-    for u, v in zip(us, kernel_matrix(op, [0.0], h * np.array(us))[0]):
+    for u, v in zip(us, op.exact_matrix([0.0], h * np.array(us))[0]):
         assert abs(float(v) - kernel_eval(u, h, noise, spec)) <= 1e-10 * peak
 
 
@@ -378,8 +377,8 @@ def test_peak_height_scales_with_squared_bandwidth():
         span = 4.0 / (A_N * h)
         (op,) = spectral_kernels([h], LAP01, TAPER_S, span * h)
         u = np.linspace(-span, span, (1 << 14) + 1)
-        # one unit point at 0: the kernel sum at x = -h u is K(u)
-        vals = op.kernel_sum(-h * u, np.zeros(1), np.ones(1))
+        # the Fourier sum of the factors at h u is K(u)
+        vals = fourier_sums(h * u, op.omega, op.factor[:, None])[:, 0]
         assert h**2 * float(np.max(np.abs(u * vals))) < 0.1
 
 
@@ -388,12 +387,11 @@ def test_squared_tail_mass_is_negligible(h):
     A = 2.0
     zs = np.linspace(A, 60.0, 24001)
     (op,) = spectral_kernels([h], LAP01, TAPER_S, 60.0 + 1.0 + 2.0 * h)
-    one = np.ones(1)
     worst = 0.0
     for x in (0.0, 0.25, 0.5, 0.75, 1.0):
-        # K is even: the sum at z of one unit point at -+x is K((+-z - x)/h)
-        vals = (op.kernel_sum(zs, np.array([x]), one) ** 2
-                + op.kernel_sum(zs, np.array([-x]), one) ** 2)
+        # the Fourier sum of the factors at z -+ x is K((z -+ x)/h)
+        vals = (fourier_sums(zs - x, op.omega, op.factor[:, None])[:, 0] ** 2
+                + fourier_sums(zs + x, op.omega, op.factor[:, None])[:, 0] ** 2)
         integral = float(np.trapezoid(vals, zs))
         geometric = 2.0 * A / (A * A - x * x) * h ** (-2.0 * LAP01.beta + 2.0)
         worst = max(worst, integral / geometric)

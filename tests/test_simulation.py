@@ -74,8 +74,9 @@ def test_scenario_validation():
             Scenario(**{**base, "density": density, "sigma_delta": sd})
     with pytest.raises(ValueError, match="draws must be an integer"):
         Scenario(**{**base, "draws": 120.5})
-    with pytest.raises(ValueError, match="reps must be a non-negative integer"):
-        Scenario(**{**base, "reps": 2.5})
+    for reps in (2.5, 0):
+        with pytest.raises(ValueError, match="reps must be a positive integer"):
+            Scenario(**{**base, "reps": reps})
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         Scenario(**{**base, "seed": -1})
     with pytest.raises(ValueError, match="invalid interval"):
