@@ -21,8 +21,11 @@ and squared_kernel): left @ basis.T, with basis on the design side, so
 no band builds a kernel table or a dense kernel matrix.  The multiplier
 process lives in the rank coordinates of K's basis: a draw takes rank
 normals, not one per design point, and costs (rank + grid) x rank
-(_sup_batch).  The basis is turned to a fixed orientation where it is
-built (_oriented), so the draws do not depend on how it was found.
+(_sup_batch).  Its factor is the Cholesky factor of the rank x rank
+Gram matrix of the multiplier-weighted basis, or a Householder QR of
+that basis where the Gram matrix would lose accuracy (_draw_factor).
+The basis is turned to a fixed orientation where it is built
+(_oriented), so the draws do not depend on how it was found.
 
 The pilot regression is a not-a-knot cubic spline over the pilot
 points, solved here in numpy (_spline_coefficients).  A spline is linear
@@ -72,6 +75,9 @@ _XE_POINTS = 900
 _CLAMP_FACTOR = 1.2
 # _error_moments reads splines in blocks of about this many values.
 _READ_ELEMS = 1 << 20
+# _draw_factor takes R from the Gram matrix only where cond(core_t) is
+# at most this: that route's error grows like eps cond^2.
+_GRAM_COND = 100.0
 
 
 @dataclass(frozen=True)
@@ -170,11 +176,28 @@ def quantile(sups, level: float) -> float:
 
 
 def _draw_factor(core_t: np.ndarray) -> np.ndarray:
-    """R of the thin QR core_t = Q R, each row signed so that R's diagonal
-    is >= 0: R.T @ R = core_t.T @ core_t, R is unique where core_t has
-    full column rank, and c core_t gives c R for c > 0.  Householder QR
-    needs no full rank, so zero rows (points left out of the process)
-    are fine."""
+    """Upper-triangular R with a non-negative diagonal and R.T @ R = G,
+    the Gram matrix core_t.T @ core_t; c core_t gives c R for c > 0.
+
+    R is G's Cholesky factor, much cheaper than a QR of the design x rank
+    core_t, where cond(core_t)^2 = cond(G) <= ||G||_inf ||G^-1||_inf is
+    at most _GRAM_COND^2.  Any other core, such as a split band's whose
+    process barely reaches some basis directions, takes R from a
+    Householder QR of core_t, rows signed so that the diagonal is >= 0,
+    which needs no full rank.  For a core of full column rank both routes
+    give the one such R."""
+    gram = core_t.T @ core_t
+    try:
+        r = np.linalg.cholesky(gram, upper=True)
+        r_inv = np.linalg.inv(r)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        # Python floats: an overflowing bound is inf, without a warning
+        bound = (float(np.linalg.norm(gram, np.inf))
+                 * float(np.linalg.norm(r_inv @ r_inv.T, np.inf)))
+        if bound <= _GRAM_COND**2:
+            return r
     r = np.linalg.qr(core_t, mode="r")
     return r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]
 
@@ -187,15 +210,17 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
     the process has a zero row.  Given the data, the process Z @ core_t,
     Z ~ N(0, I_design), is a centred Gaussian with covariance
     core_t.T @ core_t, which is the law of z @ R for z ~ N(0, I_rank)
-    and R = _draw_factor(core_t).  So a draw takes rank normals instead
-    of one per design point, and costs (rank + grid) x rank.  All draws
-    come from one generator seeded with SeedSequence(root_seed), so
-    different seeds give independent streams.
+    and R = _draw_factor(core_t), the triangular factor of that
+    covariance.  So a draw takes rank normals instead of one per design
+    point, and costs (rank + grid) x rank.  All draws come from one
+    generator seeded with SeedSequence(root_seed), so different seeds
+    give independent streams.  The supremum of |v| is taken as
+    max(max v, -min v), which is the same number without writing |v|.
     """
     r = _draw_factor(core_t)
     z = np.random.default_rng(root_seed).standard_normal((draws, r.shape[0]))
     out = (z @ r) @ (grid_t * (abs(coef) / nu_g))
-    return np.max(np.abs(out, out=out), axis=1)
+    return np.maximum(out.max(axis=1), -out.min(axis=1))
 
 
 def _oriented(w: np.ndarray, basis: np.ndarray, lefts: list[np.ndarray]):

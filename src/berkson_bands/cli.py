@@ -404,8 +404,8 @@ def _selftest_checks() -> list[dict]:
     record("uniform factors vs direct cos/sin", err, 1e-12)
 
     coef = h**noise.beta / math.sqrt(n * a_n * h)
-    # the band's basis with non-constant multipliers: R is the QR of a
-    # design x rank core, as in a band
+    # the band's basis with non-constant multipliers: R is the triangular
+    # factor of a design x rank core's Gram matrix, as in a band
     basis = _workspace(design, noise, spec, h, sc.interval).basis
     m = 0.5 + w**2
     worst = 0.0
@@ -464,7 +464,8 @@ def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
     mult = design.weights * nu_w * n * a_n
     # the engine's rank normals z, mapped into design space as Z = z @ Q.T
     # with Z @ core = z @ R: core = Q R is the thin QR of this band's own
-    # weights on the workspace basis, R's diagonal non-negative
+    # weights on the workspace basis, R's diagonal non-negative, so R is
+    # the engine's factor whichever route _draw_factor takes
     qf, r = np.linalg.qr(ws.basis * mult[:, None])
     z = np.random.default_rng(request.seed).standard_normal((request.draws, r.shape[0]))
     z = z @ (qf * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)).T

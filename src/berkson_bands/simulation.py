@@ -128,8 +128,8 @@ class RepRecord:
 @dataclass
 class ScenarioReport:
     scenario: Scenario
-    rejection_rate: float
-    mean_width: float
+    rejection_rate: float | None  # None when no replication finished
+    mean_width: float | None
     records: list[RepRecord]
     runtime: float
     spacing: float
@@ -180,7 +180,8 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> ScenarioRepo
     min(workers, reps) processes with per-rep derived seeds (results
     identical to the serial run).  Inner draw parallelism is left to the
     BLAS layer.  A keyboard interrupt stops the loop and returns the
-    completed reps with the interrupted flag set.
+    completed reps with the interrupted flag set; with none completed,
+    the rejection rate and mean width are None.
     """
     start = time.perf_counter()
     records: list[RepRecord] = []
@@ -204,12 +205,10 @@ def run_scenario(scenario: Scenario, workers: int | None = None) -> ScenarioRepo
     except KeyboardInterrupt:
         interrupted = True
     runtime = time.perf_counter() - start
+    rejection = mean_width = None  # no replication finished: JSON null
     if records:
         rejection = 1.0 - float(np.mean([r.covered for r in records]))
         mean_width = float(np.mean([r.width for r in records]))
-    else:
-        rejection = float("nan")
-        mean_width = float("nan")
     return ScenarioReport(
         scenario=scenario,
         rejection_rate=rejection,

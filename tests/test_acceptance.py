@@ -168,8 +168,8 @@ def test_criterion_7_multiplier_process_variance(capsys):
     n, h, interval = 200, 0.25, (-0.6, 0.5)
     design = build_regular(n, A_N)
     op = operator_for(design, h, LAP01, TAPER_S)
-    # the band's basis with non-constant multipliers: R is the QR of a
-    # design x rank core, as in a band
+    # the band's basis with non-constant multipliers: R is the triangular
+    # factor of a design x rank core's Gram matrix, as in a band
     basis = _workspace(design, LAP01, TAPER_S, h, interval).basis
     m = 0.5 + design.points**2
     coef = h ** LAP01.beta / math.sqrt(n * A_N * h)

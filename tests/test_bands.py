@@ -7,6 +7,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -201,6 +202,68 @@ def test_draw_factor_has_the_law_of_the_design_process(mix100, split):
     assert np.array_equal(r, np.triu(r)) and np.all(np.diagonal(r) >= 0.0)
     gram = core_t.T @ core_t
     assert np.max(np.abs(r.T @ r - gram)) <= 1e-12 * np.max(np.abs(gram))
+
+
+def householder_factor(core_t):
+    """R of the thin Householder QR of core_t, each row signed so that
+    R's diagonal is non-negative."""
+    r = np.linalg.qr(core_t, mode="r")
+    return r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]
+
+
+def draw_factor_route(core_t):
+    """(_draw_factor(core_t), whether it called the Householder QR)."""
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return qr(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "qr", spy)
+        r = bands_mod._draw_factor(core_t)
+    return r, bool(calls)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_draw_factor_of_a_plain_core_is_the_householder_factor(name):
+    sc = SCENARIOS[name]
+    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
+    _, [(args, _)] = sup_batch_calls(build_band, sample, sc.request(1), sc.noise())
+    core_t = args[0]
+    r, householder = draw_factor_route(core_t)
+    assert not householder  # a band's plain core is well conditioned
+    ref = householder_factor(core_t)
+    assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_draw_factor_of_an_ill_conditioned_core_is_householder(mix100):
+    # split-band processes that barely reach some basis directions
+    cores = {}
+    for b_n in (0.5, 0.2, 0.1):
+        _, [(args, _)] = sup_batch_calls(partial(build_band_extension, b_n=b_n),
+                                         mix100, MIX_REQ, MIX)
+        cores[f"split b_n={b_n}"] = args[0]
+    d = build_regular(200, A_N)
+    grid = make_eval_grid((-0.7, 0.6), 200, A_N, 0.25).points
+    basis, _, _ = plain_core(d, 0.25, grid)
+    cores["multipliers 1e-4..1"] = basis * np.geomspace(1e-4, 1.0, d.size)[:, None]
+    for label, core_t in cores.items():
+        r, householder = draw_factor_route(core_t)
+        assert householder, label
+        assert np.array_equal(r, householder_factor(core_t)), label
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_sup_batch_takes_the_largest_absolute_value(mix100, split):
+    build = build_band_extension if split else build_band
+    _, [(args, sups)] = sup_batch_calls(build, mix100, MIX_REQ, MIX)
+    core_t, grid_t, nu_g, coef, draws, seed = args
+    r = bands_mod._draw_factor(core_t)
+    z = np.random.default_rng(seed).standard_normal((draws, r.shape[0]))
+    out = (z @ r) @ (grid_t * (abs(coef) / nu_g))
+    assert np.array_equal(sups, np.max(np.abs(out), axis=1))
 
 
 @settings(derandomize=True, max_examples=5, deadline=None)

@@ -13,7 +13,7 @@ import pytest
 from berkson_bands import (SCENARIOS, RegressionSample, build_regular,
                            default_taper, g_a, generate_sample, load_sample,
                            save_sample)
-from berkson_bands import cli
+from berkson_bands import cli, simulation
 from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
 
 from conftest import A_N, LAP01, SMOOTH, operator_for
@@ -247,7 +247,7 @@ def test_simulate_runs_scenario_files(tmp_path, capsys):
         assert parse_and_dispatch(["simulate", "--scenario", str(bad),
                                    "--out", str(tmp_path / "s5")]) == 2
         assert message in capsys.readouterr().err
-    # zero replications would leave a NaN rejection rate, which is not JSON
+    # a run needs at least one replication
     for flags, message in ((["--reps", "1", "--seed", "-1"], "--seed"),
                            (["--reps", "0"], "--reps/--bootstrap/--seed: reps "
                                              "must be a positive integer")):
@@ -255,6 +255,25 @@ def test_simulate_runs_scenario_files(tmp_path, capsys):
                                    "--out", str(tmp_path / "s6")]) == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "s6").exists()
+
+
+def test_interrupted_simulation_writes_null_rates(tmp_path, capsys, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    def strict(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    monkeypatch.setattr(simulation, "_run_rep", interrupt)
+    out = tmp_path / "sim"
+    assert parse_and_dispatch(["--json", "--threads", "1", "simulate",
+                               "--scenario", "ga_n100_s10", "--reps", "2",
+                               "--out", str(out)]) == 1
+    payload = json.loads(capsys.readouterr().out, parse_constant=strict)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=strict)
+    for record in (payload, summary):
+        assert record["interrupted"] and record["completed_reps"] == 0
+        assert record["rejection_rate"] is None and record["mean_width"] is None
 
 
 def test_simulate_accepts_preset_names_with_overrides(tmp_path):
