@@ -8,7 +8,8 @@ K is computed one way, with numpy alone; the adaptive-quadrature
 reference it is checked against lives with the tests.  The kernel
 is band-limited, so spectral_kernels writes it as a Gauss-Legendre sum
 over its frequency band [0, cutoff/h], with nodes from Newton's method
-on the Legendre recurrence (_legendre_rule).  A kernel sum over the
+on the Legendre recurrence (_legendre_rule), on panels cut so that no
+rule exceeds _MAX_RULE_NODES nodes (_gauss_rule).  A kernel sum over the
 design is then a node sum of the data's Fourier transform, and a kernel
 matrix between two point sets has low-rank factors
 (SpectralKernel.factors).  squared_kernel gives the same
@@ -43,6 +44,11 @@ _BLOCK_ELEMS = 1 << 22
 # laws at h from 1/2 to 1/64.
 _NODES_PER_TURN = 3
 _PANEL_NODES = 24
+# Most nodes of one rule: building an m-node rule costs O(m^2)
+# (_legendre), so _gauss_rule cuts a longer panel into equal parts.
+_MAX_RULE_NODES = 400
+# Elements of the largest node-chunk temporary of fourier_sums.
+_SUM_ELEMS = 1 << 17
 # Newton steps of the Gauss-Legendre rule.  Convergence is quadratic, so
 # after a step below _NEWTON_TOL the error in theta is far below
 # rounding; from Tricomi's estimates that takes three steps for every m
@@ -229,7 +235,8 @@ class SpectralKernel:
         right = np.empty((np.size(points), 2 * self.omega.size))
         _phases(right, points, self.omega)
         basis = _row_basis(left, right)
-        left = left @ (right.T @ basis)
+        # right.T @ basis, taken in the orientation BLAS runs faster
+        left = left @ (basis.T @ right).T
         return basis, np.split(left, ends[:-1])
 
 
@@ -284,7 +291,7 @@ def _row_basis(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     scale = None
     while basis.shape[1] < limit:
         probe = rng.standard_normal((left.shape[0], _SKETCH_COLUMNS))
-        sketch = right @ (left.T @ probe)
+        sketch = right @ (probe.T @ left).T  # left.T @ probe, faster
         sketch -= basis @ (basis.T @ sketch)
         u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
         if scale is None:
@@ -311,7 +318,8 @@ def spectral_kernels(
     others.  ``reach`` bounds |x - w| over the evaluation and design
     points.  The integrand oscillates in omega at rates up to
     reach + noise.ripple, so a panel [lo, hi] gets
-    ceil(3 (hi - lo) rate / 2 pi) + 24 nodes.
+    ceil(3 (hi - lo) rate / 2 pi) + 24 nodes, in equal parts of at most
+    _MAX_RULE_NODES each (_gauss_rule).
     """
     _check_arguments(hs, reach)
     edges = sorted(
@@ -385,19 +393,24 @@ def _gauss_rule(edges, rate: float) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the panels between ``edges``.
 
     A panel [lo, hi] gets ceil(3 (hi - lo) rate / 2 pi) + 24 nodes, for
-    an integrand oscillating at rates up to ``rate``.  Panels of equal
-    node count share one _legendre_rule.
+    an integrand oscillating at rates up to ``rate``.  A panel that would
+    get more than _MAX_RULE_NODES is cut into the fewest equal parts
+    whose own count fits, so a dyadic panel twice the length of its
+    neighbour takes that neighbour's rule twice.  Parts of equal node
+    count share one _legendre_rule.
     """
     nodes, weights, rules = [], [], {}
     for lo, hi in zip(edges[:-1], edges[1:]):
-        m = _PANEL_NODES + math.ceil(
-            _NODES_PER_TURN * (hi - lo) * rate / (2.0 * math.pi)
-        )
+        turns = _NODES_PER_TURN * (hi - lo) * rate / (2.0 * math.pi)
+        parts = max(1, math.ceil(turns / (_MAX_RULE_NODES - _PANEL_NODES)))
+        m = _PANEL_NODES + math.ceil(turns / parts)
         if m not in rules:
             rules[m] = _legendre_rule(m)
         x, q = rules[m]
-        nodes.append(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-        weights.append(0.5 * (hi - lo) * q)
+        cuts = np.linspace(lo, hi, parts + 1)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
+            weights.append(0.5 * (b - a) * q)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -448,19 +461,37 @@ def _legendre(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fourier_sums(x, omega, coeffs) -> np.ndarray:
     """Re sum_r exp(-i omega_r x_i) coeffs[r, k] for x on a uniform grid.
 
-    With x = anchor + offset (_uniform_blocks), the sums are one complex
-    matrix product per chunk of nodes.  No temporary holds more than
-    ``_BLOCK_ELEMS`` entries beyond the len(x) x K output.  Returns a
-    len(x) x K array.
+    With x = anchor + offset (_uniform_blocks) and c = coeffs[r, k],
+
+        Re(exp(-i omega x) c) = cos(omega offset) Re(exp(-i omega anchor) c)
+                              + sin(omega offset) Im(exp(-i omega anchor) c),
+
+    so each chunk of nodes adds one real matrix product, offsets x
+    (2 nodes) by (2 nodes) x (columns x anchors).  A chunk takes only
+    the columns with a nonzero coefficient there: a column that holds
+    an operator of r nodes, zero-padded to the longest, costs its r
+    nodes alone.  No temporary holds more than ``_SUM_ELEMS`` entries
+    beyond two the size of the len(x) x K output, which is returned.
     """
+    kk = coeffs.shape[1]
+    if not np.size(x):
+        return np.zeros((0, kk))
     anchors, offsets = _uniform_blocks(x)
-    j, b, kk = anchors.size, offsets.size, coeffs.shape[1]
-    out = np.zeros((b, j, kk))
-    rows = max(1, _BLOCK_ELEMS // (max(b, j) * kk))
+    j, b = anchors.size, offsets.size
+    out = np.zeros((b, kk, j))
+    rows = max(1, _SUM_ELEMS // (2 * max(b, kk * j)))
+    nonzero = coeffs != 0
     for s in range(0, omega.size, rows):
+        live = np.flatnonzero(nonzero[s : s + rows].any(axis=0))
+        if not live.size:
+            continue
         om = omega[s : s + rows]
-        near = np.exp(-1j * np.outer(offsets, om))
-        far = np.exp(-1j * np.outer(anchors, om))[:, :, None]
-        rhs = (far * coeffs[s : s + rows]).transpose(1, 0, 2)
-        out += (near @ rhs.reshape(om.size, j * kk)).real.reshape(b, j, kk)
-    return out.transpose(1, 0, 2).reshape(j * b, kk)[: np.size(x)]
+        near = np.outer(offsets, om)
+        far = np.outer(om, anchors)[:, None, :]
+        cos_a, sin_a = np.cos(far), np.sin(far)
+        c = coeffs[s : s + rows, live, None]
+        rhs = np.concatenate((cos_a * c.real + sin_a * c.imag,
+                              cos_a * c.imag - sin_a * c.real))
+        part = np.hstack((np.cos(near), np.sin(near))) @ rhs.reshape(2 * om.size, -1)
+        out[:, live] += part.reshape(b, live.size, j)
+    return out.transpose(2, 0, 1).reshape(j * b, kk)[: np.size(x)]

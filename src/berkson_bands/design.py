@@ -211,7 +211,7 @@ def save_sample(sample: RegressionSample, path) -> None:
 
 def write_columns(path, header: str, *columns) -> None:
     """Write equal-length numeric columns as CSV, every value as ``.10g``."""
+    row = ",".join(["%.10g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.10g}" for v in row) + "\n")
+        fh.writelines(row % values for values in zip(*columns))

@@ -137,6 +137,54 @@ def test_spectral_operator_shares_nodes_across_bandwidths():
         fourier_sums(np.array([0.0, 0.1, 0.3]), ops[0].omega, ops[0].factor[:, None])
 
 
+@pytest.fixture
+def built_rules(monkeypatch):
+    """The node count of every _legendre_rule built while the test runs."""
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return _legendre_rule(m)
+
+    monkeypatch.setattr(dk, "_legendre_rule", counted)
+    return built
+
+
+def test_lepski_rule_builds_no_rule_above_the_cap(built_rules):
+    # the dyadic panels of the Lepski bandwidths double in length; those
+    # past the cap are cut into parts that reuse a shorter panel's rule
+    hs = [2.0 ** -k for k in range(1, 7)]
+    reach = 2.2
+    ops = spectral_kernels(hs, MIX, TAPER_W, reach)
+    assert max(built_rules) <= 400  # not the 733 and 1442 nodes of uncut panels
+    assert len(built_rules) == len(set(built_rules))
+    x = np.linspace(-reach, reach, 9)
+    for op in ops:
+        assert np.array_equal(op.omega, ops[-1].omega[: op.omega.size])
+        got = fourier_sums(x, op.omega, op.factor[:, None])[:, 0]
+        want = [kernel_eval(float(-v / op.h), op.h, MIX, TAPER_W) for v in x]
+        peak = kernel_eval(0.0, op.h, MIX, TAPER_W)
+        assert np.max(np.abs(got - want)) <= 1e-10 * peak
+
+
+def test_gauss_rule_cuts_long_panels_into_equal_parts(built_rules):
+    # at rate 2 pi a panel of L units wants 24 + 3 L nodes: the 100-unit
+    # panel fits the cap, the 200-unit one takes its rule twice and the
+    # 301-unit one takes three rules of 24 + 301 nodes
+    assert 301 <= dk._MAX_RULE_NODES - dk._PANEL_NODES < 903 / 2
+    nodes, weights = dk._gauss_rule([0.0, 100.0, 300.0, 601.0], 2.0 * math.pi)
+    assert sorted(built_rules) == [324, 325]
+    cuts = [0.0, 100.0, 200.0, 300.0, 300.0 + 301 / 3, 300.0 + 602 / 3, 601.0]
+    rules = [_legendre_rule(m) for m in (324, 324, 324, 325, 325, 325)]
+    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
+    assert np.allclose(nodes, np.concatenate(
+        [0.5 * (b - a) * x + 0.5 * (b + a) for (x, _), a, b in zip(rules, lo, hi)]),
+        rtol=1e-15, atol=0)
+    assert np.allclose(weights, np.concatenate(
+        [0.5 * (b - a) * q for (_, q), a, b in zip(rules, lo, hi)]), rtol=1e-14, atol=0)
+    assert abs(np.sum(weights) - 601.0) <= 1e-12 * 601.0
+
+
 @pytest.mark.parametrize("noise,spec,h", [(LAP01, TAPER_S, 0.11), (MIX, TAPER_W, 0.32),
                                          (NoError(), SMOOTH, 0.25)],
                          ids=["laplace", "mixture", "no_error"])
@@ -176,18 +224,11 @@ def test_legendre_rule_matches_scipy(m):
         power *= x
 
 
-def test_gauss_rule_builds_each_node_count_once(monkeypatch):
-    built = []
-
-    def counted(m):
-        built.append(m)
-        return _legendre_rule(m)
-
+def test_gauss_rule_builds_each_node_count_once(built_rules):
     # panels of 1, 1, 2 and 1 units at rate 2 pi: m = 27, 27, 30, 27
     edges = [0.0, 1.0, 2.0, 4.0, 5.0]
-    monkeypatch.setattr(dk, "_legendre_rule", counted)
     nodes, weights = dk._gauss_rule(edges, 2.0 * math.pi)
-    assert sorted(built) == [27, 30]
+    assert sorted(built_rules) == [27, 30]
     rules = [_legendre_rule(m) for m in (27, 27, 30, 27)]
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     assert np.array_equal(nodes, np.concatenate(
@@ -204,6 +245,52 @@ def test_fourier_sums_match_direct_evaluation():
         x = np.linspace(-0.7, 0.6, m)
         direct = np.real(np.exp(-1j * np.outer(x, omega)) @ coeffs)
         assert np.max(np.abs(fourier_sums(x, omega, coeffs) - direct)) < 1e-12
+
+
+def _lepski_columns():
+    """The operators of the Lepski rule's dyadic bandwidths 1/2 .. 1/64 on
+    one node rule, as zero-padded columns of coefficients."""
+    ops = spectral_kernels([2.0 ** -k for k in range(1, 7)], MIX, TAPER_W, 2.2)
+    omega = ops[-1].omega
+    phases = np.random.default_rng(7).uniform(0.0, 2.0 * math.pi, omega.size)
+    coeffs = np.zeros((omega.size, len(ops)), dtype=complex)
+    for k, op in enumerate(ops):
+        r = op.omega.size
+        coeffs[:r, k] = op.factor * np.exp(1j * phases[:r])
+    return omega, coeffs
+
+
+def test_fourier_sums_of_zero_padded_columns_match_direct_evaluation():
+    omega, coeffs = _lepski_columns()
+    bound = np.sum(np.abs(coeffs), axis=0)  # the largest possible |sum|
+    for m in (1, 2, 301, 1127):
+        x = np.linspace(-0.7, 0.59, m)
+        direct = np.real(np.exp(-1j * np.outer(x, omega)) @ coeffs)
+        assert np.all(np.max(np.abs(fourier_sums(x, omega, coeffs) - direct), axis=0)
+                      <= 1e-12 * bound)
+
+
+def test_fourier_sums_temporaries_stay_bounded():
+    # the finest Lepski call of a mix_ga_n750 request: 6,370 grid points,
+    # 3,106 nodes and six columns
+    omega, coeffs = _lepski_columns()
+    assert coeffs.shape == (3106, 6)
+    x = np.linspace(-0.7, 0.59, 6370)
+    tracemalloc.start()
+    try:
+        out = fourier_sums(x, omega, coeffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (6370, 6)
+    assert peak < 16e6
+
+
+def test_fourier_sums_on_an_empty_grid():
+    omega, coeffs = _lepski_columns()
+    for x in ([], np.empty(0)):
+        out = fourier_sums(x, omega, coeffs)
+        assert out.shape == (0, 6)
 
 
 def _primes(limit):

@@ -16,7 +16,7 @@ from berkson_bands import (
     save_sample,
 )
 from berkson_bands.cli import parse_and_dispatch
-from berkson_bands.design import default_b_n, default_d_n
+from berkson_bands.design import default_b_n, default_d_n, write_columns
 
 from conftest import A_N
 
@@ -93,6 +93,21 @@ def test_sample_file_round_trip(tmp_path):
     back = load_sample(path, A_N)
     assert np.array_equal(back.responses, y)
     assert np.array_equal(back.design.points, d.points)
+
+
+def test_write_columns_formats_every_value_as_10g(tmp_path):
+    # the bytes of a per-value f"{v:.10g}" writer, special values included
+    values = [-0.0, math.nan, math.inf, -math.inf, 1e-300, 0.1, 123456789012.0,
+              2.0 / 3.0, -5e-324, 1.7976931348623157e308]
+    columns = (np.arange(len(values)), [v % 2 == 0 for v in range(len(values))],
+               np.array(values), values[::-1])
+    path = tmp_path / "cols.csv"
+    write_columns(path, "i,even,v,w", *columns)
+    want = "i,even,v,w\n" + "".join(
+        ",".join(f"{v:.10g}" for v in row) + "\n" for row in zip(*columns))
+    assert path.read_bytes() == want.encode("utf-8")
+    write_columns(path, "x")
+    assert path.read_bytes() == b"x\n"
 
 
 def test_load_rejects_malformed_files(tmp_path, capsys):

@@ -88,6 +88,15 @@ def test_estimate_checks_the_node_rule_and_every_bandwidth():
         estimate_g(s, edge, [fine, coarse])
 
 
+def test_estimate_on_an_empty_grid_is_empty():
+    d = build_regular(50, A_N)
+    s = RegressionSample(design=d, responses=np.ones(d.size))
+    ops = spectral_kernels([0.5, 0.25], LAP01, TAPER_S, 2.0)
+    for grid in ([], np.empty(0)):
+        out = estimate_g(s, grid, ops)
+        assert out.shape == (2, 0)
+
+
 def test_estimator_is_linear_in_responses():
     d = build_regular(80, A_N)
     rng = np.random.default_rng(9)
