@@ -351,8 +351,11 @@ def _workspace(
     if lattice is None:
         ck = spur = basis_t = kt2w = None
     else:
-        ck = _spline_coefficients(xe, ke)
-        spur = _error_moments(xe, _spline_coefficients(xe, k2e), w, lattice)
+        # one solve for both: the elimination runs column by column
+        both = _spline_coefficients(xe, np.hstack((ke, k2e)))
+        spur = _error_moments(xe, both[..., ke.shape[1] :], w, lattice)
+        ck = np.ascontiguousarray(both[..., : ke.shape[1]])
+        del both  # ck copied its columns; free the rest before the next factors call
         basis_t, (kt2w,) = squared_kernel(h, NoError(), spec, reach).factors(w, w)
 
     mids = midpoints(w)

@@ -6,8 +6,9 @@ threshold of every finer one (Lepski, Mammen & Spokoiny 1997, Ann.
 Statist. 25(3)).  The dyadic range and the threshold follow from n, a_n
 and the error law's beta alone, so the rule takes no settings.  Its
 estimates are estimate_g's on spectral kernel operators that share one
-frequency rule, all bandwidths on an evaluation grid from one data
-transform and one Fourier sum, so the rule builds no kernel table.  The
+frequency rule: one data transform at the finest bandwidth's nodes
+serves every estimate, and one Fourier sum gives all bandwidths on an
+evaluation grid, so the rule builds no kernel table.  The
 preset bandwidths of the reference scenarios live with those scenarios,
 in simulation.SCENARIOS.
 """
@@ -21,7 +22,7 @@ import numpy as np
 from .bands import make_eval_grid
 from .design import RegressionSample
 from .deconv_kernel import TaperSpec, spectral_kernels
-from .estimator import estimate_g
+from .estimator import _node_sums
 from .noise_models import NoiseModel
 
 __all__ = ["LepskiResult", "lepski_select", "undersmooth"]
@@ -83,12 +84,14 @@ def lepski_select(
     grids = {k: make_eval_grid(interval, n, a_n, hs[k]).points for k in ks}
     kernels = dict(zip(ks, spectral_kernels(
         [hs[k] for k in ks], noise, spec, design.reach(interval))))
+    # the finest operator's nodes hold every other's: one transform
+    spectrum = kernels[k_u].transform(design.points, design.weights * sample.responses)
     on_grid: dict[int, dict[int, np.ndarray]] = {}
 
     def est(k: int, on_l: int) -> np.ndarray:
         if on_l not in on_grid:
             coarser = [j for j in ks if j <= on_l]
-            rows = estimate_g(sample, grids[on_l], [kernels[j] for j in coarser])
+            rows = _node_sums(grids[on_l], [kernels[j] for j in coarser], spectrum)
             on_grid[on_l] = dict(zip(coarser, rows))
         return on_grid[on_l][k]
 

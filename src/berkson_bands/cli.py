@@ -397,7 +397,7 @@ def _selftest_checks() -> list[dict]:
     err = float(np.max(np.abs(summed - direct)) / np.max(np.abs(direct)))
     record("Fourier sums vs direct node sum", err, 1e-6)
 
-    # factors fills its phases by angle addition on the uniform grids
+    # factors takes its phases in row blocks of the uniform grids
     basis, lefts = kernel.factors(w, grid, w)
     err = max(float(np.max(np.abs(left @ basis.T - dense)) / np.max(np.abs(dense)))
               for left, dense in zip(lefts, (kernel.exact_matrix(x, w) for x in (grid, w))))

@@ -12,7 +12,10 @@ on the Legendre recurrence (_legendre_rule), on panels cut so that no
 rule exceeds _MAX_RULE_NODES nodes (_gauss_rule).  A kernel sum over the
 design is then a node sum of the data's Fourier transform, and a kernel
 matrix between two point sets has low-rank factors
-(SpectralKernel.factors).  squared_kernel gives the same
+(SpectralKernel.factors), found from the points' phases exp(i omega x)
+in row blocks of at most _PHASE_ELEMS entries, each viewed as
+interleaved [cos, sin] columns (_phase_rows): no points x nodes array
+is formed.  squared_kernel gives the same
 operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  Every read of K
 goes through these operators: the estimator, the Lepski rule and the
 bands form no grid x design matrix.  Their point sets are uniform,
@@ -60,10 +63,16 @@ _NEWTON_TOL = 1e-12
 # singular value exceeds _RANK_TOL times the first sketch's largest.  At
 # 1e-13 the factors of K and K^2 on gb_n750_s05 match the uncompressed
 # products to 7e-14 of their largest entry; near 1e-15 rounding noise
-# would pass the test.
+# would pass the test.  One pass over the points sketches _SKETCH_GROUP
+# blocks.  The K and K^2 bases of every preset band stop within five, the
+# block that adds nothing included, and each block past the stop costs
+# as much as one that counts.
 _SKETCH_COLUMNS = 32
+_SKETCH_GROUP = 5
 _SKETCH_SEED = 0
 _RANK_TOL = 1e-13
+# Complex entries of the largest block of phase rows of factors.
+_PHASE_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -223,21 +232,81 @@ class SpectralKernel:
 
         Returns (basis, lefts): basis is len(points) x R with orthonormal
         columns, and K((points_j - x_i)/h; h) = (lefts[k] @ basis.T)[i, j]
-        for x_i in grids[k].  basis spans the rows of the kernel matrices
-        to _RANK_TOL (see _row_basis), so R is the numerical
-        rank, not the node count.  ``points`` and each grid must be
-        uniform, each grid with a spacing of its own (see _phases).
+        for x_i in grids[k].  The kernel matrix is left @ right.T, where a
+        row of right is exp(i omega w_j) and a row of left is factor
+        exp(i omega x_i), each viewed as interleaved [cos, sin] columns
+        (_phase_rows), so that a row product sums factor cos(omega (w_j -
+        x_i)).  Neither is formed: every product below takes their rows
+        in blocks of whole anchors, at most _PHASE_ELEMS entries each.
+
+        basis comes from a randomized range finder (Halko, Martinsson &
+        Tropp 2011): blocks of _SKETCH_COLUMNS Gaussian combinations of
+        the grid rows, with a fixed seed, are projected off the basis
+        found so far; each block adds the directions whose singular value
+        exceeds _RANK_TOL times the first block's largest, and the search
+        stops at a block that adds none.  So R is the numerical rank, not
+        the node count.  One pass over the grids and one over ``points``
+        give the sketches of _SKETCH_GROUP blocks.  ``points`` and each
+        grid must be uniform, each grid with a spacing of its own.
         """
-        ends = np.cumsum([np.size(g) for g in grids])
-        left = np.empty((ends[-1], 2 * self.omega.size))
-        for g, end in zip(grids, ends):
-            _phases(left[end - np.size(g) : end], g, self.omega, self.factor)
-        right = np.empty((np.size(points), 2 * self.omega.size))
-        _phases(right, points, self.omega)
-        basis = _row_basis(left, right)
-        # right.T @ basis, taken in the orientation BLAS runs faster
-        left = left @ (basis.T @ right).T
-        return basis, np.split(left, ends[:-1])
+        omega, size = self.omega, np.size(points)
+        rng = np.random.default_rng(_SKETCH_SEED)
+
+        def sketches():
+            # copies, so that no sketch held here keeps a pass's group alive
+            while True:
+                yield from (sketch.copy() for sketch in
+                            _sketch_group(rng, points, grids, omega, self.factor))
+
+        limit = min(size, 2 * omega.size)
+        basis = np.empty((size, 0))
+        scale = None
+        for sketch in sketches():
+            sketch -= basis @ (basis.T @ sketch)
+            u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
+            if scale is None:
+                scale = sv[0]
+            u = u[:, sv > _RANK_TOL * scale][:, : limit - basis.shape[1]]
+            if not u.shape[1]:
+                break
+            u -= basis @ (basis.T @ u)  # second pass restores orthogonality
+            basis = np.hstack((basis, np.linalg.qr(u)[0]))
+            if basis.shape[1] == limit:
+                break
+
+        mix = _times_rows(basis, points, omega)  # basis.T @ right
+        return basis, [_rows_times(g, omega, mix.T, self.factor) for g in grids]
+
+
+def _sketch_group(rng, points, grids, omega, factor) -> list[np.ndarray]:
+    """The range finder's next _SKETCH_GROUP sketches right @ left.T @
+    probe (see SpectralKernel.factors), each probe the generator's next
+    grid rows x _SKETCH_COLUMNS normals: one pass over the grids' phase
+    rows and one over the points'."""
+    ends = np.cumsum([np.size(g) for g in grids])
+    probe = rng.standard_normal((_SKETCH_GROUP, ends[-1], _SKETCH_COLUMNS))
+    mixed = sum(_times_rows(probe[:, end - np.size(g) : end], g, omega, factor)
+                for g, end in zip(grids, ends))  # probe.T @ left
+    del probe  # the points' pass needs room for the sketches instead
+    group = _rows_times(points, omega, mixed.reshape(-1, 2 * omega.size).T)
+    return np.hsplit(group, _SKETCH_GROUP)
+
+
+def _rows_times(x, omega, m, scale=1.0) -> np.ndarray:
+    """rows @ m for the phase rows of x (_phase_rows), block by block."""
+    out = np.empty((np.size(x), m.shape[1]))
+    for s, rows in _phase_rows(x, omega, scale):
+        np.matmul(rows, m, out=out[s : s + len(rows)])
+    return out
+
+
+def _times_rows(m, x, omega, scale=1.0) -> np.ndarray:
+    """m.T @ rows for the phase rows of x (_phase_rows), block by block;
+    m may stack such matrices, one row per point on its second-last axis."""
+    out = np.zeros(m.shape[:-2] + (m.shape[-1], 2 * omega.size))
+    for s, rows in _phase_rows(x, omega, scale):
+        out += m[..., s : s + len(rows), :].swapaxes(-1, -2) @ rows
+    return out
 
 
 def _uniform_blocks(x) -> tuple[np.ndarray, np.ndarray]:
@@ -257,51 +326,24 @@ def _uniform_blocks(x) -> tuple[np.ndarray, np.ndarray]:
     return anchors, offsets
 
 
-def _phases(out: np.ndarray, x, omega: np.ndarray, scale=1.0) -> None:
-    """Write [scale cos(omega x), scale sin(omega x)] into ``out`` for
-    uniform x by angle addition over its anchors and offsets, one anchor
-    block of rows at a time: no temporary exceeds offsets x nodes."""
-    anchors, offsets = _uniform_blocks(x)
-    r, b = omega.size, offsets.size
-    near, far = np.outer(offsets, omega), np.outer(anchors, omega)
-    cos_o, sin_o = scale * np.cos(near), scale * np.sin(near)
-    cos_a, sin_a, tmp = np.cos(far), np.sin(far), near
-    for a in range(anchors.size):
-        rows = out[a * b : (a + 1) * b]
-        co, so, t = cos_o[: len(rows)], sin_o[: len(rows)], tmp[: len(rows)]
-        np.multiply(co, cos_a[a], out=rows[:, :r])
-        rows[:, :r] -= np.multiply(so, sin_a[a], out=t)
-        np.multiply(co, sin_a[a], out=rows[:, r:])
-        rows[:, r:] += np.multiply(so, cos_a[a], out=t)
+def _phase_rows(x, omega: np.ndarray, scale=1.0):
+    """Yield (start, rows): rows i of [scale cos(omega x), scale sin(omega
+    x)] from i = start on, columns interleaved, for uniform x.
 
-
-def _row_basis(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the numerical row space of left @ right.T.
-
-    A randomized range finder (Halko, Martinsson & Tropp 2011): blocks
-    of Gaussian combinations of the rows, with a fixed seed, are
-    projected off the basis found so far; each block adds the directions
-    whose singular value exceeds _RANK_TOL times the first block's
-    largest, and the search stops at a block that adds none.  The
-    product is never formed.
+    Each block is whole anchors (_uniform_blocks) of at most _PHASE_ELEMS
+    complex entries, or one anchor: one broadcast product exp(i omega
+    anchor) * scale exp(i omega offset), viewed as floats.  The blocks
+    share one buffer, so a block is valid until the next is taken.
     """
-    rng = np.random.default_rng(_SKETCH_SEED)
-    limit = min(right.shape)
-    basis = np.empty((right.shape[0], 0))
-    scale = None
-    while basis.shape[1] < limit:
-        probe = rng.standard_normal((left.shape[0], _SKETCH_COLUMNS))
-        sketch = right @ (probe.T @ left).T  # left.T @ probe, faster
-        sketch -= basis @ (basis.T @ sketch)
-        u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
-        if scale is None:
-            scale = sv[0]
-        u = u[:, sv > _RANK_TOL * scale][:, : limit - basis.shape[1]]
-        if not u.shape[1]:
-            break
-        u -= basis @ (basis.T @ u)  # second pass restores orthogonality
-        basis = np.hstack((basis, np.linalg.qr(u)[0]))
-    return basis
+    anchors, offsets = _uniform_blocks(x)
+    near = scale * np.exp(1j * np.outer(offsets, omega))
+    step = min(anchors.size, max(1, _PHASE_ELEMS // near.size))
+    block = np.empty((step,) + near.shape, dtype=complex)
+    for a in range(0, anchors.size, step):
+        far = np.exp(1j * np.outer(anchors[a : a + step], omega))
+        rows = np.multiply(far[:, None], near, out=block[: len(far)])
+        rows = rows.reshape(-1, omega.size)[: np.size(x) - a * offsets.size]
+        yield a * offsets.size, rows.view(float)
 
 
 def spectral_kernels(

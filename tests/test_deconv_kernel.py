@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.special import roots_legendre
 
 import berkson_bands.bands as bands_mod
+from berkson_bands.bandwidth import undersmooth
 from berkson_bands import (SCENARIOS, Laplace, NoError, TaperSpec, build_regular,
                            default_taper, estimate_g, generate_sample,
                            make_eval_grid, phi_k)
@@ -348,7 +349,10 @@ def test_uniform_route_matches_direct_phases(m, start, span, others, jitter_at):
             call()
 
 
-def test_kernel_factors_allocate_no_node_by_point_temporary(monkeypatch):
+def _factor_calls():
+    """(operator, points, grids) of two factors calls: K on a gb_n750_s05
+    workspace, and the split band of the benchmark's cold request on a
+    mix_ga_n750 design, Lepski's h = 1/2 undersmoothed."""
     sc = SCENARIOS["gb_n750_s05"]
     design, noise = build_regular(sc.n, sc.a_n), sc.noise()
     w = design.points
@@ -356,31 +360,54 @@ def test_kernel_factors_allocate_no_node_by_point_temporary(monkeypatch):
     lo, hi = identifiable_range(sc.a_n, bands_mod._CLAMP_FACTOR * sc.h)
     xe = np.linspace(lo, hi, bands_mod._XE_POINTS)
     (op,) = spectral_kernels([sc.h], noise, default_taper(noise), float(w[-1] - w[0]))
-    row_basis, filled = dk._row_basis, []
+    yield op, w, (eg, xe)
+    sc = SCENARIOS["mix_ga_n750"]
+    design, noise, h = build_regular(sc.n, sc.a_n), sc.noise(), undersmooth(0.5, sc.n)
+    interval = (-0.7, 0.6)
+    (op,) = spectral_kernels([h], noise, default_taper(noise), design.reach(interval))
+    yield op, design.points, (make_eval_grid(interval, sc.n, sc.a_n, h).points,)
 
-    def spy(left, right):
-        filled.append(tracemalloc.get_traced_memory()[1])
-        return row_basis(left, right)
 
-    monkeypatch.setattr(dk, "_row_basis", spy)
-    tracemalloc.start()
-    try:
-        basis, lefts = op.factors(w, eg, xe)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the exact factors, left (grid x 2 nodes) and right (design x 2
-    # nodes), are the only node x point arrays: filling them takes a few
-    # anchor and offset phase tables on top, each at most offsets x nodes
-    r, sizes = op.omega.size, (eg.size, xe.size, w.size)
-    exact = sum(sizes) * 2 * r * 8
-    block = 8 * (math.isqrt(max(sizes) - 1) + 1) * r * 8
-    assert block < min(sizes) * r * 8
-    assert filled[0] <= exact + block
-    # the range finder's sketches and the outputs are rank-sized
-    outputs = basis.nbytes + sum(left.nbytes for left in lefts)
-    sketches = dk._SKETCH_COLUMNS * (eg.size + xe.size + 2 * w.size) * 8
-    assert peak <= exact + block + outputs + sketches
+def test_kernel_factors_allocate_no_node_by_point_temporary():
+    # beyond the outputs and one group's probes and sketches, factors
+    # holds at most two row blocks' worth of temporaries; the exact
+    # factors, points x 2 nodes for every point set, would not fit there
+    allowance = 2 * dk._PHASE_ELEMS * 16
+    for op, w, grids in _factor_calls():
+        tracemalloc.start()
+        try:
+            basis, lefts = op.factors(w, *grids)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = sum(g.size for g in grids)
+        exact = (rows + w.size) * 2 * op.omega.size * 8
+        assert exact > allowance
+        outputs = basis.nbytes + sum(left.nbytes for left in lefts)
+        group = dk._SKETCH_GROUP * dk._SKETCH_COLUMNS * (rows + w.size) * 8
+        assert peak <= outputs + group + allowance
+
+
+def test_kernel_factors_do_not_depend_on_block_sizes(monkeypatch):
+    # one anchor per row block and one sketch block per pass, on point
+    # sets whose sizes are no multiple of their anchor stride
+    w = np.linspace(-1.5, 1.5, 301)
+    grids = (np.linspace(-0.7, 0.6, 257), np.linspace(-1.2, 1.1, 89), w[3:-5])
+    for h in (0.1, 0.2):
+        (op,) = spectral_kernels([h], MIX, TAPER_W, 3.0)
+        basis, lefts = op.factors(w, *grids)
+        with monkeypatch.context() as m:
+            m.setattr(dk, "_PHASE_ELEMS", 1)
+            m.setattr(dk, "_SKETCH_GROUP", 1)
+            small_basis, small_lefts = op.factors(w, *grids)
+        assert small_basis.shape == basis.shape
+        peak = np.sum(op.factor)
+        for left, small in zip(lefts, small_lefts):
+            kernel, small_kernel = left @ basis.T, small @ small_basis.T
+            assert np.max(np.abs(small_kernel - kernel)) <= 1e-12 * peak
+            # each basis holds the kernel rows the other one found
+            for k, b in ((kernel, small_basis), (small_kernel, basis)):
+                assert np.max(np.abs(k - (k @ b) @ b.T)) <= 1e-12 * peak
 
 
 def test_kernel_eval_is_symmetric():
