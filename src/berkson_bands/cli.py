@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -33,8 +32,7 @@ from .bands import (
     write_band,
 )
 from .bandwidth import lepski_select, undersmooth
-from .deconv_kernel import (TaperSpec, fourier_sums, kernel_table, phi_k,
-                            spectral_kernels)
+from .deconv_kernel import fourier_sums, kernel_table, phi_k, spectral_kernels
 from .design import (_A_N, RegressionSample, build_regular, load_sample,
                      write_columns)
 from .estimator import estimate_g
@@ -62,6 +60,14 @@ def positive_real(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """Flag type for a positive integer; argparse names the flag."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="berkson-bands",
@@ -70,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--json", action="store_true", dest="json_out",
                    help="emit a JSON summary on stdout")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (fallback: env BB_THREADS, default 1)")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     def add_noise_flags(sp):
@@ -83,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_taper_flags(sp):
         sp.add_argument("--taper", choices=["damped_cutoff", "smooth_poly"])
         sp.add_argument("--cutoff", type=float)
-        sp.add_argument("--flat-radius", type=float, default=0.5,
-                        dest="flat_radius")
 
     def add_estimation_flags(sp):
         sp.add_argument("--input", required=True,
@@ -106,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_estimation_flags(sp)
     sp.add_argument("--alpha", type=float, default=BandRequest.alpha)
     sp.add_argument("--M", type=int, default=BandRequest.draws)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=BandRequest.seed)
     sp.add_argument("--d-n", type=int, dest="d_n")
     sp.add_argument("--b-n", type=float, dest="b_n")
     sp.add_argument("--split", action="store_true")
@@ -118,6 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--reps", type=int, dest="R")
     sp.add_argument("--bootstrap", type=int, dest="M", default=None)
     sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--threads", type=positive_int, default=1,
+                    help="worker processes (default 1)")
     sp.add_argument("--out", required=True, help="output directory")
 
     sp = sub.add_parser("kernel-dump", help="tabulate the deconvolution kernel")
@@ -133,24 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _threads(args) -> int:
-    """Worker cap from --threads, else env BB_THREADS, else 1; at least 1."""
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
-        return args.threads
-    env = os.environ.get("BB_THREADS", "")
-    if not env:
-        return 1
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise ConfigError(f"BB_THREADS must be an integer, got {env!r}") from exc
-    if value < 1:
-        raise ConfigError(f"BB_THREADS must be at least 1, got {env!r}")
-    return value
-
-
 def _noise_from(args: argparse.Namespace):
     try:
         return make_noise(args.density, sigma_delta=args.sigma_delta,
@@ -159,19 +145,21 @@ def _noise_from(args: argparse.Namespace):
         raise ConfigError(f"--sigma-delta/--lam/--mu: {exc}") from exc
 
 
-def _taper_from(args: argparse.Namespace, noise):
-    if args.taper is None:
-        if args.cutoff is not None:
-            raise ConfigError("--cutoff requires --taper")
-        return default_taper(noise)
+def _replaced(config, flags: str, **fields):
+    """``config`` with the fields whose flag was given replaced; ``flags``
+    names those flags in the error message."""
     try:
-        return TaperSpec(
-            kind=args.taper,
-            cutoff=args.cutoff if args.cutoff is not None else 1.0,
-            flat_radius=args.flat_radius,
-        )
+        return dataclasses.replace(
+            config, **{k: v for k, v in fields.items() if v is not None})
     except ValueError as exc:
-        raise ConfigError(f"--taper/--cutoff/--flat-radius: {exc}") from exc
+        raise ConfigError(f"{flags}: {exc}") from exc
+
+
+def _taper_from(args: argparse.Namespace, noise):
+    """The error law's preset taper, with --taper and --cutoff each
+    replacing one of its fields."""
+    return _replaced(default_taper(noise), "--taper/--cutoff",
+                     kind=args.taper, cutoff=args.cutoff)
 
 
 def _load_input(args: argparse.Namespace):
@@ -305,13 +293,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"--scenario {name!r} is neither a preset "
             f"({', '.join(sorted(SCENARIOS))}) nor a file"
         )
-    flags = {"reps": args.R, "draws": args.M, "seed": args.seed}
-    updates = {k: v for k, v in flags.items() if v is not None}
-    if updates:
-        try:
-            scenario = dataclasses.replace(scenario, **updates)
-        except ValueError as exc:
-            raise ConfigError(f"--reps/--bootstrap/--seed: {exc}") from exc
+    scenario = _replaced(scenario, "--reps/--bootstrap/--seed",
+                         reps=args.R, draws=args.M, seed=args.seed)
     report = run_scenario(scenario, workers=args.threads)
     export_report(report, args.out)
     _emit(
@@ -512,7 +495,6 @@ def parse_and_dispatch(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.threads = _threads(args)
         return _DISPATCH[args.subcommand](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

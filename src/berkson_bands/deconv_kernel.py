@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,32 +80,23 @@ _PHASE_ELEMS = 1 << 17
 class TaperSpec:
     """Spectral taper choice.
 
-    kind 'smooth_poly': 1 on [-flat_radius*cutoff, ...], then a quintic
+    kind 'smooth_poly': 1 on [-knot*cutoff, knot*cutoff], then a quintic
     smoothstep bridge down to 0 at |t| = cutoff.  kind 'damped_cutoff':
     the damped spectral cutoff 1 - exp(-(cutoff/t)^2), closed with the
-    same bridge over the outer half so the taper stays C^2.  cutoff sets
-    the frequency reach; 1.0 reproduces the unit-band convention, while
-    simulation presets use larger values tuned per error law.
+    same bridge so the taper stays C^2.  cutoff sets the frequency reach;
+    bands.default_taper holds each error law's preset.
     """
 
-    kind: str = "damped_cutoff"
-    cutoff: float = 1.0
-    flat_radius: float = 0.5
+    kind: str
+    cutoff: float
+    # Fraction of the cutoff where the bridge down to 0 starts.
+    knot: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in ("smooth_poly", "damped_cutoff"):
             raise ValueError(f"unknown taper kind {self.kind!r}")
         if not (math.isfinite(self.cutoff) and self.cutoff > 0):
             raise ValueError(f"cutoff must be positive and finite, got {self.cutoff}")
-        if not 0.0 < self.flat_radius < 1.0:
-            raise ValueError(
-                f"flat_radius must be in (0,1), got {self.flat_radius}"
-            )
-
-    @property
-    def knot(self) -> float:
-        """Fraction of the cutoff where the bridge down to 0 starts."""
-        return self.flat_radius if self.kind == "smooth_poly" else 0.5
 
 
 def _smoothstep_fall(s):

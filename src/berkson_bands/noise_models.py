@@ -1,16 +1,18 @@
 """Error laws for the Berkson covariate noise.
 
 Each law exposes its characteristic function, its Lebesgue density, a
-sampler, and the polynomial-decay envelope constants used by the
-deconvolution machinery: c_lower * (1+t^2)^(-beta/2) <= |charfn(t)| <=
-c_upper * (1+t^2)^(-beta/2).  ``ripple`` is the highest frequency at
-which 1/charfn oscillates, which sets how finely a quadrature over t
-must sample it.
+sampler, and its polynomial-decay envelope constants: c_lower *
+(1+t^2)^(-beta/2) <= |charfn(t)| <= c_upper * (1+t^2)^(-beta/2), which
+acceptance criterion 5 and the tests check.  The smoothness degree beta
+and class belong to the law, not to an instance.  ``ripple`` is the
+highest frequency at which 1/charfn oscillates, which sets how finely a
+quadrature over t must sample it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,8 +44,8 @@ class Laplace:
     def __post_init__(self) -> None:
         _check_rate(self.a)
 
-    beta: float = 2.0
-    smoothness_class: str = "S"
+    beta: ClassVar[float] = 2.0
+    smoothness_class: ClassVar[str] = "S"
 
     @property
     def c_lower(self) -> float:
@@ -90,8 +92,8 @@ class LaplaceMixture:
         if not (math.isfinite(self.mu) and self.mu >= 0):
             raise ValueError(f"shift must be nonnegative and finite, got {self.mu}")
 
-    beta: float = 2.0
-    smoothness_class: str = "W"
+    beta: ClassVar[float] = 2.0
+    smoothness_class: ClassVar[str] = "W"
 
     @property
     def c_lower(self) -> float:
@@ -143,10 +145,10 @@ class LaplaceMixture:
 class NoError:
     """Degenerate point mass at zero (no covariate noise)."""
 
-    beta: float = 0.0
-    smoothness_class: str = "S"
-    c_lower: float = 0.5
-    c_upper: float = 2.0
+    beta: ClassVar[float] = 0.0
+    smoothness_class: ClassVar[str] = "S"
+    c_lower: ClassVar[float] = 0.5
+    c_upper: ClassVar[float] = 2.0
 
     @property
     def ripple(self) -> float:

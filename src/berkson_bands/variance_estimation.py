@@ -160,7 +160,6 @@ class VarianceCurve:
     residuals: np.ndarray
     h_v: float
     floor: float
-    degenerate: bool = False
 
     @functools.cached_property
     def _sums(self) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +219,7 @@ def estimate_nu(
             f"smoothing windows would be empty"
         )
     mean_r = float(np.mean(r))
-    degenerate = mean_r == 0.0
-    if degenerate:
+    if mean_r == 0.0:
         warnings.warn(
             "constant responses: variance curve reduced to its floor",
             RuntimeWarning,
@@ -233,5 +231,4 @@ def estimate_nu(
         residuals=r,
         h_v=h_v,
         floor=float(floor),
-        degenerate=degenerate,
     )

@@ -7,7 +7,7 @@ from berkson_bands.deconv_kernel import spectral_kernels
 A_N = 2.0 / 3.0
 TAPER_S = TaperSpec(kind="damped_cutoff", cutoff=5.5)
 TAPER_W = TaperSpec(kind="damped_cutoff", cutoff=16.0)
-SMOOTH = TaperSpec(kind="smooth_poly", cutoff=1.0, flat_radius=0.5)
+SMOOTH = TaperSpec(kind="smooth_poly", cutoff=1.0)
 LAP01 = make_noise("laplace", sigma_delta=0.1)
 MIX = make_noise("mixture", sigma_delta=0.05, lam=0.2, mu=0.3)
 

@@ -1,7 +1,6 @@
 """Command-line entry points, exercised in process plus one subprocess smoke."""
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import subprocess
@@ -14,7 +13,7 @@ from berkson_bands import (SCENARIOS, RegressionSample, build_regular,
                            default_taper, g_a, generate_sample, load_sample,
                            save_sample)
 from berkson_bands import cli, simulation
-from berkson_bands.cli import ConfigError, _threads, parse_and_dispatch
+from berkson_bands.cli import parse_and_dispatch
 
 from conftest import A_N, LAP01, SMOOTH, operator_for
 from oracles import kernel_eval
@@ -184,13 +183,13 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
     for command in (["estimate", "--input", str(data_csv), "--h", "0.25"],
                     ["band", "--input", str(data_csv), "--h", "0.25"],
                     ["kernel-dump", "--h", "0.25"]):
-        for cutoff in ("nan", "inf"):
-            argv = command + ["--density", "laplace", "--sigma-delta", "0.1",
-                              "--taper", "damped_cutoff", "--cutoff", cutoff,
-                              "--out", str(taper_out)]
-            assert parse_and_dispatch(argv) == 2
-            err = capsys.readouterr().err
-            assert "--taper/--cutoff/--flat-radius" in err and "finite" in err
+        for taper in (["--taper", "damped_cutoff"], []):
+            for cutoff in ("nan", "inf"):
+                argv = command + ["--density", "laplace", "--sigma-delta", "0.1",
+                                  *taper, "--cutoff", cutoff, "--out", str(taper_out)]
+                assert parse_and_dispatch(argv) == 2
+                err = capsys.readouterr().err
+                assert "--taper/--cutoff" in err and "finite" in err
     assert not taper_out.exists()
 
 
@@ -217,6 +216,27 @@ def test_band_on_a_too_short_interval_writes_nothing(data_csv, tmp_path, capsys)
         assert f"config error: --interval: interval [{a}, {b}]" in err
         assert "use an interval longer than" in err
     assert not out.exists()
+
+
+def test_taper_flags_replace_one_field_of_the_preset(tmp_path):
+    sc = SCENARIOS["ga_n100_s10"]
+    data = tmp_path / "ga.csv"
+    save_sample(generate_sample(sc, np.random.SeedSequence(1)), data)
+    band = ["band", "--input", str(data), "--density", "laplace",
+            "--sigma-delta", str(sc.sigma_delta), "--h", str(sc.h)]
+    written = []
+    # naming the preset's own kind or cutoff keeps the preset band
+    for flags in ([], ["--taper", "damped_cutoff"], ["--cutoff", "5.5"]):
+        out = tmp_path / f"band{len(written)}.csv"
+        assert parse_and_dispatch(band + flags + ["--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+    parser = cli._build_parser()
+    for density, law_cutoff in (("laplace", 5.5), ("mixture", 16.0), ("none", 5.5)):
+        args = parser.parse_args(["kernel-dump", "--h", "0.5", "--density", density,
+                                  "--sigma-delta", "0.1", "--taper", "smooth_poly"])
+        spec = cli._taper_from(args, cli._noise_from(args))
+        assert (spec.kind, spec.cutoff) == ("smooth_poly", law_cutoff)
 
 
 def test_simulate_runs_scenario_files(tmp_path, capsys):
@@ -266,7 +286,7 @@ def test_interrupted_simulation_writes_null_rates(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(simulation, "_run_rep", interrupt)
     out = tmp_path / "sim"
-    assert parse_and_dispatch(["--json", "--threads", "1", "simulate",
+    assert parse_and_dispatch(["--json", "simulate", "--threads", "1",
                                "--scenario", "ga_n100_s10", "--reps", "2",
                                "--out", str(out)]) == 1
     payload = json.loads(capsys.readouterr().out, parse_constant=strict)
@@ -308,32 +328,33 @@ def test_kernel_dump_and_selftest(tmp_path, capsys):
     assert payload["ok"] and all(c["pass"] is True for c in payload["checks"])
 
 
-def test_threads_resolution(monkeypatch):
-    ns = argparse.Namespace(threads=None)
-    monkeypatch.delenv("BB_THREADS", raising=False)
-    assert _threads(ns) == 1
-    monkeypatch.setenv("BB_THREADS", "3")
-    assert _threads(ns) == 3
-    assert _threads(argparse.Namespace(threads=4)) == 4
+def test_threads_resolution(data_csv, tmp_path, monkeypatch):
+    # only simulate starts workers; no environment variable sets their count
     monkeypatch.setenv("BB_THREADS", "x")
-    with pytest.raises(ConfigError, match="BB_THREADS must be an integer"):
-        _threads(ns)
-    for bad in ("0", "-2"):
-        monkeypatch.setenv("BB_THREADS", bad)
-        with pytest.raises(ConfigError, match="BB_THREADS must be at least 1"):
-            _threads(ns)
-    for bad in (0, -3):
-        with pytest.raises(ConfigError, match="--threads must be at least 1"):
-            _threads(argparse.Namespace(threads=bad))
+    assert parse_and_dispatch(["band", "--input", str(data_csv), "--density",
+                               "laplace", "--sigma-delta", "0.1", "--h", "0.25",
+                               "--M", "100", "--out", str(tmp_path / "b.csv")]) == 0
+    sim = ["simulate", "--scenario", "ga_n100_s10", "--reps", "2",
+           "--bootstrap", "100"]
+    summaries = []
+    for extra in ([], ["--threads", "2"]):
+        out = tmp_path / f"sim{len(extra)}"
+        assert parse_and_dispatch(sim + extra + ["--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        summary.pop("runtime")
+        summaries.append(summary)
+    assert summaries[0] == summaries[1]
 
 
-def test_bad_thread_counts_exit_with_code_two(monkeypatch, capsys):
-    monkeypatch.delenv("BB_THREADS", raising=False)
-    assert parse_and_dispatch(["--threads", "0", "selftest"]) == 2
-    assert "--threads" in capsys.readouterr().err
-    monkeypatch.setenv("BB_THREADS", "-1")
-    assert parse_and_dispatch(["selftest"]) == 2
-    assert "BB_THREADS" in capsys.readouterr().err
+def test_bad_thread_counts_exit_with_code_two(tmp_path, capsys):
+    out = tmp_path / "sim"
+    for bad in ("0", "-1", "x", "1.5"):
+        assert parse_and_dispatch(["simulate", "--scenario", "ga_n100_s10",
+                                   "--threads", bad, "--out", str(out)]) == 2
+        assert "--threads" in capsys.readouterr().err
+    # a command that starts no worker has no --threads
+    assert parse_and_dispatch(["--threads", "2", "selftest"]) == 2
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_keys(capsys):

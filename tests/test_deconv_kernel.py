@@ -32,8 +32,12 @@ def test_taper_validation():
     for cutoff in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="cutoff must be positive and finite"):
             TaperSpec(kind="damped_cutoff", cutoff=cutoff)
-    with pytest.raises(ValueError, match="flat_radius"):
-        TaperSpec(kind="smooth_poly", cutoff=1.0, flat_radius=1.0)
+    # both fields are set by every caller; the bridge starts at half the
+    # cutoff for both kinds
+    for bad in ((), ("damped_cutoff",), ("smooth_poly", 1.0, 0.3)):
+        with pytest.raises(TypeError):
+            TaperSpec(*bad)
+    assert SMOOTH.knot == TAPER_S.knot == 0.5
 
 
 def test_damped_cutoff_shape():

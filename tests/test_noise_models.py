@@ -144,6 +144,25 @@ def test_error_free_law_degenerates():
         law.density(0.0)
 
 
+def test_law_constants_are_not_constructor_arguments():
+    # beta, the smoothness class and NoError's envelope belong to the law
+    for build in (lambda: Laplace(2.0, 1.0), lambda: Laplace(a=2.0, beta=1.0),
+                  lambda: LaplaceMixture(1.0, 0.2, 0.3, 2.0),
+                  lambda: NoError(c_lower=5.0)):
+        with pytest.raises(TypeError):
+            build()
+    for law, values in ((Laplace(a=2.0), (2.0, "S", 1.0, 4.0)),
+                        (LaplaceMixture(a=1.0, lam=0.2, mu=0.3), (2.0, "W", 0.6, 1.0)),
+                        (NoError(), (0.0, "S", 0.5, 2.0))):
+        got = (law.beta, law.smoothness_class, law.c_lower, law.c_upper)
+        assert got == pytest.approx(values, rel=1e-15)
+    # equal laws key the same band workspace
+    for one, two in ((Laplace(a=2.0), Laplace(2.0)),
+                     (MIX, LaplaceMixture(MIX.a, 0.2, 0.3)), (NoError(), NoError())):
+        assert one == two and hash(one) == hash(two)
+    assert Laplace(a=2.0) != LaplaceMixture(a=2.0, lam=0.0, mu=0.0)
+
+
 def test_make_noise_dispatch():
     assert isinstance(make_noise("none"), NoError)
     assert make_noise("laplace", sigma_delta=0.1) == Laplace(a=math.sqrt(2.0) / 0.1)
