@@ -360,12 +360,12 @@ def _workspace(
 
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
+    vpoints = np.concatenate((xe, w))
     try:
-        (ie, ce), (iw, cw) = (windows(mids, hv, x) for x in (xe, w))
+        vindex, vcoef = windows(mids, hv, vpoints)
     except ValueError as exc:
-        shortest = shortest_interval(mids, np.concatenate((xe, w)), design.size)
+        shortest = shortest_interval(mids, vpoints, design.size)
         raise _too_short(interval, exc, shortest) from None
-    vindex, vcoef = np.concatenate((ie, iw), 2), np.concatenate((ce, cw), 2)
     vmoments = window_moments(mids, hv)
     vsums = window_read(window_sums(vmoments, np.ones(mids.size)), vindex, vcoef)
 
@@ -604,8 +604,8 @@ def build_band_extension(
         raise ValueError(f"d_n={sd.d_n} holds out one design point; the "
                          f"variance curve needs at least two")
     try:
-        nu_curve = estimate_nu(sample, request.interval, mask=held)
-        nu_carry, nu_g = nu_curve(w[carry]), nu_curve(eg.points)
+        nu = estimate_nu(sample, request.interval, mask=held)(
+            np.concatenate((w[carry], eg.points)))
     except ValueError as exc:
         raise _too_short(request.interval, exc,
                          _split_shortest(w[held], w[carry], a_n, h)) from None
@@ -615,9 +615,9 @@ def build_band_extension(
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights
     mult_w = np.zeros(design.size)
-    mult_w[carry] = est_w[carry] * nu_carry
+    mult_w[carry] = est_w[carry] * nu[: carry.size]
     return _assemble(sample, request, noise.beta, eg, kg, basis, est_w, mult_w,
-                     nu_g)
+                     nu[carry.size :])
 
 
 def _split_shortest(held, carried, a_n: float, h: float) -> float:

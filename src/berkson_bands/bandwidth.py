@@ -38,7 +38,6 @@ _MAX_DEPTH = 5
 class LepskiResult:
     h: float
     k: int
-    flag: bool
     deviations: list[tuple[int, int, float, float]] = field(repr=False)
     # each record is (k, l, sup deviation, threshold tau_l)
 
@@ -72,43 +71,35 @@ def lepski_select(
     k_u; the smallest admissible k wins, with beta from ``noise`` and n
     and a_n from the sample's design, which also fix the range k_l..k_u
     (_dyadic_range).  Sup-norms are taken over ``interval`` on the
-    evaluation grid of the finer bandwidth of each pair.  When no k is
-    admissible the finest bandwidth is returned with the flag set.
+    evaluation grid of the finer bandwidth of each pair.  The finest
+    bandwidth is always admissible: its one test compares ghat with
+    itself, a deviation of 0 below tau > 0.
     """
     design = sample.design
     n, a_n = design.n, design.a_n
     k_l, k_u = _dyadic_range(n, noise.beta, a_n)
-    ks = list(range(k_l, k_u + 1))
-    hs = {k: 2.0 ** (-k) for k in ks}
+    hs = [2.0 ** (-k) for k in range(k_l, k_u + 1)]
     # the coarsest bandwidth comes first, where the interval check is tightest
-    grids = {k: make_eval_grid(interval, n, a_n, hs[k]).points for k in ks}
-    kernels = dict(zip(ks, spectral_kernels(
-        [hs[k] for k in ks], noise, spec, design.reach(interval))))
+    grids = [make_eval_grid(interval, n, a_n, h).points for h in hs]
+    kernels = spectral_kernels(hs, noise, spec, design.reach(interval))
     # the finest operator's nodes hold every other's: one transform
-    spectrum = kernels[k_u].transform(design.points, design.weights * sample.responses)
-    on_grid: dict[int, dict[int, np.ndarray]] = {}
+    spectrum = kernels[-1].transform(design.points, design.weights * sample.responses)
+    # lists by position i = k - k_l; est[l][i] is ghat(.;h_i) on grid l, i <= l
+    est = [_node_sums(grid, kernels[: l + 1], spectrum)
+           for l, grid in enumerate(grids)]
 
-    def est(k: int, on_l: int) -> np.ndarray:
-        if on_l not in on_grid:
-            coarser = [j for j in ks if j <= on_l]
-            rows = _node_sums(grids[on_l], [kernels[j] for j in coarser], spectrum)
-            on_grid[on_l] = dict(zip(coarser, rows))
-        return on_grid[on_l][k]
-
-    log_n = math.log(n)
+    tau = [_C_L * math.sqrt(math.log(n) / (n * a_n * h ** (1.0 + 2.0 * noise.beta)))
+           for h in hs]
     deviations: list[tuple[int, int, float, float]] = []
-    for k in ks:
-        for l in range(k, k_u + 1):
-            tau = _C_L * math.sqrt(
-                log_n / (n * a_n * hs[l] ** (1.0 + 2.0 * noise.beta))
-            )
-            dev = float(np.max(np.abs(est(k, l) - est(l, l))))
-            deviations.append((k, l, dev, tau))
-            if dev > tau:
+    for i in range(len(hs)):
+        for l in range(i, len(hs)):
+            dev = float(np.max(np.abs(est[l][i] - est[l][l])))
+            deviations.append((k_l + i, k_l + l, dev, tau[l]))
+            if dev > tau[l]:
                 break
         else:
-            return LepskiResult(h=hs[k], k=k, flag=False, deviations=deviations)
-    return LepskiResult(h=hs[k_u], k=k_u, flag=True, deviations=deviations)
+            return LepskiResult(h=hs[i], k=k_l + i, deviations=deviations)
+    raise AssertionError("the finest bandwidth is always admissible")
 
 
 def undersmooth(h: float, n: int) -> float:

@@ -269,7 +269,7 @@ def _cmd_band(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # the checks on user-set values name what they reject
         for key, flag in (("d_n", "--d-n"), ("b_n", "--b-n"),
-                          ("too short", "--interval")):
+                          ("too short", "--interval"), ("too large", "--h")):
             if key in str(exc):
                 raise ConfigError(f"{flag}: {exc}") from exc
         raise

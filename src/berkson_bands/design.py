@@ -151,15 +151,10 @@ def build_split(design: Design, d_n: int | None = None) -> SplitDesign:
         d_n = default_d_n(n)
     if not 2 <= d_n <= 2 * n:
         raise ValueError(f"need 2 <= d_n <= 2n = {2 * n}, got {d_n}")
-    removed = np.array(
-        [-n + k * d_n for k in range(1, 2 * n // d_n + 1) if -n + k * d_n <= n],
-        dtype=int,
-    )
-    removed_set = set(removed.tolist())
-    kept = np.array([j for j in range(-n, n + 1) if j not in removed_set], dtype=int)
+    removed = np.arange(-n + d_n, n + 1, d_n)
+    kept = np.delete(np.arange(-n, n + 1), removed + n)
     base_w = design.weights[kept + n]
-    doubled = np.array([(j - 1) in removed_set for j in kept])
-    gap_weights = np.where(doubled, 2.0 * base_w, base_w)
+    gap_weights = np.where(np.isin(kept - 1, removed), 2.0 * base_w, base_w)
     return SplitDesign(d_n=d_n, kept=kept, removed=removed, gap_weights=gap_weights)
 
 

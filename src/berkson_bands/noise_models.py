@@ -46,6 +46,7 @@ class Laplace:
 
     beta: ClassVar[float] = 2.0
     smoothness_class: ClassVar[str] = "S"
+    ripple: ClassVar[float] = 0.0
 
     @property
     def c_lower(self) -> float:
@@ -54,10 +55,6 @@ class Laplace:
     @property
     def c_upper(self) -> float:
         return max(self.a**2, 1.0)
-
-    @property
-    def ripple(self) -> float:
-        return 0.0
 
     def charfn(self, t):
         t = np.asarray(t, dtype=float)
@@ -124,10 +121,7 @@ class LaplaceMixture:
 
     def density(self, x):
         x = np.asarray(x, dtype=float)
-
-        def f0(u):
-            return 0.5 * self.a * np.exp(-self.a * np.abs(u))
-
+        f0 = Laplace(self.a).density
         return (1.0 - self.lam) * f0(x) + 0.5 * self.lam * (
             f0(x - self.mu) + f0(x + self.mu)
         )
@@ -149,10 +143,7 @@ class NoError:
     smoothness_class: ClassVar[str] = "S"
     c_lower: ClassVar[float] = 0.5
     c_upper: ClassVar[float] = 2.0
-
-    @property
-    def ripple(self) -> float:
-        return 0.0
+    ripple: ClassVar[float] = 0.0
 
     def charfn(self, t):
         t = np.asarray(t, dtype=float)

@@ -40,20 +40,18 @@ __all__ = [
 ]
 
 
-def _bump(x: np.ndarray, center: float) -> np.ndarray:
-    s = x - center
+def _bump(x, center: float) -> np.ndarray:
+    s = np.asarray(x, dtype=float) - center
     return np.where(
         2.0 * np.abs(s) <= 1.0, np.maximum(1.0 - 4.0 * s**2, 0.0) ** 5, 0.0
     )
 
 
 def g_a(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
     return _bump(x, 0.1)
 
 
 def g_b(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
     return _bump(x, -0.4) + _bump(x, 0.3)
 
 
@@ -239,7 +237,6 @@ def export_report(report: ScenarioReport, out_dir) -> None:
         "spacing": report.spacing,
         "interrupted": report.interrupted,
     }
-    summary["scenario"]["interval"] = list(sc.interval)
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")

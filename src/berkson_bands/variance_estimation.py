@@ -26,7 +26,6 @@ wherever the midpoints lie and however many there are.
 """
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -161,18 +160,13 @@ class VarianceCurve:
     h_v: float
     floor: float
 
-    @functools.cached_property
-    def _sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """window_sums tables of the residuals and of 1, kept for every read."""
-        moments = window_moments(self.midpoints, self.h_v)
-        return (window_sums(moments, self.residuals),
-                window_sums(moments, np.ones(self.residuals.size)))
-
     def variance(self, x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
         index, coef = windows(self.midpoints, self.h_v, x)
-        num, den = (window_read(s, index, coef) for s in self._sums)
+        moments = window_moments(self.midpoints, self.h_v)
+        num, den = (window_read(window_sums(moments, r), index, coef)
+                    for r in (self.residuals, np.ones(self.residuals.size)))
         out = np.maximum(num / den, self.floor**2)
         return float(out[0]) if scalar else out
 

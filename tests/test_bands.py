@@ -668,6 +668,14 @@ def test_band_rejects_interval_outside_identifiable_range(s200):
         build_band(s200, bad, LAP01)
 
 
+def test_band_rejects_a_bandwidth_without_a_pilot_range(s200):
+    # (0, 0.1) lies in the identifiable range at h = 1.3, [-0.2, 0.2], but
+    # the pilot range at 1.2 h is empty
+    too_wide = BandRequest(interval=(0.0, 0.1), h=1.3)
+    with pytest.raises(ValueError, match=r"h=1.3 too large for the design span"):
+        build_band(s200, too_wide, LAP01)
+
+
 def test_request_validation_and_low_draw_warning():
     with pytest.raises(ValueError, match="invalid interval"):
         BandRequest(interval=(0.5, -0.5), h=0.2)

@@ -1,6 +1,7 @@
 """The dyadic selection rule and undersmoothing."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_selection_on_flat_responses_keeps_coarsest_bandwidth():
     d = build_regular(200, A_N)
     s = RegressionSample(design=d, responses=np.full(d.size, 3.0))
     res = lepski_select(s, LAP01, TAPER_S, (-0.7, 0.6))
-    assert (res.k, res.h, res.flag) == (1, 0.5, False)
+    assert (res.k, res.h) == (1, 0.5)
     assert all(dev <= tau for _, _, dev, tau in res.deviations)
 
 
@@ -50,7 +51,6 @@ def test_huge_threshold_accepts_coarsest_bandwidth(monkeypatch):
     monkeypatch.setattr(bandwidth_mod, "_C_L", 1e12)
     res = lepski_select(noisy_sample(200, seed=0), LAP01, TAPER_S, (-0.7, 0.6))
     assert res.k == 1
-    assert not res.flag
 
 
 def test_selection_requires_containment_at_coarsest_bandwidth():
@@ -66,8 +66,23 @@ def test_selection_agrees_with_the_table_route(c_l, monkeypatch):
     d = s.design
     k_l, k_u = bandwidth_mod._dyadic_range(200, LAP01.beta, A_N)
     monkeypatch.setattr(bandwidth_mod, "_C_L", c_l)
+    calls = []
+
+    def spy(grid, kernels, spectrum):
+        calls.append((grid, [op.h for op in kernels]))
+        return node_sums(grid, kernels, spectrum)
+
+    node_sums = bandwidth_mod._node_sums
+    monkeypatch.setattr(bandwidth_mod, "_node_sums", spy)
     interval = (-0.7, 0.6)
     res = lepski_select(s, LAP01, TAPER_S, interval)
+    assert [f.name for f in dataclasses.fields(res)] == ["h", "k", "deviations"]
+    # one Fourier sum per dyadic grid, over the operators of h_l and coarser
+    hs = [2.0 ** -k for k in range(k_l, k_u + 1)]
+    assert len(calls) == len(hs)
+    for l, (grid, kernel_hs) in enumerate(calls):
+        assert np.array_equal(grid, make_eval_grid(interval, d.n, A_N, hs[l]).points)
+        assert kernel_hs == hs[: l + 1]
     ests = {}
 
     def table_dev(k, l):

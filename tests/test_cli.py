@@ -218,6 +218,15 @@ def test_band_on_a_too_short_interval_writes_nothing(data_csv, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_band_with_a_too_large_h_exits_two(data_csv, tmp_path, capsys):
+    out = tmp_path / "wide.csv"
+    assert parse_and_dispatch(["band", "--input", str(data_csv), "--density",
+                               "laplace", "--sigma-delta", "0.1", "--h", "1.3",
+                               "--interval", "0", "0.1", "--out", str(out)]) == 2
+    assert "config error: --h: bandwidth h=1.3 too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_taper_flags_replace_one_field_of_the_preset(tmp_path):
     sc = SCENARIOS["ga_n100_s10"]
     data = tmp_path / "ga.csv"

@@ -470,6 +470,9 @@ def test_table_argument_validation():
             kernel_table(0.25, LAP01, TAPER_S, span=span)
     with pytest.raises(ValueError, match="bandwidth must be positive"):
         kernel_table(float("nan"), LAP01, TAPER_S, span=8.0)
+    for h in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            spectral_kernels([h], LAP01, TAPER_S, 1.0)
 
 
 def _squared_norm(h, noise, spec):

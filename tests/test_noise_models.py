@@ -163,6 +163,16 @@ def test_law_constants_are_not_constructor_arguments():
     assert Laplace(a=2.0) != LaplaceMixture(a=2.0, lam=0.0, mu=0.0)
 
 
+def test_mixture_without_a_shift_or_a_weight_is_laplace():
+    a = MIX.a
+    assert LaplaceMixture(a, 0.0, MIX.mu).ripple == 0.0
+    assert LaplaceMixture(a, MIX.lam, 0.0).ripple == 0.0
+    assert Laplace(a).ripple == NoError().ripple == 0.0
+    x = np.linspace(-1.0, 1.0, 201)
+    assert np.array_equal(LaplaceMixture(a, 0.0, MIX.mu).density(x),
+                          Laplace(a).density(x))
+
+
 def test_make_noise_dispatch():
     assert isinstance(make_noise("none"), NoError)
     assert make_noise("laplace", sigma_delta=0.1) == Laplace(a=math.sqrt(2.0) / 0.1)
