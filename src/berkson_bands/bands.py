@@ -49,10 +49,9 @@ from .design import (Design, RegressionSample, _is_int, build_split,
                      check_identifiable, default_b_n, identifiable_range,
                      ordered_interval, write_columns)
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
-from .variance_estimation import (estimate_nu, midpoints, pseudo_residuals,
-                                  shortest_interval, smoothing_bandwidth,
-                                  window_moments, window_read, window_sums,
-                                  windows)
+from .variance_estimation import (Windows, estimate_nu, midpoints,
+                                  pseudo_residuals, shortest_interval,
+                                  smoothing_bandwidth, windows)
 
 __all__ = [
     "BandRequest",
@@ -107,7 +106,7 @@ class BandRequest:
                 f"only {self.draws} multiplier draws; quantiles will be "
                 f"unstable below 100",
                 UserWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -267,11 +266,9 @@ class _Workspace:
     fields only it needs (ck, spur, basis_t, kt2w, lattice) are None.
 
     The difference-based local variance is read at xe and then at the
-    design points, from one window_sums table per band over the
-    midpoint moments ``vmoments``: ``vindex`` and ``vcoef`` are the
-    windows of both point sets (variance_estimation.windows), and
-    ``vsums`` their Epanechnikov weight sums.  No field is design x
-    error grid; the largest are the factors, points x rank.
+    design points, from the smoothing windows ``vwin`` of both point
+    sets (variance_estimation.windows).  No field is design x error
+    grid; the largest are the factors, points x rank.
     """
 
     eg: EvalGrid
@@ -288,10 +285,7 @@ class _Workspace:
     kt2w: np.ndarray | None
     xe: np.ndarray
     lattice: tuple | None
-    vmoments: np.ndarray
-    vindex: np.ndarray
-    vcoef: np.ndarray
-    vsums: np.ndarray
+    vwin: Windows
 
 
 def _error_lattice(noise: NoiseModel, design: Design):
@@ -362,19 +356,15 @@ def _workspace(
     hv = smoothing_bandwidth(interval, design.size)
     vpoints = np.concatenate((xe, w))
     try:
-        vindex, vcoef = windows(mids, hv, vpoints)
+        vwin = windows(mids, hv, vpoints)
     except ValueError as exc:
         shortest = shortest_interval(mids, vpoints, design.size)
         raise _too_short(interval, exc, shortest) from None
-    vmoments = window_moments(mids, hv)
-    vsums = window_read(window_sums(vmoments, np.ones(mids.size)), vindex, vcoef)
 
     return _Workspace(
         eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, k2w=k2w,
         spur=spur, k2sg=k2sg, k2sw=k2sw, basis_t=basis_t, kt2w=kt2w, xe=xe,
-        lattice=lattice, vmoments=vmoments, vindex=vindex, vcoef=vcoef,
-        vsums=vsums,
-    )
+        lattice=lattice, vwin=vwin)
 
 
 def _too_short(interval, cause, shortest: float) -> ValueError:
@@ -463,7 +453,7 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     wts = sample.design.weights
     y = sample.responses
     r = pseudo_residuals(y)
-    v_nw = window_read(window_sums(ws.vmoments, r), ws.vindex, ws.vcoef) / ws.vsums
+    v_nw = ws.vwin.average(r)
     v_nw_e, v_nw_w = v_nw[: ws.xe.size], v_nw[ws.xe.size :]
     s2min = float(np.min(v_nw_e))
     sc2 = float(np.mean(r))
@@ -582,8 +572,8 @@ def build_band_extension(
     """
     if noise.smoothness_class != "W":
         raise ValueError(
-            "extension band expects an oscillating error law; use "
-            "build_band for smooth-class laws"
+            "the split band needs an oscillating error law, such as a "
+            "Laplace mixture; a smooth-class law takes the plain band"
         )
     spec = taper if taper is not None else default_taper(noise)
     design = sample.design

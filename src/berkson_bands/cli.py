@@ -32,7 +32,8 @@ from .bands import (
     write_band,
 )
 from .bandwidth import lepski_select, undersmooth
-from .deconv_kernel import fourier_sums, kernel_table, phi_k, spectral_kernels
+from .deconv_kernel import (_GRID_LEN, fourier_sums, kernel_table, phi_k,
+                            spectral_kernels)
 from .design import (_A_N, RegressionSample, build_regular, load_sample,
                      write_columns)
 from .estimator import estimate_g
@@ -128,8 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=positive_real, required=True)
     add_noise_flags(sp)
     add_taper_flags(sp)
-    sp.add_argument("--a-n", type=positive_real, default=_A_N, dest="a_n")
-    sp.add_argument("--grid-len", type=int, default=1 << 14, dest="grid_len")
+    sp.add_argument("--grid-len", type=int, default=_GRID_LEN, dest="grid_len")
     sp.add_argument("--span", type=float)
     sp.add_argument("--out", default="kernel.csv")
 
@@ -259,16 +259,14 @@ def _cmd_band(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--alpha/--M/--seed: {exc}") from exc
     split = args.split or args.d_n is not None or args.b_n is not None
-    if split and noise.smoothness_class != "W":
-        raise ConfigError("--split/--d-n/--b-n need an oscillating error law "
-                          "(--density mixture)")
     try:
         band = (build_band_extension(sample, request, noise, taper=taper,
                                      d_n=args.d_n, b_n=args.b_n)
                 if split else build_band(sample, request, noise, taper=taper))
     except ValueError as exc:
         # the checks on user-set values name what they reject
-        for key, flag in (("d_n", "--d-n"), ("b_n", "--b-n"),
+        for key, flag in (("oscillating", "--split/--d-n/--b-n"),
+                          ("d_n", "--d-n"), ("b_n", "--b-n"),
                           ("too short", "--interval"), ("too large", "--h")):
             if key in str(exc):
                 raise ConfigError(f"{flag}: {exc}") from exc
@@ -316,10 +314,8 @@ def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     noise = _noise_from(args)
     taper = _taper_from(args, noise)
     try:
-        table = kernel_table(
-            args.h, noise, taper, grid_len=args.grid_len, span=args.span,
-            a_n=args.a_n,
-        )
+        table = kernel_table(args.h, noise, taper, grid_len=args.grid_len,
+                             span=args.span)
     except ValueError as exc:
         raise ConfigError(f"--grid-len/--span: {exc}") from exc
     out = Path(args.out)

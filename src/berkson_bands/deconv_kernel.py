@@ -41,6 +41,8 @@ __all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_table"
 
 # Elements of the largest temporary array of a kernel sum.
 _BLOCK_ELEMS = 1 << 22
+# Intervals of kernel_table's grid; every default grid length reads it.
+_GRID_LEN = 1 << 14
 # Gauss-Legendre nodes of the spectral operator on a frequency panel
 # [lo, hi]: _NODES_PER_TURN per 2 pi of the phase (hi - lo) * rate, plus
 # _PANEL_NODES (see spectral_kernels).  The operator then matches an
@@ -147,22 +149,21 @@ def kernel_table(
     h: float,
     noise: NoiseModel,
     spec: TaperSpec,
-    grid_len: int = 1 << 14,
+    grid_len: int = _GRID_LEN,
     span: float | None = None,
-    a_n: float = _A_N,
 ) -> KernelTable:
     """K(.;h) on [-span, span]: the operator of spectral_kernels for reach
     span h, with K at grid_len + 1 uniform points over [-span, span].
 
-    The default span 4/(a_n h) covers every scaled argument (w_j - x)/h a
-    band evaluation can produce.
+    The default span 4/(a_n h), at the paper's a_n, covers every scaled
+    argument (w_j - x)/h a band evaluation on that design can produce.
     """
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
     if grid_len < 2:
         raise ValueError(f"grid_len must be at least 2, got {grid_len}")
     if span is None:
-        span = 4.0 / (a_n * h)
+        span = 4.0 / (_A_N * h)
     if not (span > 0 and math.isfinite(span)):
         raise ValueError(f"span must be positive and finite, got {span}")
     (op,) = spectral_kernels([h], noise, spec, span * h)

@@ -80,12 +80,9 @@ class Scenario:
             raise ValueError(
                 f"signal must be one of {sorted(SIGNALS)}, got {self.signal!r}"
             )
-        if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        build_regular(self.n, self.a_n)  # the design validates n and a_n
         if not _is_int(self.reps) or self.reps < 1:
             raise ValueError(f"reps must be a positive integer, got {self.reps!r}")
-        if not (math.isfinite(self.a_n) and self.a_n > 0):
-            raise ValueError(f"a_n must be positive and finite, got {self.a_n}")
         if not (0 <= self.sigma < math.inf and 0 <= self.sigma_delta < math.inf):
             raise ValueError("sigma and sigma_delta must be finite and >= 0")
         # h, alpha, draws, seed and the interval are the band request's

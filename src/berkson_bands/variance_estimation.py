@@ -6,7 +6,7 @@ sigma.  estimate_nu smooths the pseudo squared residuals
 floors the result away from zero, as the band construction requires.
 The band's difference-based local variance uses the same pieces:
 midpoints, pseudo_residuals, smoothing_bandwidth, the window smoother
-(window_moments, window_sums, windows, window_read) and
+windows, whose Windows.average is both curves' local average, and
 shortest_interval.
 
 The Epanechnikov weight 1 - ((m - x)/h_v)^2 is a quadratic in the
@@ -70,33 +70,26 @@ def shortest_interval(mids: np.ndarray, x, size: int) -> float:
 
 def _blocks(mids: np.ndarray, h_v: float):
     """The first position of each block of midpoints, with the end
-    appended, and the block centres, with the last one repeated for the
-    empty block after them."""
+    appended; the block centres c, with the last one repeated for the
+    empty block after them; and the powers 1, d and d^2 of d = (m - c)/h_v
+    for every midpoint m and the centre c of its block, a 3 x blocks x
+    (largest block) array, zero past each block's last midpoint."""
     width = _CELL * h_v
     cell = np.floor((mids - mids[0]) / width)
-    first = np.flatnonzero(np.diff(cell, prepend=-1.0))
-    centre = mids[0] + (cell[first] + 0.5) * width
-    return np.append(first, mids.size), np.append(centre, centre[-1])
-
-
-def window_moments(mids: np.ndarray, h_v: float) -> np.ndarray:
-    """Powers 1, d and d^2 of d = (m - c)/h_v for every midpoint m, with c
-    the centre of its block: a 3 x blocks x (largest block) array, zero
-    past each block's last midpoint."""
-    first, centre = _blocks(mids, h_v)
+    first = np.append(np.flatnonzero(np.diff(cell, prepend=-1.0)), mids.size)
+    centre = mids[0] + (cell[first[:-1]] + 0.5) * width
     count = np.diff(first)
     block = np.repeat(np.arange(count.size), count)
     slot = np.arange(mids.size) - first[block]
     d = (mids - centre[block]) / h_v
-    out = np.zeros((3, count.size, int(count.max())))
-    out[:, block, slot] = np.ones(mids.size), d, d * d
-    return out
+    moments = np.zeros((3, count.size, int(count.max())))
+    moments[:, block, slot] = np.ones(mids.size), d, d * d
+    return first, np.append(centre, centre[-1]), moments
 
 
-def window_sums(moments: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _table(moments: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Cumulative sums of ``moments`` times r within each block, from 0
-    at the block's start, and a block of zeros after the last: the table
-    that window_read reads.  One table serves every point set."""
+    at the block's start, and a block of zeros after the last."""
     _, blocks, size = moments.shape
     padded = np.zeros((blocks, size))
     padded[moments[0] > 0.0] = r  # each block's midpoints, in order
@@ -105,17 +98,41 @@ def window_sums(moments: np.ndarray, r: np.ndarray) -> np.ndarray:
     return sums
 
 
-def windows(mids: np.ndarray, h_v: float, x) -> tuple[np.ndarray, np.ndarray]:
-    """Where window_read finds the Epanechnikov sums around each x.
+def _read(sums: np.ndarray, index: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Epanechnikov-weighted window sums sum_m (1 - ((m - x)/h_v)^2) r_m
+    from a _table of r, at the positions ``index`` with the weights
+    ``coef``."""
+    parts = np.take(sums, index, mode="clip")  # in range; clip skips the check
+    parts[1] -= parts[0]
+    return np.einsum("jkp,jkp->p", parts[1:], coef)
+
+
+@dataclass(frozen=True)
+class Windows:
+    """The Epanechnikov windows of the midpoints around a point set (see
+    windows), with their weight sums ``sums``."""
+
+    moments: np.ndarray
+    index: np.ndarray
+    coef: np.ndarray
+    sums: np.ndarray
+
+    def average(self, r: np.ndarray) -> np.ndarray:
+        """Each window's weighted average of the residuals r."""
+        return _read(_table(self.moments, r), self.index, self.coef) / self.sums
+
+
+def windows(mids: np.ndarray, h_v: float, x) -> Windows:
+    """The windows around each x.
 
     The window around x holds the midpoints m with |m - x| < h_v, those
     of positive weight; those of its first block and those of the next
-    are read separately.  Returns the positions in the window_sums table
-    of each power's sum at the window's start, at its end within the
-    first block and at its end in the next block (3 x 3 x points), and
-    each part's weights (1 - t^2, 2t, -1) of the powers, with
-    t = (x - c)/h_v (2 x 3 x points).  Raises when the window around
-    some x holds no midpoint.
+    are read separately.  ``moments`` are those of _blocks, ``index``
+    the positions in a _table of each power's sum at the window's start,
+    at its end within the first block and at its end in the next block
+    (3 x 3 x points), and ``coef`` each part's weights (1 - t^2, 2t, -1)
+    of the powers, with t = (x - c)/h_v (2 x 3 x points).  Raises when
+    the window around some x holds no midpoint.
     """
     x = np.asarray(x, dtype=float)
     lo = np.searchsorted(mids, x - h_v, side="right")
@@ -129,8 +146,8 @@ def windows(mids: np.ndarray, h_v: float, x) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(
             f"empty smoothing window at {empty} of {x.size} evaluation points"
         )
-    first, centre = _blocks(mids, h_v)
-    size = int(np.max(np.diff(first)))
+    first, centre, moments = _blocks(mids, h_v)
+    size = moments.shape[2]
     block = np.searchsorted(first, lo, side="right") - 1
     row = block * (size + 1)
     rows = np.stack((row + lo - first[block],
@@ -139,16 +156,9 @@ def windows(mids: np.ndarray, h_v: float, x) -> tuple[np.ndarray, np.ndarray]:
     power = (first.size * (size + 1)) * np.arange(3)
     t = (x - np.stack((centre[block], centre[block + 1]))) / h_v
     coef = np.stack((1.0 - t * t, 2.0 * t, np.full_like(t, -1.0)), axis=1)
-    return rows[:, None, :] + power[:, None], coef
-
-
-def window_read(sums: np.ndarray, index: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Epanechnikov-weighted window sums sum_m (1 - ((m - x)/h_v)^2) r_m
-    from a window_sums table, at the windows ``index`` and ``coef`` of
-    windows."""
-    parts = np.take(sums, index, mode="clip")  # in range; clip skips the check
-    parts[1] -= parts[0]
-    return np.einsum("jkp,jkp->p", parts[1:], coef)
+    index = rows[:, None, :] + power[:, None]
+    return Windows(moments, index, coef,
+                   _read(_table(moments, np.ones(mids.size)), index, coef))
 
 
 @dataclass(frozen=True)
@@ -163,11 +173,8 @@ class VarianceCurve:
     def variance(self, x):
         scalar = np.ndim(x) == 0
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        index, coef = windows(self.midpoints, self.h_v, x)
-        moments = window_moments(self.midpoints, self.h_v)
-        num, den = (window_read(window_sums(moments, r), index, coef)
-                    for r in (self.residuals, np.ones(self.residuals.size)))
-        out = np.maximum(num / den, self.floor**2)
+        out = np.maximum(windows(self.midpoints, self.h_v, x).average(self.residuals),
+                         self.floor**2)
         return float(out[0]) if scalar else out
 
     def __call__(self, x):

@@ -692,8 +692,10 @@ def test_request_validation_and_low_draw_warning():
     for seed in (-1, 1.5, True):
         with pytest.raises(ValueError, match="seed must be a non-negative"):
             BandRequest(interval=(-0.5, 0.5), h=0.2, seed=seed)
-    with pytest.warns(UserWarning, match="quantiles will be"):
+    with pytest.warns(UserWarning, match="quantiles will be") as caught:
         BandRequest(interval=(-0.5, 0.5), h=0.2, draws=50)
+    # the warning points at the caller, not at the generated __init__
+    assert [w.filename for w in caught] == [__file__]
 
 
 GA100 = SCENARIOS["ga_n100_s10"]

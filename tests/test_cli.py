@@ -113,6 +113,19 @@ def test_band_accepts_preset_and_lepski_bandwidths(data_csv, tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+def test_bandwidth_errors_exit_with_code_two(data_csv, tmp_path, capsys):
+    out = tmp_path / "est.csv"
+    estimate = ["estimate", "--input", str(data_csv), "--density", "laplace",
+                "--sigma-delta", "0.1", "--out", str(out)]
+    assert parse_and_dispatch(estimate) == 2
+    assert "one of --h or --bandwidth is required" in capsys.readouterr().err
+    assert parse_and_dispatch(estimate + ["--bandwidth", "preset:nope"]) == 2
+    err = capsys.readouterr().err
+    assert "--bandwidth preset 'nope' unknown" in err
+    assert f"known: {', '.join(sorted(SCENARIOS))}" in err
+    assert not out.exists()
+
+
 def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
     out = ["--out", str(tmp_path / "x.csv")]
     assert parse_and_dispatch(["band", "--input", str(data_csv),
@@ -123,8 +136,12 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
     assert parse_and_dispatch(common + ["--h", "0.25", "--bandwidth",
                                         "lepski"] + out) == 2
     assert "mutually exclusive" in capsys.readouterr().err
-    assert parse_and_dispatch(common + ["--h", "0.25", "--split"] + out) == 2
-    assert "oscillating error law" in capsys.readouterr().err
+    # build_band_extension owns the split band's law rule
+    for split in (["--split"], ["--d-n", "8"], ["--b-n", "0.5"]):
+        assert parse_and_dispatch(common + ["--h", "0.25", *split] + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --split/--d-n/--b-n:")
+        assert "oscillating error law" in err
     assert parse_and_dispatch(common + ["--h", "0.25", "--seed", "-1"] + out) == 2
     assert "seed must be a non-negative integer" in capsys.readouterr().err
     reversed_interval = ["--interval", "0.5", "-0.5"]
@@ -141,13 +158,13 @@ def test_config_errors_exit_with_code_two(data_csv, tmp_path, capsys):
                                         "-1.4", "1.4"] + out) == 2
     err = capsys.readouterr().err
     assert "--interval" in err and "identifiable range" in err
-    for argv in (common + ["--h", "0.25", "--a-n", "nan"],
-                 ["kernel-dump", "--h", "0.25", "--density", "none",
-                  "--a-n", "nan"],
-                 ["kernel-dump", "--h", "0.25", "--density", "none",
-                  "--a-n", "-1"]):
-        assert parse_and_dispatch(argv + out) == 2
-        assert "--a-n" in capsys.readouterr().err
+    assert parse_and_dispatch(common + ["--h", "0.25", "--a-n", "nan"] + out) == 2
+    assert "--a-n" in capsys.readouterr().err
+    # kernel-dump's span is set by --span alone
+    for value in ("nan", "-1", "0.5"):
+        assert parse_and_dispatch(["kernel-dump", "--h", "0.25", "--density",
+                                   "none", "--a-n", value] + out) == 2
+        assert "unrecognized arguments: --a-n" in capsys.readouterr().err
     assert parse_and_dispatch(["band", "--input", str(tmp_path / "missing.csv"),
                                "--density", "laplace", "--sigma-delta", "0.1",
                                "--h", "0.25"] + out) == 2
@@ -271,7 +288,10 @@ def test_simulate_runs_scenario_files(tmp_path, capsys):
     for field, value, message in (("draws", 120.5, "draws must be an integer"),
                                   ("reps", 2.5, "reps must be a positive"),
                                   ("reps", 0, "reps must be a positive"),
-                                  ("seed", -1, "seed must be a non-negative")):
+                                  ("seed", -1, "seed must be a non-negative"),
+                                  # the design checks n and a_n
+                                  ("n", 0, "need n >= 1 and an integer"),
+                                  ("a_n", -1, "need a_n > 0 and finite")):
         bad.write_text(json.dumps({**scen, field: value}))
         assert parse_and_dispatch(["simulate", "--scenario", str(bad),
                                    "--out", str(tmp_path / "s5")]) == 2

@@ -81,6 +81,12 @@ def test_scenario_validation():
         Scenario(**{**base, "seed": -1})
     with pytest.raises(ValueError, match="invalid interval"):
         Scenario(**{**base, "interval": (0.5, -0.5)})
+    for field, value, message in (("n", 0, "need n >= 1 and an integer"),
+                                  ("n", 50.0, "need n >= 1 and an integer"),
+                                  ("a_n", -1.0, "need a_n > 0 and finite"),
+                                  ("a_n", float("inf"), "need a_n > 0 and finite")):
+        with pytest.raises(ValueError, match=message):
+            Scenario(**{**base, field: value})
 
 
 def test_noise_resolution():
@@ -196,6 +202,10 @@ def test_scenario_round_trip_and_unknown_fields(tmp_path, capsys):
     assert (sc2.reps, sc2.seed) == (7, 3)
     with pytest.raises(ValueError, match="unknown scenario fields"):
         scenario_from_dict({**data, "bogus": 1})
+    # a JSON interval is a list; the scenario holds a tuple and stays hashable
+    listed = scenario_from_dict({**data, "interval": [-0.5, 0.4]})
+    assert type(listed.interval) is tuple and listed.interval == (-0.5, 0.4)
+    assert hash(listed) == hash(scenario_from_dict({**data, "interval": (-0.5, 0.4)}))
     # every band of a scenario takes the error law's default taper
     path.write_text(json.dumps({**data, "taper": {"kind": "damped_cutoff",
                                                    "cutoff": 5.5}}))

@@ -141,6 +141,8 @@ def write_outputs(tree: Path, out: Path) -> None:
 
 
 def _run_tree(tree: Path, out: Path) -> subprocess.Popen:
+    # absolute, since the CLI children run in ``out``
+    tree = tree.resolve()
     out.mkdir(parents=True)
     env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"),
