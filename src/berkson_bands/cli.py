@@ -18,17 +18,11 @@ import numpy as np
 
 from .bands import (
     BandRequest,
-    _band_variance_field,
-    _error_moments,
     _sidecar,
-    _spline_coefficients,
-    _sup_batch,
-    _workspace,
     build_band,
     build_band_extension,
     default_taper,
     make_eval_grid,
-    quantile,
     write_band,
 )
 from .bandwidth import lepski_select, undersmooth
@@ -37,7 +31,7 @@ from .deconv_kernel import (_GRID_LEN, fourier_sums, kernel_table, phi_k,
 from .design import (_A_N, RegressionSample, build_regular, load_sample,
                      write_columns)
 from .estimator import estimate_g
-from .noise_models import _KINDS, _LAM, _MU, NoError, make_noise
+from .noise_models import _KINDS, _LAM, _MU, make_noise
 from .simulation import (
     SCENARIOS,
     Scenario,
@@ -336,6 +330,10 @@ def _selftest_checks() -> list[dict]:
             {"name": name, "error": err, "tol": tol, "pass": bool(err <= tol)}
         )
 
+    def gap(got, want) -> float:
+        """Largest gap between ``got`` and ``want``, relative to ``want``."""
+        return float(np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want)))
+
     cases = [(label, SCENARIOS[name].noise(), SCENARIOS[name].h)
              for label, name in (("laplace", "ga_n100_s10"),
                                  ("mixture", "mix_ga_n100"))]
@@ -346,7 +344,7 @@ def _selftest_checks() -> list[dict]:
         # K(u) = sum_r factor_r cos(omega_r h u), as kernel_table reads it
         vals = fourier_sums(h * us, op.omega, op.factor[:, None])[:, 0]
         err = float(np.max(np.abs(_simpson_kernel(us, h, noise, spec) - vals)))
-        record(f"kernel quadrature vs operator ({label})", err, 1e-6)
+        record(f"kernel quadrature vs operator ({label})", err, 1e-10)
 
     for label, noise, _ in cases:
         reach = 40.0 / noise.a + (noise.mu if hasattr(noise, "mu") else 0.0)
@@ -363,7 +361,7 @@ def _selftest_checks() -> list[dict]:
     spec = default_taper(noise)
     design = build_regular(n, a_n)
     w = design.points
-    # every evaluation point lies in the design span, as in _workspace
+    # every evaluation point lies in the design span
     (kernel,) = spectral_kernels([h], noise, spec, float(w[-1] - w[0]))
 
     grid = make_eval_grid(sc.interval, n, a_n, h).points
@@ -373,36 +371,32 @@ def _selftest_checks() -> list[dict]:
     )
     (summed,) = estimate_g(sample, grid, [kernel])
     direct = kernel.exact_matrix(grid, w) @ (design.weights * sample.responses) / h
-    err = float(np.max(np.abs(summed - direct)) / np.max(np.abs(direct)))
-    record("Fourier sums vs direct node sum", err, 1e-6)
+    record("Fourier sums vs direct node sum", gap(summed, direct), 1e-12)
 
     # factors takes its phases in row blocks of the uniform grids
     basis, lefts = kernel.factors(w, grid, w)
-    err = max(float(np.max(np.abs(left @ basis.T - dense)) / np.max(np.abs(dense)))
-              for left, dense in zip(lefts, (kernel.exact_matrix(x, w) for x in (grid, w))))
+    err = max(gap(left @ basis.T, kernel.exact_matrix(x, w))
+              for left, x in zip(lefts, (grid, w)))
     record("uniform factors vs direct cos/sin", err, 1e-12)
 
-    coef = h**noise.beta / math.sqrt(n * a_n * h)
-    # the band's basis with non-constant multipliers: R is the triangular
-    # factor of a design x rank core's Gram matrix, as in a band
-    basis = _workspace(design, noise, spec, h, sc.interval).basis
-    m = 0.5 + w**2
-    worst = 0.0
-    for x0 in (-0.5, 0.0, 0.5):
-        kvec = kernel.exact_matrix([x0], w)[0]
-        target = coef**2 * float(np.sum((m * kvec) ** 2))
-        # the band's draw engine at one point with nu = 1: sup = |process|
-        sups = _sup_batch(basis * m[:, None], basis.T @ kvec[:, None],
-                          np.ones(1), coef, 8000, 7)
-        worst = max(worst, abs(float(np.mean(sups**2)) / target - 1.0))
-    record("multiplier process variance", worst, 0.05)
+    def band(c: float):
+        scaled = RegressionSample(design=design, responses=c * sample.responses)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the regime warning
+            return build_band(scaled, sc.request(3), noise, taper=spec)
 
-    request = sc.request(3)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the regime warning
-        band = build_band(sample, request, noise, taper=spec)
-    record("factored vs dense band",
-           _dense_band_error(sample, request, noise, spec, kernel, band), 1e-9)
+    # the band's low-rank factors against the estimate's Fourier sums
+    base = band(1.0)
+    (est,) = estimate_g(sample, base.grid, spectral_kernels(
+        [h], noise, spec, design.reach(sc.interval)))
+    record("band estimate vs estimate_g", gap(base.ghat, est), 1e-10)
+
+    err = 0.0
+    for c in (-2.0, 3.0):
+        res = band(c)
+        err = max(err, gap(res.quantile, base.quantile), gap(res.ghat, c * base.ghat),
+                  gap(res.half_width, abs(c) * base.half_width))
+    record("band scale equivariance", err, 1e-10)
     return checks
 
 
@@ -420,43 +414,6 @@ def _simpson_kernel(us, h, noise, spec, intervals=2000) -> np.ndarray:
         f = simpson * phi_k(t, spec) / noise.charfn(-t / h) * (step / 3.0)
         total += np.cos(np.outer(us, t)) @ f
     return total / math.pi
-
-
-def _dense_band_error(sample, request, noise, spec, kernel, band) -> float:
-    """Largest relative gap between ``band`` and the band assembled from
-    dense kernel matrices in place of the workspace's factors; ``kernel``
-    is the operator at reach = design span, as _workspace builds it."""
-    design, h = sample.design, request.h
-    w, eye = design.points, np.eye(design.size)
-    ws = _workspace(design, noise, spec, h, request.interval)
-    kg, ke, kw = (kernel.exact_matrix(x, w) for x in (ws.eg.points, ws.xe, w))
-    (taper,) = spectral_kernels([h], NoError(), spec, float(w[-1] - w[0]))
-    dense = dataclasses.replace(
-        ws, basis=eye, kg=kg, ck=_spline_coefficients(ws.xe, ke), basis2=eye,
-        k2g=kg**2, k2w=kw**2,
-        spur=_error_moments(ws.xe, _spline_coefficients(ws.xe, ke**2), w, ws.lattice),
-        k2sg=np.maximum((kg**2).sum(axis=1), 1e-300),
-        k2sw=np.maximum((kw**2).sum(axis=1), 1e-300), basis_t=eye,
-        kt2w=taper.exact_matrix(w, w) ** 2)
-    nu_w, nu_g = _band_variance_field(sample, dense, h)
-    n, a_n, beta = design.n, design.a_n, noise.beta
-    mult = design.weights * nu_w * n * a_n
-    # the engine's rank normals z, mapped into design space as Z = z @ Q.T
-    # with Z @ core = z @ R: core = Q R is the thin QR of this band's own
-    # weights on the workspace basis, R's diagonal non-negative, so R is
-    # the engine's factor whichever route _draw_factor takes
-    qf, r = np.linalg.qr(ws.basis * mult[:, None])
-    z = np.random.default_rng(request.seed).standard_normal((request.draws, r.shape[0]))
-    z = z @ (qf * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)).T
-    coef = h**beta / math.sqrt(n * a_n * h)
-    q = quantile(np.max(np.abs(coef * (z @ (kg * mult).T)) / nu_g, axis=1),
-                 1.0 - request.alpha)
-    ghat = kg @ (design.weights * sample.responses) / h
-    half = q * nu_g / (math.sqrt(n * a_n) * h ** (0.5 + beta))
-    ref = {"ghat": ghat, "nuhat": nu_g, "quantile": q, "lower": ghat - half,
-           "upper": ghat + half}
-    return max(float(np.max(np.abs(np.subtract(getattr(band, f), v)))
-                     / np.max(np.abs(v))) for f, v in ref.items())
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:

@@ -1,10 +1,12 @@
 """Command-line entry points, exercised in process plus one subprocess smoke."""
 from __future__ import annotations
 
+import ast
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +335,18 @@ def test_simulate_accepts_preset_names_with_overrides(tmp_path):
     assert summary["completed_reps"] == 2
 
 
+SELFTEST_CHECKS = [
+    "kernel quadrature vs operator (laplace)",
+    "kernel quadrature vs operator (mixture)",
+    "characteristic function vs density (laplace)",
+    "characteristic function vs density (mixture)",
+    "Fourier sums vs direct node sum",
+    "uniform factors vs direct cos/sin",
+    "band estimate vs estimate_g",
+    "band scale equivariance",
+]
+
+
 def test_kernel_dump_and_selftest(tmp_path, capsys):
     out = tmp_path / "k.csv"
     dump = ["kernel-dump", "--h", "0.25", "--density", "laplace",
@@ -355,6 +369,40 @@ def test_kernel_dump_and_selftest(tmp_path, capsys):
     assert parse_and_dispatch(["--json", "selftest"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] and all(c["pass"] is True for c in payload["checks"])
+    assert [c["name"] for c in payload["checks"]] == SELFTEST_CHECKS
+
+
+def test_selftest_reports_a_failed_check(capsys, monkeypatch):
+    # a wrong kernel reference fails the two quadrature checks alone
+    monkeypatch.setattr(cli, "_simpson_kernel",
+                        lambda us, h, noise, spec: np.zeros(np.size(us)))
+    assert parse_and_dispatch(["selftest"]) == 1
+    out = capsys.readouterr().out
+    failed = [line.split("  ")[0] for line in out.splitlines() if "  FAIL  " in line]
+    assert failed == SELFTEST_CHECKS[:2]
+    assert out.splitlines()[-1] == "selftest: FAILURES above"
+    assert parse_and_dispatch(["--json", "selftest"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert not payload["ok"]
+    assert [c["name"] for c in payload["checks"] if not c["pass"]] == SELFTEST_CHECKS[:2]
+
+
+def test_cli_imports_no_band_internal_but_the_sidecar_name():
+    # the selftest reads bands through the public API alone, so a change
+    # inside bands.py never has to edit the CLI
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {node.asname or node.name for node in ast.walk(tree)
+               if isinstance(node, ast.alias) and node.name == "bands"}
+    private = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                (node.level, node.module) == (1, "bands")
+                or node.module == "berkson_bands.bands"):
+            private |= {a.name for a in node.names if a.name.startswith("_")}
+        elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+              and isinstance(node.value, ast.Name) and node.value.id in modules):
+            private.add(node.attr)
+    assert private <= {"_sidecar"}, sorted(private - {"_sidecar"})
 
 
 def test_threads_resolution(data_csv, tmp_path, monkeypatch):
