@@ -45,9 +45,9 @@ from pathlib import Path
 import numpy as np
 
 from .deconv_kernel import TaperSpec, spectral_kernels, squared_kernel
-from .design import (Design, RegressionSample, _is_int, build_split,
-                     check_identifiable, default_b_n, identifiable_range,
-                     ordered_interval, write_columns)
+from .design import (Design, RegressionSample, _caller_stacklevel, _is_int,
+                     build_split, check_identifiable, default_b_n,
+                     identifiable_range, ordered_interval, write_columns)
 from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
 from .variance_estimation import (Windows, estimate_nu, midpoints,
                                   pseudo_residuals, shortest_interval,
@@ -106,7 +106,7 @@ class BandRequest:
                 f"only {self.draws} multiplier draws; quantiles will be "
                 f"unstable below 100",
                 UserWarning,
-                stacklevel=3,
+                stacklevel=_caller_stacklevel(),
             )
 
 
@@ -478,16 +478,6 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     return nu_w, nu_g
 
 
-def _assumption_check(n: int, a_n: float, h: float, beta: float) -> None:
-    if 1.0 / (n * a_n * h ** (1.0 + 2.0 * beta)) >= 1.0:
-        warnings.warn(
-            f"n a_n h^(1+2 beta) = {n * a_n * h ** (1 + 2 * beta):.3g} <= 1; "
-            f"the band's asymptotic regime is doubtful at this bandwidth",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 def _assemble(
     sample: RegressionSample,
     request: BandRequest,
@@ -544,7 +534,6 @@ def build_band(
     """
     design = sample.design
     spec = taper if taper is not None else default_taper(noise)
-    _assumption_check(design.n, design.a_n, request.h, noise.beta)
     ws = _workspace(design, noise, spec, request.h, request.interval)
     nu_w, nu_g = _band_variance_field(sample, ws, request.h)
     return _assemble(sample, request, noise.beta, ws.eg, ws.kg, ws.basis,
@@ -578,7 +567,6 @@ def build_band_extension(
     spec = taper if taper is not None else default_taper(noise)
     design = sample.design
     n, a_n, h = design.n, design.a_n, request.h
-    _assumption_check(n, a_n, h, noise.beta)
     sd = build_split(design, d_n)
     if b_n is None:
         b_n = default_b_n(n, a_n)

@@ -11,7 +11,6 @@ import dataclasses
 import json
 import math
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -381,9 +380,7 @@ def _selftest_checks() -> list[dict]:
 
     def band(c: float):
         scaled = RegressionSample(design=design, responses=c * sample.responses)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # the regime warning
-            return build_band(scaled, sc.request(3), noise, taper=spec)
+        return build_band(scaled, sc.request(3), noise, taper=spec)
 
     # the band's low-rank factors against the estimate's Fourier sums
     base = band(1.0)

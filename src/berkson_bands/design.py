@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,18 @@ _A_N = 2.0 / 3.0  # the paper's a_n; every default a_n in the package reads it
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _caller_stacklevel() -> int:
+    """``stacklevel`` that points a warning raised by the calling function at
+    the first frame outside this package and the dataclass machinery: a
+    generated ``__init__`` runs in its class's module globals, and
+    ``dataclasses.replace`` calls it."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and (frame.f_globals.get("__package__") == __package__
+                                 or frame.f_globals.get("__name__") == "dataclasses"):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def ordered_interval(interval) -> tuple[float, float]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import RegressionSample, ordered_interval
+from .design import RegressionSample, _caller_stacklevel, ordered_interval
 
 __all__ = ["VarianceCurve", "estimate_nu"]
 
@@ -224,7 +224,7 @@ def estimate_nu(
         warnings.warn(
             "constant responses: variance curve reduced to its floor",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=_caller_stacklevel(),
         )
     floor = max(np.sqrt(mean_r) / 2.0, 1e-8)
     return VarianceCurve(

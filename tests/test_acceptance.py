@@ -39,10 +39,7 @@ from oracles import kernel_eval, oracle_mean, oracle_nu2, oracle_variance
 
 FAST = os.environ.get("BB_ACCEPT_FAST") == "1"
 
-pytestmark = [
-    pytest.mark.acceptance,
-    pytest.mark.filterwarnings("ignore:n a_n h"),
-]
+pytestmark = pytest.mark.acceptance
 
 
 def _say(capsys, line: str) -> None:

@@ -21,6 +21,7 @@ from berkson_bands import (
     NoError,
     RegressionSample,
     SCENARIOS,
+    Scenario,
     build_band,
     build_band_extension,
     build_regular,
@@ -31,6 +32,7 @@ from berkson_bands import (
     make_eval_grid,
     make_noise,
     quantile,
+    undersmooth,
     write_band,
 )
 from berkson_bands.deconv_kernel import spectral_kernels
@@ -38,9 +40,6 @@ from berkson_bands.design import default_b_n, identifiable_range
 
 from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, operator_for
 from dense_band import dense_band, design_normals
-
-# reference-scale builds sit below the asymptotic-regime threshold by design
-pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
 
 REQ = BandRequest(interval=(-0.7, 0.6), h=0.25, alpha=0.05, draws=250, seed=42)
 MIX_REQ = BandRequest(interval=(-0.7, 0.6), h=0.59, alpha=0.05, draws=150, seed=2)
@@ -404,14 +403,15 @@ def test_editing_a_band_cannot_change_a_later_band():
     assert np.array_equal(again.ghat, ghat)
 
 
-@pytest.mark.filterwarnings("ignore:constant responses")
 def test_split_band_reconstruction_on_constant_responses():
     d100 = build_regular(100, A_N)
     s_const = RegressionSample(design=d100, responses=np.full(d100.size, 3.0))
     req = BandRequest(interval=(-0.7, 0.6), h=0.32, alpha=0.05, draws=150, seed=11)
-    res = build_band_extension(s_const, req, MIX)
-
-    q, ghat, _ = split_reference(s_const, req)
+    with pytest.warns(RuntimeWarning, match="constant responses") as caught:
+        res = build_band_extension(s_const, req, MIX)
+        q, ghat, _ = split_reference(s_const, req)
+    # both warnings point at their callers in this file, not into the package
+    assert [w.filename for w in caught] == [__file__, __file__]
     assert res.quantile == pytest.approx(q, rel=1e-10)
     assert np.max(np.abs(ghat - res.ghat)) < 1e-12
 
@@ -654,12 +654,16 @@ def test_constant_responses_give_a_finite_band(noise, level):
     assert np.all(res.half_width > 0.0)
 
 
-def test_small_sample_bandwidth_triggers_regime_warning(s200):
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
+def test_bands_at_small_bandwidths_warn_nothing(s200):
+    # a band in the README quick-start's setting, and a split band at the
+    # undersmoothed preset h: n a_n h^(1+2 beta) reads 0.13 and 0.0023
+    sc = SCENARIOS["mix_ga_n100"]
+    sample = generate_sample(sc, np.random.SeedSequence(1))
+    request = replace(sc.request(1), h=undersmooth(sc.h, sc.n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         build_band(s200, REQ, LAP01)
-    assert [w.category for w in rec] == [UserWarning]
-    assert "asymptotic regime" in str(rec[0].message)
+        build_band_extension(sample, request, sc.noise())
 
 
 def test_band_rejects_interval_outside_identifiable_range(s200):
@@ -694,8 +698,11 @@ def test_request_validation_and_low_draw_warning():
             BandRequest(interval=(-0.5, 0.5), h=0.2, seed=seed)
     with pytest.warns(UserWarning, match="quantiles will be") as caught:
         BandRequest(interval=(-0.5, 0.5), h=0.2, draws=50)
-    # the warning points at the caller, not at the generated __init__
-    assert [w.filename for w in caught] == [__file__]
+        replace(REQ, draws=50)
+        Scenario("g_a", 50, 0.1, 0.1, 0.3, draws=50)
+    # each warning points at the caller, not at a generated __init__,
+    # dataclasses.replace or Scenario.request
+    assert [w.filename for w in caught] == [__file__] * 3
 
 
 GA100 = SCENARIOS["ga_n100_s10"]

@@ -20,8 +20,6 @@ from berkson_bands.cli import parse_and_dispatch
 from conftest import A_N, LAP01, SMOOTH, operator_for
 from oracles import kernel_eval
 
-pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
-
 
 @pytest.fixture(scope="module")
 def data_csv(tmp_path_factory):

@@ -5,8 +5,6 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-import pytest
-
 import berkson_bands as bb
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -29,7 +27,6 @@ def test_readme_and_all_agree():
     assert used <= set(bb.__all__), sorted(used - set(bb.__all__))
 
 
-@pytest.mark.filterwarnings("ignore:n a_n h")  # the regime warning
 def test_readme_python_blocks_run(tmp_path, monkeypatch):
     # one namespace: later examples use the names earlier ones define
     monkeypatch.chdir(tmp_path)

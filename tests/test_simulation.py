@@ -26,8 +26,6 @@ from berkson_bands.simulation import scenario_from_dict, scenario_from_file
 from conftest import A_N, LAP01
 from oracles import oracle_gamma, oracle_nu2
 
-pytestmark = pytest.mark.filterwarnings("ignore:n a_n h")
-
 
 def test_signal_shapes():
     assert g_a(0.1) == 1.0

@@ -60,7 +60,7 @@ def _write_library(out: Path) -> None:
                                build_regular, build_split, default_taper,
                                generate_sample, lepski_select)
 
-    warnings.simplefilter("ignore")  # regime and sample-size warnings
+    warnings.simplefilter("ignore")  # an older tree's warnings are no output
     for name, sc in SCENARIOS.items():
         noise = sc.noise()
         for s in SEEDS:
