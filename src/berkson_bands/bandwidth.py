@@ -5,12 +5,11 @@ and picks the largest bandwidth whose estimate stays within a deviation
 threshold of every finer one (Lepski, Mammen & Spokoiny 1997, Ann.
 Statist. 25(3)).  The dyadic range and the threshold follow from n, a_n
 and the error law's beta alone, so the rule takes no settings.  Its
-estimates are estimate_g's on spectral kernel operators that share one
-frequency rule: one data transform at the finest bandwidth's nodes
-serves every estimate, and one Fourier sum gives all bandwidths on an
-evaluation grid, so the rule builds no kernel table.  The
-preset bandwidths of the reference scenarios live with those scenarios,
-in simulation.SCENARIOS.
+estimates are one estimate_g call on the spectral kernel operators of
+every bandwidth, over the finest bandwidth's evaluation grid: one data
+transform and one Fourier sum, and no kernel table.  The preset
+bandwidths of the reference scenarios live with those scenarios, in
+simulation.SCENARIOS.
 """
 from __future__ import annotations
 
@@ -20,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bands import make_eval_grid
-from .design import RegressionSample
+from .design import RegressionSample, check_identifiable, ordered_interval
 from .deconv_kernel import TaperSpec, spectral_kernels
-from .estimator import _node_sums
+from .estimator import estimate_g
 from .noise_models import NoiseModel
 
 __all__ = ["LepskiResult", "lepski_select", "undersmooth"]
@@ -70,30 +69,29 @@ def lepski_select(
     _C_L ((log n)/(n a_n h_l^(1+2 beta)))^(1/2) for every l from k to
     k_u; the smallest admissible k wins, with beta from ``noise`` and n
     and a_n from the sample's design, which also fix the range k_l..k_u
-    (_dyadic_range).  Sup-norms are taken over ``interval`` on the
-    evaluation grid of the finer bandwidth of each pair.  The finest
-    bandwidth is always admissible: its one test compares ghat with
-    itself, a deviation of 0 below tau > 0.
+    (_dyadic_range).  Sup-norms are taken over ``interval`` on the finest
+    bandwidth's evaluation grid, a band grid for every h, since its
+    spacing bound sqrt(h)/(n sqrt(a_n)) is tightest at the smallest h.
+    The finest bandwidth is always admissible: its one test compares ghat
+    with itself, a deviation of 0 below tau > 0.
     """
     design = sample.design
     n, a_n = design.n, design.a_n
     k_l, k_u = _dyadic_range(n, noise.beta, a_n)
     hs = [2.0 ** (-k) for k in range(k_l, k_u + 1)]
-    # the coarsest bandwidth comes first, where the interval check is tightest
-    grids = [make_eval_grid(interval, n, a_n, h).points for h in hs]
-    kernels = spectral_kernels(hs, noise, spec, design.reach(interval))
-    # the finest operator's nodes hold every other's: one transform
-    spectrum = kernels[-1].transform(design.points, design.weights * sample.responses)
-    # lists by position i = k - k_l; est[l][i] is ghat(.;h_i) on grid l, i <= l
-    est = [_node_sums(grid, kernels[: l + 1], spectrum)
-           for l, grid in enumerate(grids)]
+    # the coarsest bandwidth's range is the tightest, so check it first
+    check_identifiable(ordered_interval(interval), a_n, hs[0])
+    grid = make_eval_grid(interval, n, a_n, hs[-1]).points
+    # est[i] is ghat(.;h_i) on the grid, by position i = k - k_l
+    est = estimate_g(sample, grid, spectral_kernels(hs, noise, spec,
+                                                    design.reach(interval)))
 
     tau = [_C_L * math.sqrt(math.log(n) / (n * a_n * h ** (1.0 + 2.0 * noise.beta)))
            for h in hs]
     deviations: list[tuple[int, int, float, float]] = []
     for i in range(len(hs)):
         for l in range(i, len(hs)):
-            dev = float(np.max(np.abs(est[l][i] - est[l][l])))
+            dev = float(np.max(np.abs(est[i] - est[l])))
             deviations.append((k_l + i, k_l + l, dev, tau[l]))
             if dev > tau[l]:
                 break

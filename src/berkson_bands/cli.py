@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -457,10 +458,17 @@ def parse_and_dispatch(argv) -> int:
         return 1
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    return parse_and_dispatch(argv)
+    # the message alone: a warning would point at runpy's or the script's line
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

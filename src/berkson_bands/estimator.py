@@ -5,8 +5,8 @@ ghat(x;h) = sum_j weight_j Y_j K((w_j - x)/h; h) / h, which undoes the
 smoothing gamma = g * f(-.) induced by the Berkson errors.  The kernel
 sum is the spectral operator's node sum of the data's Fourier transform.
 Operators from one spectral_kernels call share that transform, so the
-estimates at several bandwidths, as the Lepski rule compares them, cost
-one transform and one Fourier sum.
+estimates at several bandwidths on one grid, as the Lepski rule compares
+them, cost one transform and one Fourier sum.
 """
 from __future__ import annotations
 
@@ -39,16 +39,8 @@ def estimate_g(
         if grid.size:
             check_identifiable((grid.min(), grid.max()), design.a_n, op.h)
     spectrum = full.transform(design.points, design.weights * sample.responses)
-    return _node_sums(grid, kernels, spectrum)
-
-
-def _node_sums(grid, kernels: list[SpectralKernel], spectrum: np.ndarray) -> np.ndarray:
-    """estimate_g's rows from ``spectrum``, the data transform at the
-    leading nodes of the operators' shared rule, at least as many as the
-    fullest operator has: one Fourier sum over that operator's nodes."""
-    omega = max(kernels, key=lambda op: op.omega.size).omega
-    coeffs = np.zeros((omega.size, len(kernels)), dtype=complex)
+    coeffs = np.zeros((full.omega.size, len(kernels)), dtype=complex)
     for i, op in enumerate(kernels):
         r = op.omega.size
         coeffs[:r, i] = op.factor * spectrum[:r] / op.h
-    return fourier_sums(grid, omega, coeffs).T
+    return fourier_sums(grid, full.omega, coeffs).T

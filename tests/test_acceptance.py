@@ -3,14 +3,11 @@
 Each test emits ``criterion N: ... -> PASS`` (or FAIL) outside pytest's
 capture so the line is always visible, then asserts.  Criteria 1-3 rerun
 the preset simulation scenarios at full scale (500 replications, roughly
-two minutes on one core).  Set ``BB_ACCEPT_FAST=1`` to shrink the
-replication counts for a quick smoke run; criterion 1 then uses the wider
-smoke window of +/- 5 points while the other windows stay as stated.
+two minutes on one core).
 """
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -37,8 +34,6 @@ from berkson_bands.deconv_kernel import spectral_kernels
 from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, operator_for
 from oracles import kernel_eval, oracle_mean, oracle_nu2, oracle_variance
 
-FAST = os.environ.get("BB_ACCEPT_FAST") == "1"
-
 pytestmark = pytest.mark.acceptance
 
 
@@ -47,36 +42,29 @@ def _say(capsys, line: str) -> None:
         print(line, flush=True)
 
 
-def _run(tag: str, reps_fast: int):
-    scenario = SCENARIOS[tag]
-    if FAST:
-        scenario = replace(scenario, reps=reps_fast)
-    return run_scenario(scenario)
-
-
 @pytest.fixture(scope="module")
 def ga_n100_run():
-    return _run("ga_n100_s10", 150)
+    return run_scenario(SCENARIOS["ga_n100_s10"])
 
 
 @pytest.fixture(scope="module")
 def gb_n750_run():
-    return _run("gb_n750_s05", 120)
+    return run_scenario(SCENARIOS["gb_n750_s05"])
 
 
 @pytest.fixture(scope="module")
 def mix_n100_run():
-    return _run("mix_ga_n100", 250)
+    return run_scenario(SCENARIOS["mix_ga_n100"])
 
 
 @pytest.fixture(scope="module")
 def mix_n750_run():
-    return _run("mix_ga_n750", 200)
+    return run_scenario(SCENARIOS["mix_ga_n750"])
 
 
 def test_criterion_1_coverage_at_reference_point(ga_n100_run, capsys):
     rate = ga_n100_run.rejection_rate
-    lo, hi = (0.008, 0.108) if FAST else (0.028, 0.088)
+    lo, hi = 0.028, 0.088
     ok = lo <= rate <= hi
     _say(capsys, f"criterion 1: g_a n=100 rejection rate {rate:.2%} in "
                  f"[{lo:.1%}, {hi:.1%}] -> {'PASS' if ok else 'FAIL'}")

@@ -56,8 +56,12 @@ def test_huge_threshold_accepts_coarsest_bandwidth(monkeypatch):
 def test_selection_requires_containment_at_coarsest_bandwidth():
     d = build_regular(200, A_N)
     s = RegressionSample(design=d, responses=np.zeros(d.size))
-    with pytest.raises(ValueError, match="exceeds the identifiable range"):
-        lepski_select(s, LAP01, TAPER_S, (-1.2, 1.2))
+    # (-1.49, 1.49) lies outside even the finest bandwidth's range, h = 1/64;
+    # the message still names the coarsest one
+    for interval in [(-1.2, 1.2), (-1.49, 1.49)]:
+        with pytest.raises(ValueError,
+                           match=r"exceeds the identifiable range .* at h=0\.5$"):
+            lepski_select(s, LAP01, TAPER_S, interval)
 
 
 @pytest.mark.parametrize("c_l", [1.0, 0.02])
@@ -68,31 +72,30 @@ def test_selection_agrees_with_the_table_route(c_l, monkeypatch):
     monkeypatch.setattr(bandwidth_mod, "_C_L", c_l)
     calls = []
 
-    def spy(grid, kernels, spectrum):
+    def spy(sample, grid, kernels):
         calls.append((grid, [op.h for op in kernels]))
-        return node_sums(grid, kernels, spectrum)
+        return estimate_g(sample, grid, kernels)
 
-    node_sums = bandwidth_mod._node_sums
-    monkeypatch.setattr(bandwidth_mod, "_node_sums", spy)
+    estimate_g = bandwidth_mod.estimate_g
+    monkeypatch.setattr(bandwidth_mod, "estimate_g", spy)
     interval = (-0.7, 0.6)
     res = lepski_select(s, LAP01, TAPER_S, interval)
     assert [f.name for f in dataclasses.fields(res)] == ["h", "k", "deviations"]
-    # one Fourier sum per dyadic grid, over the operators of h_l and coarser
+    # one estimate_g call: every bandwidth on the finest bandwidth's grid
     hs = [2.0 ** -k for k in range(k_l, k_u + 1)]
-    assert len(calls) == len(hs)
-    for l, (grid, kernel_hs) in enumerate(calls):
-        assert np.array_equal(grid, make_eval_grid(interval, d.n, A_N, hs[l]).points)
-        assert kernel_hs == hs[: l + 1]
+    finest = make_eval_grid(interval, d.n, A_N, hs[-1]).points
+    ((grid, kernel_hs),) = calls
+    assert np.array_equal(grid, finest)
+    assert kernel_hs == hs
     ests = {}
 
     def table_dev(k, l):
         for j in (k, l):
-            if (j, l) not in ests:
-                grid = make_eval_grid(interval, d.n, A_N, 2.0 ** -l).points
+            if j not in ests:
                 op = operator_for(d, 2.0 ** -j, LAP01, TAPER_S)
-                ests[j, l] = op.exact_matrix(grid, d.points) @ (
+                ests[j] = op.exact_matrix(finest, d.points) @ (
                     d.weights * s.responses) / op.h
-        return float(np.max(np.abs(ests[k, l] - ests[l, l])))
+        return float(np.max(np.abs(ests[k] - ests[l])))
 
     for k, l, dev, _ in res.deviations:
         assert abs(dev - table_dev(k, l)) <= 1e-6 * table_dev(k, l)

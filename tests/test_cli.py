@@ -521,3 +521,19 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+def test_module_entry_point_prints_warnings_without_a_location(tmp_path):
+    argv = ["-m", "berkson_bands", "simulate", "--scenario", "ga_n100_s10",
+            "--reps", "1", "--bootstrap", "50"]
+    proc = subprocess.run([sys.executable, *argv, "--out", str(tmp_path / "a")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr == ("warning: only 50 multiplier draws; "
+                           "quantiles will be unstable below 100\n")
+    # the filters still decide: an error filter turns the warning into an error
+    proc = subprocess.run([sys.executable, "-W", "error::UserWarning", *argv,
+                           "--out", str(tmp_path / "b")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: only 50 multiplier draws")
