@@ -14,11 +14,12 @@ estimator's own spurious-variation term, floored by a fraction of a
 difference-based local estimate, and smoothed with the squared kernel
 weights so its shape matches what the supremum actually feels.
 
-Every kernel matrix a band needs, between the grid, the pilot points or
-the design points and the design points, is held as low-rank factors
-from the spectral kernel operator (deconv_kernel.SpectralKernel.factors
-and squared_kernel): left @ basis.T, with basis on the design side, so
-no band builds a kernel table or a dense kernel matrix.  The multiplier
+Every kernel matrix a band needs from the grid or the pilot points to
+the design points is held as low-rank factors left @ basis.T, basis on
+the design side (deconv_kernel.SpectralKernel.factors, squared_kernel);
+between design points K^2 is Toeplitz, applied by FFT as binned kernel
+sums are (_lag_spectrum; Silverman 1982, Wand 1994).  No band builds a
+kernel table or a dense kernel matrix.  The multiplier
 process lives in the rank coordinates of K's basis: a draw takes rank
 normals, not one per design point, and costs (rank + grid) x rank
 (_sup_batch).  Its factor is the Cholesky factor of the rank x rank
@@ -44,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .deconv_kernel import TaperSpec, spectral_kernels, squared_kernel
+from .deconv_kernel import TaperSpec, fourier_sums, spectral_kernels, squared_kernel
 from .design import (Design, RegressionSample, _caller_stacklevel, _is_int,
                      build_split, check_identifiable, default_b_n,
                      identifiable_range, ordered_interval, write_columns)
@@ -72,8 +73,9 @@ _NW_FLOOR_FRAC = 0.7
 _XE_POINTS = 900
 # The pilot range stays this many bandwidths inside the design span.
 _CLAMP_FACTOR = 1.2
-# _error_moments reads splines in blocks of about this many values.
-_READ_ELEMS = 1 << 20
+# _error_moments reads splines in blocks of about this many values (plus
+# one error window); its FFT correlation then peaks at 13 MB on gb_n750_s05.
+_READ_ELEMS = 1 << 18
 # _draw_factor takes R from the Gram matrix only where cond(core_t) is
 # at most this: that route's error grows like eps cond^2.
 _GRAM_COND = 100.0
@@ -241,34 +243,25 @@ def _oriented(w: np.ndarray, basis: np.ndarray, lefts: list[np.ndarray]):
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-# Workspaces kept in memory; one holds 12.5 MB on gb_n750_s05 (n = 750):
+# Workspaces kept in memory; one holds 8.2 MB on gb_n750_s05 (n = 750):
 # kernel factors, 1.7 MB of pilot spline coefficients, 0.3 MB of windows.
 _WS_KEEP = 3
 
 
 @dataclass
 class _Workspace:
-    """Kernel factors, error-law nodes and smoothing windows of one band
-    geometry.
+    """Kernel factors, error-law nodes and smoothing windows of a band.
 
-    Each kernel matrix is a product left @ basis.T with basis on the
-    design side (orthonormal columns) and left on the evaluation side:
-    K((w_j - x)/h) is kg @ basis.T on the grid; K^2 is k2g and k2w
-    (design rows) times basis2.T; the squared taper kernel between
-    design points is kt2w @ basis_t.T.  The pilot regression on xe is a
-    cubic spline, and a spline is linear in its data: ck @ v holds the
-    coefficients of the spline through (K on xe) @ v, so a band's pilot
-    costs one product; its moments over the error law's nodes are
-    _error_moments on ``lattice`` (_error_lattice).  The pilot variance
-    enters only through its error-law moment, which is linear in the
-    data: spur @ v is that moment of the spline through (K^2 on xe) @
+    From the grid to the design points K((w_j - x)/h) is kg @ basis.T and
+    K^2 is k2g @ basis2.T, basis and basis2 orthonormal.  Between design
+    points K^2 and the squared taper kernel are Toeplitz, with spectra
+    k2ww and kt2ww (_lag_spectrum).  ck @ v holds the pilot spline on xe
+    through (K on xe) @ v, and spur @ v the error-law moment
+    (_error_moments on ``lattice``) of the one through (K^2 on xe) @
     basis2 @ v.  An error-free law has no pilot variance term, and the
-    fields only it needs (ck, spur, basis_t, kt2w, lattice) are None.
-
-    The difference-based local variance is read at xe and then at the
-    design points, from the smoothing windows ``vwin`` of both point
-    sets (variance_estimation.windows).  No field is design x error
-    grid; the largest are the factors, points x rank.
+    fields only it needs (ck, spur, kt2ww, lattice) are None.  ``vwin``
+    holds the local-variance windows at xe, then at the design points.
+    No field is design x error grid or design x design.
     """
 
     eg: EvalGrid
@@ -277,15 +270,30 @@ class _Workspace:
     ck: np.ndarray | None
     basis2: np.ndarray
     k2g: np.ndarray
-    k2w: np.ndarray
     spur: np.ndarray | None
     k2sg: np.ndarray
+    k2ww: np.ndarray
     k2sw: np.ndarray
-    basis_t: np.ndarray | None
-    kt2w: np.ndarray | None
+    kt2ww: np.ndarray | None
     xe: np.ndarray
     lattice: tuple | None
     vwin: Windows
+
+
+def _lag_spectrum(op, design: Design) -> np.ndarray:
+    """Real rfft of the power-of-two circulant embedding the Toeplitz matrix
+    K((w_j - w_i)/h)^2 of the design, K the operator ``op``: its first column
+    is the lags K(k dw)^2, k = 0..2n, zeros, then the lags mirrored."""
+    lags = fourier_sums(np.arange(design.size) / (design.n * design.a_n),
+                        op.omega, op.factor[:, None])[:, 0] ** 2
+    pad = (1 << (2 * lags.size - 2).bit_length()) - 2 * lags.size + 1
+    return np.fft.rfft(np.concatenate((lags, np.zeros(pad), lags[:0:-1]))).real
+
+
+def _toeplitz(spectrum: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """T @ v for T the Toeplitz matrix of ``spectrum`` (_lag_spectrum): one
+    FFT round trip of v, zero-padded to the circulant's length."""
+    return np.fft.irfft(spectrum * np.fft.rfft(v, 2 * spectrum.size - 2))[: v.size]
 
 
 def _error_lattice(noise: NoiseModel, design: Design):
@@ -317,13 +325,8 @@ def _read_points(w, delta, stride, xe) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_WS_KEEP)
-def _workspace(
-    design: Design,
-    noise: NoiseModel,
-    spec: TaperSpec,
-    h: float,
-    interval: tuple[float, float],
-) -> _Workspace:
+def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
+               interval: tuple[float, float]) -> _Workspace:
     n, a_n = design.n, design.a_n
     w = design.points
     eg = make_eval_grid(interval, n, a_n, h)
@@ -335,22 +338,20 @@ def _workspace(
     reach = float(w[-1] - w[0])
     (kernel,) = spectral_kernels([h], noise, spec, reach)
     basis, (kg, ke) = _oriented(w, *kernel.factors(w, eg.points, xe))
-    basis2, (k2g, k2e, k2w) = squared_kernel(h, noise, spec, reach).factors(
-        w, eg.points, xe, w)
-    ones = basis2.T @ np.ones(design.size)
-    k2sg = np.maximum(k2g @ ones, 1e-300)
-    k2sw = np.maximum(k2w @ ones, 1e-300)
+    basis2, (k2g, k2e) = squared_kernel(h, noise, spec, reach).factors(w, eg.points, xe)
+    k2sg = np.maximum(k2g @ (basis2.T @ np.ones(design.size)), 1e-300)
+    k2ww = _lag_spectrum(kernel, design)
+    k2sw = np.maximum(_toeplitz(k2ww, np.ones(design.size)), 1e-300)
 
     lattice = _error_lattice(noise, design)
     if lattice is None:
-        ck = spur = basis_t = kt2w = None
+        ck = spur = kt2ww = None
     else:
         # one solve for both: the elimination runs column by column
         both = _spline_coefficients(xe, np.hstack((ke, k2e)))
         spur = _error_moments(xe, both[..., ke.shape[1] :], w, lattice)
         ck = np.ascontiguousarray(both[..., : ke.shape[1]])
-        del both  # ck copied its columns; free the rest before the next factors call
-        basis_t, (kt2w,) = squared_kernel(h, NoError(), spec, reach).factors(w, w)
+        kt2ww = _lag_spectrum(spectral_kernels([h], NoError(), spec, reach)[0], design)
 
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
@@ -362,9 +363,9 @@ def _workspace(
         raise _too_short(interval, exc, shortest) from None
 
     return _Workspace(
-        eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, k2w=k2w,
-        spur=spur, k2sg=k2sg, k2sw=k2sw, basis_t=basis_t, kt2w=kt2w, xe=xe,
-        lattice=lattice, vwin=vwin)
+        eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, spur=spur,
+        k2sg=k2sg, k2ww=k2ww, k2sw=k2sw, kt2ww=kt2ww, xe=xe, lattice=lattice,
+        vwin=vwin)
 
 
 def _too_short(interval, cause, shortest: float) -> ValueError:
@@ -466,15 +467,14 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
                                 square=True).T
         vm = np.maximum(m2 - m1**2, 0.0)
         spur1 = ws.spur @ (ws.basis2.T @ (wts**2 * v_nw_w)) / h**2
-        spur2 = ws.kt2w @ (ws.basis_t.T @ (wts**2 * v_nw_w)) / h**2
+        spur2 = _toeplitz(ws.kt2ww, wts**2 * v_nw_w) / h**2
         vmod = np.maximum(vm - np.maximum(spur1 - spur2, 0.0), 0.0)
 
     vw = np.maximum(vmod + s2min, _NW_FLOOR_FRAC * v_nw_w)
     # the absolute floor keeps constant responses from giving 0/0
     floor2 = max(sc2 / 4.0, 1e-16)
-    smooth = ws.basis2.T @ vw
-    nu_w = np.sqrt(np.maximum((ws.k2w @ smooth) / ws.k2sw, floor2))
-    nu_g = np.sqrt(np.maximum((ws.k2g @ smooth) / ws.k2sg, floor2))
+    nu_w = np.sqrt(np.maximum(_toeplitz(ws.k2ww, vw) / ws.k2sw, floor2))
+    nu_g = np.sqrt(np.maximum((ws.k2g @ (ws.basis2.T @ vw)) / ws.k2sg, floor2))
     return nu_w, nu_g
 
 

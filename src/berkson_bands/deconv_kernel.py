@@ -53,7 +53,7 @@ _PANEL_NODES = 24
 # Most nodes of one rule: building an m-node rule costs O(m^2)
 # (_legendre), so _gauss_rule cuts a longer panel into equal parts.
 _MAX_RULE_NODES = 400
-# Elements of the largest node-chunk temporary of fourier_sums.
+# Elements of the largest node-chunk temporary of fourier_sums and squared_kernel.
 _SUM_ELEMS = 1 << 17
 # Newton steps of the Gauss-Legendre rule.  Convergence is quadratic, so
 # after a step below _NEWTON_TOL the error in theta is far below
@@ -397,7 +397,7 @@ def squared_kernel(
     # one rule on [-1, 1] serves every inner panel: length <= c, rate 2 ripple
     t, q = _gauss_rule([-1.0, 1.0], noise.ripple * c)
     density = np.empty(nu.size)
-    rows = max(1, _BLOCK_ELEMS // (2 * kinks.size * t.size))
+    rows = max(1, _SUM_ELEMS // (2 * kinks.size * t.size))
     for s in range(0, nu.size, rows):
         v = nu[s : s + rows, None]
         both = np.hstack((np.broadcast_to(kinks, (v.size, kinks.size)), v + kinks))

@@ -758,7 +758,35 @@ def test_workspace_holds_no_dense_kernel_matrix():
             a, b = v.shape
             assert not ({a, b} & wide and size in (a, b)), name
             assert (a, b) != (size, size), name
-    assert sum(v.nbytes for v in arrays.values()) <= 60e6
+    assert sum(v.nbytes for v in arrays.values()) <= 10e6
+
+
+@pytest.mark.parametrize("n", [100, 750])
+@pytest.mark.parametrize("noise", [LAP01, MIX, NoError()],
+                         ids=["laplace", "mixture", "none"])
+def test_toeplitz_product_matches_the_dense_squared_kernel(noise, n):
+    design = build_regular(n, A_N)
+    op = operator_for(design, 0.25, noise, bands_mod.default_taper(noise))
+    v = np.random.default_rng(n).uniform(0.5, 2.0, design.size)
+    want = (op.exact_matrix(design.points, design.points) ** 2) @ v
+    got = bands_mod._toeplitz(bands_mod._lag_spectrum(op, design), v)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["gb_n750_s05", "mix_ga_n750"])
+def test_cold_band_traced_peak_stays_small(name):
+    """A cold band, workspace included, sketches no design x design
+    kernel matrix and reads splines in short blocks (_READ_ELEMS)."""
+    sc = SCENARIOS[name]
+    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
+    bands_mod._workspace.cache_clear()
+    tracemalloc.start()
+    try:
+        build_band(sample, sc.request(0), sc.noise())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 27e6
 
 
 @pytest.mark.parametrize("n", [100, 750])
