@@ -24,9 +24,11 @@ process lives in the rank coordinates of K's basis: a draw takes rank
 normals, not one per design point, and costs (rank + grid) x rank
 (_sup_batch).  Its factor is the Cholesky factor of the rank x rank
 Gram matrix of the multiplier-weighted basis, or a Householder QR of
-that basis where the Gram matrix would lose accuracy (_draw_factor).
-The basis is turned to a fixed orientation where it is built
-(_oriented), so the draws do not depend on how it was found.
+that basis where the Cholesky fails (_draw_factor).  The basis is turned
+by the right singular vectors of K's grid factor where it is built
+(_oriented), so rounding stays in the directions the grid barely sees,
+and the draws depend neither on how the basis was found nor on the BLAS
+thread count.
 
 The pilot regression is a not-a-knot cubic spline over the pilot
 points, solved here in numpy (_spline_coefficients).  A spline is linear
@@ -76,9 +78,6 @@ _CLAMP_FACTOR = 1.2
 # _error_moments reads splines in blocks of about this many values (plus
 # one error window); its FFT correlation then peaks at 13 MB on gb_n750_s05.
 _READ_ELEMS = 1 << 18
-# _draw_factor takes R from the Gram matrix only where cond(core_t) is
-# at most this: that route's error grows like eps cond^2.
-_GRAM_COND = 100.0
 
 
 @dataclass(frozen=True)
@@ -181,26 +180,17 @@ def _draw_factor(core_t: np.ndarray) -> np.ndarray:
     the Gram matrix core_t.T @ core_t; c core_t gives c R for c > 0.
 
     R is G's Cholesky factor, much cheaper than a QR of the design x rank
-    core_t, where cond(core_t)^2 = cond(G) <= ||G||_inf ||G^-1||_inf is
-    at most _GRAM_COND^2.  Any other core, such as a split band's whose
-    process barely reaches some basis directions, takes R from a
-    Householder QR of core_t, rows signed so that the diagonal is >= 0,
-    which needs no full rank.  For a core of full column rank both routes
-    give the one such R."""
-    gram = core_t.T @ core_t
+    core_t.  Where the Cholesky fails (a split band's process that barely
+    reaches some basis directions), R comes from a Householder QR of
+    core_t, rows signed so that the diagonal is >= 0, which needs no full
+    rank.  Column k of R depends on the first k + 1 columns of core_t
+    alone, and _oriented puts the directions the grid barely sees last,
+    so where both routes run their draws agree to rounding."""
     try:
-        r = np.linalg.cholesky(gram, upper=True)
-        r_inv = np.linalg.inv(r)
+        return np.linalg.cholesky(core_t.T @ core_t, upper=True)
     except np.linalg.LinAlgError:
-        pass
-    else:
-        # Python floats: an overflowing bound is inf, without a warning
-        bound = (float(np.linalg.norm(gram, np.inf))
-                 * float(np.linalg.norm(r_inv @ r_inv.T, np.inf)))
-        if bound <= _GRAM_COND**2:
-            return r
-    r = np.linalg.qr(core_t, mode="r")
-    return r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]
+        r = np.linalg.qr(core_t, mode="r")
+        return r * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)[:, None]
 
 
 def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
@@ -224,19 +214,22 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
     return np.maximum(out.max(axis=1), -out.min(axis=1))
 
 
-def _oriented(w: np.ndarray, basis: np.ndarray, lefts: list[np.ndarray]):
-    """(basis, lefts), SpectralKernel.factors at the design points w,
-    turned by the eigenvectors V of basis.T diag(w) basis, the position
-    operator on basis's span, and each column signed so that its entry
-    of largest magnitude is positive.  Every left @ basis.T is
-    unchanged.  The turned basis depends on the span alone, not on the
-    sketch that found it (the eigenvalues are distinct), so the
-    multiplier draws do not depend on which grid the range finder
-    sketched."""
-    v = np.linalg.eigh(basis.T @ (w[:, None] * basis))[1]
+def _oriented(basis: np.ndarray, lefts: list[np.ndarray]):
+    """(basis, lefts), SpectralKernel.factors with the grid factor kg
+    first, turned by the right singular vectors of kg, largest first, and
+    each column signed by its first entry, in design order, of at least
+    half its peak magnitude (the peak itself ties between mirror entries
+    on a symmetric interval).  Every left @ basis.T is unchanged.  The
+    directions whose singular values are distinct and above rounding
+    depend on the span alone; the rest the grid barely sees, so the draws
+    depend neither on the sketch nor on how the BLAS rounds.  The vectors
+    come from the R of a QR of kg: rank x rank even on a grid with fewer
+    points than the rank."""
+    v = np.linalg.svd(np.linalg.qr(lefts[0], mode="r"))[2].T
     basis = basis @ v
-    peak = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
-    sign = np.where(peak < 0.0, -1.0, 1.0)
+    mag = np.abs(basis)
+    first = np.argmax(mag >= 0.5 * mag.max(axis=0), axis=0)
+    sign = np.where(basis[first, np.arange(basis.shape[1])] < 0.0, -1.0, 1.0)
     return basis * sign, [left @ (v * sign) for left in lefts]
 
 
@@ -337,7 +330,7 @@ def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
     # every evaluation point lies in the design span
     reach = float(w[-1] - w[0])
     (kernel,) = spectral_kernels([h], noise, spec, reach)
-    basis, (kg, ke) = _oriented(w, *kernel.factors(w, eg.points, xe))
+    basis, (kg, ke) = _oriented(*kernel.factors(w, eg.points, xe))
     basis2, (k2g, k2e) = squared_kernel(h, noise, spec, reach).factors(w, eg.points, xe)
     k2sg = np.maximum(k2g @ (basis2.T @ np.ones(design.size)), 1e-300)
     k2ww = _lag_spectrum(kernel, design)
@@ -588,7 +581,7 @@ def build_band_extension(
         raise _too_short(request.interval, exc,
                          _split_shortest(w[held], w[carry], a_n, h)) from None
     (kernel,) = spectral_kernels([h], noise, spec, design.reach(request.interval))
-    basis, (kg,) = _oriented(w, *kernel.factors(w, eg.points))
+    basis, (kg,) = _oriented(*kernel.factors(w, eg.points))
 
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights

@@ -3,8 +3,7 @@
     python tools/same_outputs.py OLD_TREE NEW_TREE
 
 Each tree (a checkout holding ``src/berkson_bands``) runs in its own child
-process with one BLAS thread, since a band depends on the BLAS thread
-count, and writes:
+process and writes:
 
 - plain bands on the ten presets at seeds 1-3 (quantile, ghat, nuhat,
   lower, upper), the sample of seed s being replication s of the preset;
@@ -36,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (1, 2, 3)
 CLI_SEEDS = range(6)
 # The CLI runs on one sample of each error-law kind.
@@ -144,7 +142,7 @@ def _run_tree(tree: Path, out: Path) -> subprocess.Popen:
     # absolute, since the CLI children run in ``out``
     tree = tree.resolve()
     out.mkdir(parents=True)
-    env = dict(os.environ, **{var: "1" for var in BLAS_VARS})
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"),
                                                       env.get("PYTHONPATH"))))
     return subprocess.Popen([sys.executable, __file__, "--write", str(tree), str(out)],
