@@ -18,14 +18,15 @@ Every kernel matrix a band needs from the grid or the pilot points to
 the design points is held as low-rank factors left @ basis.T, basis on
 the design side (deconv_kernel.SpectralKernel.factors, squared_kernel);
 between design points K^2 is Toeplitz, applied by FFT as binned kernel
-sums are (_lag_spectrum; Silverman 1982, Wand 1994).  No band builds a
-kernel table or a dense kernel matrix.  The multiplier
-process lives in the rank coordinates of K's basis: a draw takes rank
-normals, not one per design point, and costs (rank + grid) x rank
-(_sup_batch).  Its factor is the Cholesky factor of the rank x rank
-Gram matrix of the multiplier-weighted basis, or a Householder QR of
-that basis where the Cholesky fails (_draw_factor).  The basis is turned
-by the right singular vectors of K's grid factor where it is built
+sums are (_lag_spectra; Silverman 1982, Wand 1994).  No band builds a
+kernel table or a dense kernel matrix.  The plain and the split band
+read ghat and draw their multiplier process through one cached geometry,
+the grid and K's factors from it to the design points (_draw_geometry).
+A draw takes rank normals, not one per design point, and costs (rank +
+grid) x rank (_sup_batch).  Its factor is the Cholesky factor of the
+rank x rank Gram matrix of the multiplier-weighted basis, or a
+Householder QR of that basis where the Cholesky fails (_draw_factor).
+The basis is turned by the right singular vectors of the grid factor
 (_oriented), so rounding stays in the directions the grid barely sees,
 and the draws depend neither on how the basis was found nor on the BLAS
 thread count.
@@ -51,7 +52,7 @@ from .deconv_kernel import TaperSpec, fourier_sums, spectral_kernels, squared_ke
 from .design import (Design, RegressionSample, _caller_stacklevel, _is_int,
                      build_split, check_identifiable, default_b_n,
                      identifiable_range, ordered_interval, write_columns)
-from .noise_models import Laplace, LaplaceMixture, NoError, NoiseModel
+from .noise_models import Laplace, LaplaceMixture, NoiseModel
 from .variance_estimation import (Windows, estimate_nu, midpoints,
                                   pseudo_residuals, shortest_interval,
                                   smoothing_bandwidth, windows)
@@ -236,30 +237,40 @@ def _oriented(basis: np.ndarray, lefts: list[np.ndarray]):
 # ---------------------------------------------------------------------------
 # geometry shared by every band built for the same (design, noise, h, interval)
 
-# Workspaces kept in memory; one holds 8.2 MB on gb_n750_s05 (n = 750):
-# kernel factors, 1.7 MB of pilot spline coefficients, 0.3 MB of windows.
+# Geometries and workspaces kept in memory; on gb_n750_s05 (n = 750) a
+# geometry holds 1.3 MB and a workspace 7.4 MB, 1.7 MB of it pilot splines.
 _WS_KEEP = 3
+
+
+@functools.lru_cache(maxsize=_WS_KEEP)
+def _draw_geometry(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
+                   interval: tuple[float, float]):
+    """(eg, basis, kg): the evaluation grid and K's factors from it to the
+    design points, K((w_j - x_i)/h) = (kg @ basis.T)[i, j], turned by
+    _oriented: the geometry of both bands' ghat and multiplier process."""
+    eg = make_eval_grid(interval, design.n, design.a_n, h)
+    (kernel,) = spectral_kernels([h], noise, spec, design.reach(interval))
+    basis, (kg,) = _oriented(*kernel.factors(design.points, eg.points))
+    return eg, basis, kg
 
 
 @dataclass
 class _Workspace:
-    """Kernel factors, error-law nodes and smoothing windows of a band.
+    """Variance-field kernels, error-law nodes and smoothing windows of a band.
 
-    From the grid to the design points K((w_j - x)/h) is kg @ basis.T and
-    K^2 is k2g @ basis2.T, basis and basis2 orthonormal.  Between design
-    points K^2 and the squared taper kernel are Toeplitz, with spectra
-    k2ww and kt2ww (_lag_spectrum).  ck @ v holds the pilot spline on xe
-    through (K on xe) @ v, and spur @ v the error-law moment
-    (_error_moments on ``lattice``) of the one through (K^2 on xe) @
-    basis2 @ v.  An error-free law has no pilot variance term, and the
-    fields only it needs (ck, spur, kt2ww, lattice) are None.  ``vwin``
-    holds the local-variance windows at xe, then at the design points.
-    No field is design x error grid or design x design.
+    From the grid to the design points K^2 is k2g @ basis2.T, basis2
+    orthonormal.  Between design points K^2 and the squared taper kernel
+    are Toeplitz, with spectra k2ww and kt2ww (_lag_spectra).  With basis
+    K's basis from the pilot points xe, ck @ basis.T @ v holds the pilot
+    spline on xe, and spur @ v the error-law moment (_error_moments on
+    ``lattice``) of the one through (K^2 on xe) @ basis2 @ v.  An
+    error-free law has no pilot variance term, and the fields only it
+    needs (basis, ck, spur, kt2ww, lattice) are None.  ``vwin`` holds the
+    local-variance windows at xe, then at the design points.  No field is
+    design x error grid or design x design.
     """
 
-    eg: EvalGrid
-    basis: np.ndarray
-    kg: np.ndarray
+    basis: np.ndarray | None
     ck: np.ndarray | None
     basis2: np.ndarray
     k2g: np.ndarray
@@ -273,18 +284,19 @@ class _Workspace:
     vwin: Windows
 
 
-def _lag_spectrum(op, design: Design) -> np.ndarray:
-    """Real rfft of the power-of-two circulant embedding the Toeplitz matrix
-    K((w_j - w_i)/h)^2 of the design, K the operator ``op``: its first column
-    is the lags K(k dw)^2, k = 0..2n, zeros, then the lags mirrored."""
+def _lag_spectra(omega: np.ndarray, factors: np.ndarray, design: Design) -> np.ndarray:
+    """Real rffts of the power-of-two circulants embedding the Toeplitz
+    matrices K_k((w_j - w_i)/h)^2 of the design, K_k of factor factors[:, k]
+    on the nodes omega, one row each: the lags K_k(k dw)^2, k = 0..2n,
+    zeros, then the lags mirrored, all from one Fourier sum."""
     lags = fourier_sums(np.arange(design.size) / (design.n * design.a_n),
-                        op.omega, op.factor[:, None])[:, 0] ** 2
-    pad = (1 << (2 * lags.size - 2).bit_length()) - 2 * lags.size + 1
-    return np.fft.rfft(np.concatenate((lags, np.zeros(pad), lags[:0:-1]))).real
+                        omega, factors).T ** 2
+    pad = (1 << (2 * design.size - 2).bit_length()) - 2 * design.size + 1
+    return np.fft.rfft(np.hstack((lags, np.zeros((len(lags), pad)), lags[:, :0:-1]))).real
 
 
 def _toeplitz(spectrum: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """T @ v for T the Toeplitz matrix of ``spectrum`` (_lag_spectrum): one
+    """T @ v for T the Toeplitz matrix of ``spectrum`` (_lag_spectra): one
     FFT round trip of v, zero-padded to the circulant's length."""
     return np.fft.irfft(spectrum * np.fft.rfft(v, 2 * spectrum.size - 2))[: v.size]
 
@@ -322,7 +334,7 @@ def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
                interval: tuple[float, float]) -> _Workspace:
     n, a_n = design.n, design.a_n
     w = design.points
-    eg = make_eval_grid(interval, n, a_n, h)
+    eg = _draw_geometry(design, noise, spec, h, interval)[0]
     clamp_lo, clamp_hi = identifiable_range(a_n, _CLAMP_FACTOR * h)
     if clamp_lo >= clamp_hi:
         raise ValueError(f"bandwidth h={h} too large for the design span")
@@ -330,21 +342,22 @@ def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
     # every evaluation point lies in the design span
     reach = float(w[-1] - w[0])
     (kernel,) = spectral_kernels([h], noise, spec, reach)
-    basis, (kg, ke) = _oriented(*kernel.factors(w, eg.points, xe))
     basis2, (k2g, k2e) = squared_kernel(h, noise, spec, reach).factors(w, eg.points, xe)
     k2sg = np.maximum(k2g @ (basis2.T @ np.ones(design.size)), 1e-300)
-    k2ww = _lag_spectrum(kernel, design)
+    # K smoothed by the error law is the taper kernel: K's factor times charfn
+    k2ww, kt2ww = _lag_spectra(kernel.omega, np.column_stack(
+        (kernel.factor, kernel.factor * noise.charfn(-kernel.omega))), design)
     k2sw = np.maximum(_toeplitz(k2ww, np.ones(design.size)), 1e-300)
 
     lattice = _error_lattice(noise, design)
     if lattice is None:
-        ck = spur = kt2ww = None
+        basis = ck = spur = kt2ww = None
     else:
+        basis, (ke,) = kernel.factors(w, xe)
         # one solve for both: the elimination runs column by column
         both = _spline_coefficients(xe, np.hstack((ke, k2e)))
         spur = _error_moments(xe, both[..., ke.shape[1] :], w, lattice)
         ck = np.ascontiguousarray(both[..., : ke.shape[1]])
-        kt2ww = _lag_spectrum(spectral_kernels([h], NoError(), spec, reach)[0], design)
 
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
@@ -356,9 +369,8 @@ def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
         raise _too_short(interval, exc, shortest) from None
 
     return _Workspace(
-        eg=eg, basis=basis, kg=kg, ck=ck, basis2=basis2, k2g=k2g, spur=spur,
-        k2sg=k2sg, k2ww=k2ww, k2sw=k2sw, kt2ww=kt2ww, xe=xe, lattice=lattice,
-        vwin=vwin)
+        basis=basis, ck=ck, basis2=basis2, k2g=k2g, spur=spur, k2sg=k2sg,
+        k2ww=k2ww, k2sw=k2sw, kt2ww=kt2ww, xe=xe, lattice=lattice, vwin=vwin)
 
 
 def _too_short(interval, cause, shortest: float) -> ValueError:
@@ -471,25 +483,18 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     return nu_w, nu_g
 
 
-def _assemble(
-    sample: RegressionSample,
-    request: BandRequest,
-    beta: float,
-    eg: EvalGrid,
-    kg: np.ndarray,
-    basis: np.ndarray,
-    est_w: np.ndarray,
-    mult_w: np.ndarray,
-    nu_g: np.ndarray,
-) -> BandResult:
-    """Band from the kernel factors K((w_j - x_i)/h) = (kg @ basis.T)[i, j].
+def _assemble(sample: RegressionSample, request: BandRequest, noise: NoiseModel,
+              spec: TaperSpec, est_w: np.ndarray, mult_w: np.ndarray,
+              nu_g: np.ndarray) -> BandResult:
+    """Band on the draw geometry of the sample's design (_draw_geometry).
 
     ghat sums the responses with the estimator weights ``est_w``; the
     multiplier process weights design point j by ``mult_w[j]`` (its
     estimator weight times nuhat at w_j) and is studentized by ``nu_g``.
     """
     design = sample.design
-    n, a_n, h = design.n, design.a_n, request.h
+    n, a_n, h, beta = design.n, design.a_n, request.h, noise.beta
+    eg, basis, kg = _draw_geometry(design, noise, spec, h, request.interval)
     ghat = kg @ (basis.T @ (est_w * sample.responses)) / h
     coef = h**beta / math.sqrt(n * a_n * h)
     core_t = basis * (mult_w * n * a_n)[:, None]
@@ -498,7 +503,7 @@ def _assemble(
     denom = math.sqrt(n * a_n) * h ** (0.5 + beta)
     half = q * nu_g / denom
     return BandResult(
-        grid=eg.points.copy(),  # a cached workspace's grid serves later bands
+        grid=eg.points.copy(),  # a cached geometry's grid serves later bands
         ghat=ghat,
         nuhat=nu_g,
         quantile=q,
@@ -529,8 +534,8 @@ def build_band(
     spec = taper if taper is not None else default_taper(noise)
     ws = _workspace(design, noise, spec, request.h, request.interval)
     nu_w, nu_g = _band_variance_field(sample, ws, request.h)
-    return _assemble(sample, request, noise.beta, ws.eg, ws.kg, ws.basis,
-                     design.weights, design.weights * nu_w, nu_g)
+    return _assemble(sample, request, noise, spec, design.weights,
+                     design.weights * nu_w, nu_g)
 
 
 def build_band_extension(
@@ -546,8 +551,9 @@ def build_band_extension(
     The removal-based construction that backs the theory: the assembly
     of build_band over a reweighted design, with gap weights on the kept
     points and zero on the removed ones, the multiplier process truncated
-    to |j| <= n b_n, and the variance curve estimated from the removed
-    singletons.  build_band itself serves every error law.  A b_n that
+    to |j| <= n b_n, the variance curve estimated from the removed
+    singletons, and build_band's cached draw geometry.  build_band itself
+    serves every error law.  A b_n that
     is not finite, or that leaves no kept point in the process, raises a
     ValueError naming b_n, a d_n that holds out one point one naming d_n,
     and a too short interval one giving the shortest length that works.
@@ -568,7 +574,7 @@ def build_band_extension(
         raise ValueError(
             f"b_n must be finite and keep a design point j with "
             f"|j| <= n b_n in the multiplier process, got {b_n}")
-    eg = make_eval_grid(request.interval, n, a_n, h)
+    grid = _draw_geometry(design, noise, spec, h, request.interval)[0].points
     w = design.points
     held = sd.removed + n
     if held.size < 2:
@@ -576,19 +582,15 @@ def build_band_extension(
                          f"variance curve needs at least two")
     try:
         nu = estimate_nu(sample, request.interval, mask=held)(
-            np.concatenate((w[carry], eg.points)))
+            np.concatenate((w[carry], grid)))
     except ValueError as exc:
         raise _too_short(request.interval, exc,
                          _split_shortest(w[held], w[carry], a_n, h)) from None
-    (kernel,) = spectral_kernels([h], noise, spec, design.reach(request.interval))
-    basis, (kg,) = _oriented(*kernel.factors(w, eg.points))
-
     est_w = np.zeros(design.size)
     est_w[sd.kept + n] = sd.gap_weights
     mult_w = np.zeros(design.size)
     mult_w[carry] = est_w[carry] * nu[: carry.size]
-    return _assemble(sample, request, noise.beta, eg, kg, basis, est_w, mult_w,
-                     nu[carry.size :])
+    return _assemble(sample, request, noise, spec, est_w, mult_w, nu[carry.size :])
 
 
 def _split_shortest(held, carried, a_n: float, h: float) -> float:

@@ -13,7 +13,7 @@ rule exceeds _MAX_RULE_NODES nodes (_gauss_rule).  A kernel sum over the
 design is then a node sum of the data's Fourier transform, and a kernel
 matrix between two point sets has low-rank factors
 (SpectralKernel.factors), found from the points' phases exp(i omega x)
-in row blocks of at most _PHASE_ELEMS entries, each viewed as
+in row blocks of at most _BLOCK_ELEMS entries, each viewed as
 interleaved [cos, sin] columns (_phase_rows): no points x nodes array
 is formed.  squared_kernel gives the same
 operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  Every read of K
@@ -39,8 +39,10 @@ from .noise_models import NoiseModel
 __all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_table",
            "spectral_kernels", "squared_kernel", "fourier_sums"]
 
-# Elements of the largest temporary array of a kernel sum.
-_BLOCK_ELEMS = 1 << 22
+# Entries of the largest block temporary of a kernel sum, a data
+# transform, a block of phase rows, or a node chunk of fourier_sums and
+# squared_kernel.
+_BLOCK_ELEMS = 1 << 17
 # Intervals of kernel_table's grid; every default grid length reads it.
 _GRID_LEN = 1 << 14
 # Gauss-Legendre nodes of the spectral operator on a frequency panel
@@ -53,8 +55,6 @@ _PANEL_NODES = 24
 # Most nodes of one rule: building an m-node rule costs O(m^2)
 # (_legendre), so _gauss_rule cuts a longer panel into equal parts.
 _MAX_RULE_NODES = 400
-# Elements of the largest node-chunk temporary of fourier_sums and squared_kernel.
-_SUM_ELEMS = 1 << 17
 # Newton steps of the Gauss-Legendre rule.  Convergence is quadratic, so
 # after a step below _NEWTON_TOL the error in theta is far below
 # rounding; from Tricomi's estimates that takes three steps for every m
@@ -74,8 +74,6 @@ _SKETCH_COLUMNS = 32
 _SKETCH_GROUP = 5
 _SKETCH_SEED = 0
 _RANK_TOL = 1e-13
-# Complex entries of the largest block of phase rows of factors.
-_PHASE_ELEMS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -230,7 +228,7 @@ class SpectralKernel:
         exp(i omega x_i), each viewed as interleaved [cos, sin] columns
         (_phase_rows), so that a row product sums factor cos(omega (w_j -
         x_i)).  Neither is formed: every product below takes their rows
-        in blocks of whole anchors, at most _PHASE_ELEMS entries each.
+        in blocks of whole anchors, at most _BLOCK_ELEMS entries each.
 
         basis comes from a randomized range finder (Halko, Martinsson &
         Tropp 2011): blocks of _SKETCH_COLUMNS Gaussian combinations of
@@ -323,14 +321,14 @@ def _phase_rows(x, omega: np.ndarray, scale=1.0):
     """Yield (start, rows): rows i of [scale cos(omega x), scale sin(omega
     x)] from i = start on, columns interleaved, for uniform x.
 
-    Each block is whole anchors (_uniform_blocks) of at most _PHASE_ELEMS
+    Each block is whole anchors (_uniform_blocks) of at most _BLOCK_ELEMS
     complex entries, or one anchor: one broadcast product exp(i omega
     anchor) * scale exp(i omega offset), viewed as floats.  The blocks
     share one buffer, so a block is valid until the next is taken.
     """
     anchors, offsets = _uniform_blocks(x)
     near = scale * np.exp(1j * np.outer(offsets, omega))
-    step = min(anchors.size, max(1, _PHASE_ELEMS // near.size))
+    step = min(anchors.size, max(1, _BLOCK_ELEMS // near.size))
     block = np.empty((step,) + near.shape, dtype=complex)
     for a in range(0, anchors.size, step):
         far = np.exp(1j * np.outer(anchors[a : a + step], omega))
@@ -397,7 +395,7 @@ def squared_kernel(
     # one rule on [-1, 1] serves every inner panel: length <= c, rate 2 ripple
     t, q = _gauss_rule([-1.0, 1.0], noise.ripple * c)
     density = np.empty(nu.size)
-    rows = max(1, _SUM_ELEMS // (2 * kinks.size * t.size))
+    rows = max(1, _BLOCK_ELEMS // (2 * kinks.size * t.size))
     for s in range(0, nu.size, rows):
         v = nu[s : s + rows, None]
         both = np.hstack((np.broadcast_to(kinks, (v.size, kinks.size)), v + kinks))
@@ -505,7 +503,7 @@ def fourier_sums(x, omega, coeffs) -> np.ndarray:
     (2 nodes) by (2 nodes) x (columns x anchors).  A chunk takes only
     the columns with a nonzero coefficient there: a column that holds
     an operator of r nodes, zero-padded to the longest, costs its r
-    nodes alone.  No temporary holds more than ``_SUM_ELEMS`` entries
+    nodes alone.  No temporary holds more than ``_BLOCK_ELEMS`` entries
     beyond two the size of the len(x) x K output, which is returned.
     """
     kk = coeffs.shape[1]
@@ -514,7 +512,7 @@ def fourier_sums(x, omega, coeffs) -> np.ndarray:
     anchors, offsets = _uniform_blocks(x)
     j, b = anchors.size, offsets.size
     out = np.zeros((b, kk, j))
-    rows = max(1, _SUM_ELEMS // (2 * max(b, kk * j)))
+    rows = max(1, _BLOCK_ELEMS // (2 * max(b, kk * j)))
     nonzero = coeffs != 0
     for s in range(0, omega.size, rows):
         live = np.flatnonzero(nonzero[s : s + rows].any(axis=0))

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 
 from berkson_bands import NoError, make_eval_grid
 from berkson_bands.bands import (_CLAMP_FACTOR, _NW_FLOOR_FRAC, _XE_POINTS,
-                                 _error_lattice, _workspace, default_taper,
+                                 _draw_geometry, _error_lattice, default_taper,
                                  quantile)
 from berkson_bands.design import identifiable_range
 from berkson_bands.variance_estimation import (midpoints, pseudo_residuals,
@@ -70,8 +70,8 @@ def _geometry(design, noise, spec, h, interval):
         wd = np.clip(w[:, None] + dgrid[None, :], lo, hi)
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
-    # the engine draws in the coordinates of its workspace's basis
-    basis = _workspace(design, noise, spec, h, interval).basis
+    # the engine draws in the coordinates of its draw geometry's basis
+    basis = _draw_geometry(design, noise, spec, h, interval)[1]
     return {
         "basis": basis,
         "grid": grid, "xe": xe, "dgrid": dgrid, "fw": fw, "wd": wd,

@@ -28,7 +28,7 @@ from berkson_bands import (
     g_a,
     run_scenario,
 )
-from berkson_bands.bands import _sup_batch, _workspace
+from berkson_bands.bands import _draw_geometry, _sup_batch
 from berkson_bands.deconv_kernel import spectral_kernels
 
 from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, operator_for
@@ -155,7 +155,7 @@ def test_criterion_7_multiplier_process_variance(capsys):
     op = operator_for(design, h, LAP01, TAPER_S)
     # the band's basis with non-constant multipliers: R is the triangular
     # factor of a design x rank core's Gram matrix, as in a band
-    basis = _workspace(design, LAP01, TAPER_S, h, interval).basis
+    basis = _draw_geometry(design, LAP01, TAPER_S, h, interval)[1]
     m = 0.5 + design.points**2
     coef = h ** LAP01.beta / math.sqrt(n * A_N * h)
     draws = 20_000

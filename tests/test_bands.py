@@ -1,6 +1,7 @@
 """Band assembly: grids, quantiles, multiplier draws, and the split path."""
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -35,7 +36,7 @@ from berkson_bands import (
     undersmooth,
     write_band,
 )
-from berkson_bands.deconv_kernel import spectral_kernels
+from berkson_bands.deconv_kernel import SpectralKernel, spectral_kernels
 from berkson_bands.design import default_b_n, identifiable_range
 
 from conftest import A_N, LAP01, MIX, TAPER_S, TAPER_W, operator_for
@@ -100,6 +101,12 @@ def split_reference(sample, req, b_n=None, nu_curve=None):
     q = quantile(np.max(np.abs(proc), axis=1), 1.0 - req.alpha)
     half = q * nu_g / (math.sqrt(n * A_N) * h ** (0.5 + beta))
     return q, ghat, half
+
+
+def clear_caches():
+    """Forget every workspace and draw geometry, so the next band is cold."""
+    bands_mod._workspace.cache_clear()
+    bands_mod._draw_geometry.cache_clear()
 
 
 def assert_close(got, want, rel=1e-10):
@@ -316,11 +323,10 @@ def test_turned_basis_depends_on_the_span_alone(seed):
     assert_close(sups[1], sups[0], 1e-12)
 
 
-def test_warm_band_draws_rank_normals():
-    sc = SCENARIOS["gb_n750_s05"]
-    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
-    build_band(sample, sc.request(1), sc.noise())
-    shapes = []
+@contextlib.contextmanager
+def record_normals(shapes):
+    """A context in which every generator's standard_normal call appends its
+    size to ``shapes``."""
     default_rng = np.random.default_rng
 
     class Recorder:
@@ -336,12 +342,46 @@ def test_warm_band_draws_rank_normals():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", Recorder)
+        yield
+
+
+def test_warm_band_draws_rank_normals():
+    sc = SCENARIOS["gb_n750_s05"]
+    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
+    build_band(sample, sc.request(1), sc.noise())
+    shapes = []
+    with record_normals(shapes):
         build_band(sample, sc.request(2), sc.noise())
     noise = sc.noise()
     spec = bands_mod.default_taper(noise)
-    rank = bands_mod._workspace(sample.design, noise, spec, sc.h,
-                                sc.interval).basis.shape[1]
+    rank = bands_mod._draw_geometry(sample.design, noise, spec, sc.h,
+                                    sc.interval)[1].shape[1]
     assert rank < sample.design.size / 10
+    assert shapes == [(sc.draws, rank)]
+
+
+def test_split_band_reuses_the_plain_band_draw_geometry():
+    # the plain band draws in the rank of K's grid factor alone, and the
+    # split band on the same design, law, taper, h and interval factors
+    # no kernel of its own
+    sc = SCENARIOS["mix_ga_n100"]
+    sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 1, 0)))
+    noise, request = sc.noise(), sc.request(1)
+    build_band(sample, request, noise)
+    shapes = []
+    with record_normals(shapes):
+        build_band(sample, request, noise)  # warm: the range finder draws none
+    calls = []
+    factors = SpectralKernel.factors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpectralKernel, "factors",
+                   lambda op, *args: calls.append(op) or factors(op, *args))
+        build_band_extension(sample, request, noise)
+    assert calls == []
+    grid = make_eval_grid(sc.interval, sc.n, sc.a_n, sc.h).points
+    (kernel,) = spectral_kernels([sc.h], noise, bands_mod.default_taper(noise),
+                                 sample.design.reach(sc.interval))
+    rank = kernel.factors(sample.design.points, grid)[0].shape[1]
     assert shapes == [(sc.draws, rank)]
 
 
@@ -364,14 +404,14 @@ def test_band_is_insensitive_to_grid_refinement(s200):
 
     seeds = (REQ.seed, *range(10))
     ones = [build_band(s200, replace(REQ, seed=seed), LAP01) for seed in seeds]
-    bands_mod._workspace.cache_clear()
+    clear_caches()
     try:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bands_mod, "make_eval_grid", quarter_grid)
             fours = [build_band(s200, replace(REQ, seed=seed), LAP01)
                      for seed in seeds]
     finally:
-        bands_mod._workspace.cache_clear()
+        clear_caches()
     for seed, one, four in zip(seeds, ones, fours):
         assert four.grid.size > 3 * one.grid.size
         assert abs(four.quantile / one.quantile - 1.0) < 0.02, seed
@@ -763,7 +803,7 @@ def test_factored_band_matches_the_dense_oracle(rep, seed, alpha):
 def test_cold_and_warm_workspaces_give_identical_bands(rep, seed):
     sample = ga100_sample(rep)
     req = GA100.request(seed)
-    bands_mod._workspace.cache_clear()
+    clear_caches()
     cold = build_band(sample, req, GA100.noise())
     warm = build_band(sample, req, GA100.noise())
     assert bands_mod._workspace.cache_info().hits >= 1
@@ -780,7 +820,9 @@ def test_workspace_holds_no_dense_kernel_matrix():
                               sc.h, sc.interval)
     size = design.size
     # no grid, pilot or error-grid axis pairs with a design axis
-    wide = {ws.eg.points.size, ws.xe.size,
+    grid = bands_mod._draw_geometry(design, noise, bands_mod.default_taper(noise),
+                                    sc.h, sc.interval)[0].points
+    wide = {grid.size, ws.xe.size,
             bands_mod._error_lattice(noise, design)[0].size}
     arrays = {name: v for name, v in vars(ws).items()
               if isinstance(v, np.ndarray)}
@@ -800,7 +842,8 @@ def test_toeplitz_product_matches_the_dense_squared_kernel(noise, n):
     op = operator_for(design, 0.25, noise, bands_mod.default_taper(noise))
     v = np.random.default_rng(n).uniform(0.5, 2.0, design.size)
     want = (op.exact_matrix(design.points, design.points) ** 2) @ v
-    got = bands_mod._toeplitz(bands_mod._lag_spectrum(op, design), v)
+    got = bands_mod._toeplitz(
+        bands_mod._lag_spectra(op.omega, op.factor[:, None], design)[0], v)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -810,7 +853,7 @@ def test_cold_band_traced_peak_stays_small(name):
     kernel matrix and reads splines in short blocks (_READ_ELEMS)."""
     sc = SCENARIOS[name]
     sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
-    bands_mod._workspace.cache_clear()
+    clear_caches()
     tracemalloc.start()
     try:
         build_band(sample, sc.request(0), sc.noise())
@@ -830,7 +873,7 @@ def test_narrow_error_law_band_stays_small_and_exact(noise, n):
     y = g_a(design.points + noise.sample(rng, design.size)) \
         + 0.1 * rng.standard_normal(design.size)
     sample = RegressionSample(design=design, responses=y)
-    bands_mod._workspace.cache_clear()
+    clear_caches()
     tracemalloc.start()
     try:
         got = build_band(sample, REQ, noise)

@@ -376,7 +376,7 @@ def test_kernel_factors_allocate_no_node_by_point_temporary():
     # beyond the outputs and one group's probes and sketches, factors
     # holds at most two row blocks' worth of temporaries; the exact
     # factors, points x 2 nodes for every point set, would not fit there
-    allowance = 2 * dk._PHASE_ELEMS * 16
+    allowance = 2 * dk._BLOCK_ELEMS * 16
     for op, w, grids in _factor_calls():
         tracemalloc.start()
         try:
@@ -401,7 +401,7 @@ def test_kernel_factors_do_not_depend_on_block_sizes(monkeypatch):
         (op,) = spectral_kernels([h], MIX, TAPER_W, 3.0)
         basis, lefts = op.factors(w, *grids)
         with monkeypatch.context() as m:
-            m.setattr(dk, "_PHASE_ELEMS", 1)
+            m.setattr(dk, "_BLOCK_ELEMS", 1)
             m.setattr(dk, "_SKETCH_GROUP", 1)
             small_basis, small_lefts = op.factors(w, *grids)
         assert small_basis.shape == basis.shape

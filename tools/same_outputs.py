@@ -3,7 +3,7 @@
     python tools/same_outputs.py OLD_TREE NEW_TREE
 
 Each tree (a checkout holding ``src/berkson_bands``) runs in its own child
-process and writes:
+process, one after the other, and writes:
 
 - plain bands on the ten presets at seeds 1-3 (quantile, ghat, nuhat,
   lower, upper), the sample of seed s being replication s of the preset;
@@ -138,15 +138,15 @@ def write_outputs(tree: Path, out: Path) -> None:
     _write_cli(out)
 
 
-def _run_tree(tree: Path, out: Path) -> subprocess.Popen:
+def _run_tree(tree: Path, out: Path) -> subprocess.CompletedProcess:
     # absolute, since the CLI children run in ``out``
     tree = tree.resolve()
     out.mkdir(parents=True)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(tree / "src"),
                                                       env.get("PYTHONPATH"))))
-    return subprocess.Popen([sys.executable, __file__, "--write", str(tree), str(out)],
-                            env=env, stderr=subprocess.PIPE, text=True)
+    return subprocess.run([sys.executable, __file__, "--write", str(tree), str(out)],
+                          env=env, stderr=subprocess.PIPE, text=True)
 
 
 def _describe(old: Path, new: Path) -> str:
@@ -183,12 +183,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as work:
         outs = [Path(work) / "old", Path(work) / "new"]
         trees = (args.old, args.new)
-        procs = [_run_tree(tree, out) for tree, out in zip(trees, outs)]
         failed = False
-        for tree, proc in zip(trees, procs):
-            _, err = proc.communicate()
+        for tree, out in zip(trees, outs):
+            proc = _run_tree(tree, out)
             if proc.returncode != 0:
-                print(f"{tree} failed:\n{err}", file=sys.stderr)
+                print(f"{tree} failed:\n{proc.stderr}", file=sys.stderr)
                 failed = True
         if failed:
             return 2
