@@ -7,6 +7,7 @@ to machine-readable JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -131,22 +132,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _noise_from(args: argparse.Namespace):
+@contextlib.contextmanager
+def _flags(names: str, *errors):
+    """Turn a ValueError, or one of ``errors``, raised in the block into a
+    ConfigError whose message names ``names``, the flags that set it."""
     try:
+        yield
+    except (ValueError, *errors) as exc:
+        raise ConfigError(f"{names}: {exc}") from exc
+
+
+def _noise_from(args: argparse.Namespace):
+    with _flags("--sigma-delta/--lam/--mu"):
         return make_noise(args.density, sigma_delta=args.sigma_delta,
                           lam=args.lam, mu=args.mu)
-    except ValueError as exc:
-        raise ConfigError(f"--sigma-delta/--lam/--mu: {exc}") from exc
 
 
 def _replaced(config, flags: str, **fields):
     """``config`` with the fields whose flag was given replaced; ``flags``
     names those flags in the error message."""
-    try:
+    with _flags(flags):
         return dataclasses.replace(
             config, **{k: v for k, v in fields.items() if v is not None})
-    except ValueError as exc:
-        raise ConfigError(f"{flags}: {exc}") from exc
 
 
 def _taper_from(args: argparse.Namespace, noise):
@@ -160,10 +167,8 @@ def _load_input(args: argparse.Namespace):
     path = Path(args.input)
     if not path.exists():
         raise ConfigError(f"--input file not found: {path}")
-    try:
+    with _flags(f"--input {path}"):
         return load_sample(path, args.a_n)
-    except ValueError as exc:
-        raise ConfigError(f"--input {path}: {exc}") from exc
 
 
 def _resolve_h(args: argparse.Namespace, sample, noise, taper,
@@ -183,18 +188,14 @@ def _resolve_h(args: argparse.Namespace, sample, noise, taper,
             )
         h = SCENARIOS[name].h
     elif args.bandwidth == "lepski":
-        try:
+        with _flags("--bandwidth lepski/--interval"):
             h = lepski_select(sample, noise, taper, interval).h
-        except ValueError as exc:
-            raise ConfigError(f"--bandwidth lepski/--interval: {exc}") from exc
     else:
         raise ConfigError(f"--bandwidth must be preset:<scenario> or lepski; "
                           f"got {args.bandwidth!r}")
     if args.undersmooth:
-        try:
+        with _flags("--undersmooth"):
             h = undersmooth(h, sample.design.n)
-        except ValueError as exc:
-            raise ConfigError(f"--undersmooth: {exc}") from exc
     return h
 
 
@@ -211,18 +212,14 @@ def _prepare(args: argparse.Namespace):
 
     Every input of ``estimate`` and ``band`` is read and checked here.
     """
-    a, b = args.interval
-    if not b >= a:
-        raise ConfigError(f"--interval A B needs A <= B, got {a} {b}")
+    interval = tuple(args.interval)
     noise = _noise_from(args)
     taper = _taper_from(args, noise)
     sample = _load_input(args)
-    h = _resolve_h(args, sample, noise, taper, (a, b))
-    try:
-        grid = make_eval_grid((a, b), sample.design.n, sample.design.a_n, h)
-    except ValueError as exc:
-        raise ConfigError(f"--interval/--h: {exc}") from exc
-    return (a, b), noise, taper, sample, h, grid.points
+    h = _resolve_h(args, sample, noise, taper, interval)
+    with _flags("--interval/--h"):
+        grid = make_eval_grid(interval, sample.design.n, sample.design.a_n, h)
+    return interval, noise, taper, sample, h, grid.points
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
@@ -240,18 +237,14 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_band(args: argparse.Namespace) -> int:
     out = Path(args.out)
-    try:
+    with _flags("--out"):
         sidecar = _sidecar(out)
-    except ValueError as exc:
-        raise ConfigError(f"--out: {exc}") from exc
     interval, noise, taper, sample, h, _ = _prepare(args)
-    try:
+    with _flags("--alpha/--M/--seed"):
         request = BandRequest(
             interval=interval, h=h, alpha=args.alpha, draws=args.M,
             seed=args.seed,
         )
-    except ValueError as exc:
-        raise ConfigError(f"--alpha/--M/--seed: {exc}") from exc
     split = args.split or args.d_n is not None or args.b_n is not None
     try:
         band = (build_band_extension(sample, request, noise, taper=taper,
@@ -276,10 +269,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if name in SCENARIOS:
         scenario = SCENARIOS[name]
     elif Path(name).exists():
-        try:
+        with _flags(f"--scenario file {name}", KeyError, TypeError):
             scenario = scenario_from_file(name)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"--scenario file {name}: {exc}") from exc
     else:
         raise ConfigError(
             f"--scenario {name!r} is neither a preset "
@@ -307,11 +298,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     noise = _noise_from(args)
     taper = _taper_from(args, noise)
-    try:
+    with _flags("--grid-len/--span"):
         table = kernel_table(args.h, noise, taper, grid_len=args.grid_len,
                              span=args.span)
-    except ValueError as exc:
-        raise ConfigError(f"--grid-len/--span: {exc}") from exc
     out = Path(args.out)
     write_columns(out, "u,K", table.grid, table.values)
     _emit(

@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .design import _A_N
+from .design import _A_N, _is_int
 from .noise_models import NoiseModel
 
 __all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_table",
@@ -158,6 +158,8 @@ def kernel_table(
     """
     if not h > 0:
         raise ValueError(f"bandwidth must be positive, got {h}")
+    if not _is_int(grid_len):
+        raise ValueError(f"grid_len must be an integer, got {grid_len!r}")
     if grid_len < 2:
         raise ValueError(f"grid_len must be at least 2, got {grid_len}")
     if span is None:

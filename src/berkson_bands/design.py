@@ -162,6 +162,8 @@ def build_split(design: Design, d_n: int | None = None) -> SplitDesign:
     n = design.n
     if d_n is None:
         d_n = default_d_n(n)
+    if not _is_int(d_n):
+        raise ValueError(f"d_n must be an integer, got {d_n!r}")
     if not 2 <= d_n <= 2 * n:
         raise ValueError(f"need 2 <= d_n <= 2n = {2 * n}, got {d_n}")
     removed = np.arange(-n + d_n, n + 1, d_n)

@@ -244,6 +244,24 @@ def test_draw_factor_of_a_plain_core_is_the_householder_factor(name):
     assert np.max(np.abs(r - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_draw_geometry_reads_the_exact_kernel_sum(name):
+    # the range finder's rank cut may drop only rounding-level directions
+    # of K's grid factor: ghat through the factors is the node-rule sum
+    sc = SCENARIOS[name]
+    noise = sc.noise()
+    spec = bands_mod.default_taper(noise)
+    design = build_regular(sc.n, sc.a_n)
+    eg, basis, kg = bands_mod._draw_geometry(design, noise, spec, sc.h, sc.interval)
+    (kernel,) = spectral_kernels([sc.h], noise, spec, design.reach(sc.interval))
+    dense = kernel.exact_matrix(eg.points, design.points)
+    for seed in (1, 2, 3):
+        sample = generate_sample(sc, np.random.SeedSequence((sc.seed, seed, 0)))
+        cy = design.weights * sample.responses
+        got, want = kg @ (basis.T @ cy), dense @ cy
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def sups_of(r, grid_t, nu_g, coef, draws, seed):
     """The sups _sup_batch draws from the factor r."""
     z = np.random.default_rng(seed).standard_normal((draws, r.shape[0]))
@@ -542,6 +560,13 @@ def test_split_band_rejects_b_n_without_a_process_point(mix100, b_n):
     # n = 100 with the default d_n = 25 removes j = 0, so b_n = 0 keeps none
     with pytest.raises(ValueError, match="b_n must be finite"):
         build_band_extension(mix100, MIX_REQ, MIX, b_n=b_n)
+
+
+def test_split_band_rejects_a_non_integer_d_n(mix100):
+    with pytest.raises(ValueError, match="d_n must be an integer, got 8.0"):
+        build_split(mix100.design, 8.0)
+    with pytest.raises(ValueError, match="d_n must be an integer, got 8.0"):
+        build_band_extension(mix100, MIX_REQ, MIX, d_n=8.0)
 
 
 @pytest.mark.parametrize("knots", ["uniform", "random"])

@@ -465,6 +465,8 @@ def test_table_argument_validation():
     assert (odd.grid[0], odd.grid[-1]) == (-8.0, 8.0)
     with pytest.raises(ValueError, match="grid_len must be at least 2"):
         kernel_table(0.25, LAP01, TAPER_S, grid_len=1, span=8.0)
+    with pytest.raises(ValueError, match="grid_len must be an integer, got 64.0"):
+        kernel_table(0.25, LAP01, TAPER_S, grid_len=64.0, span=8.0)
     for span in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="span must be positive"):
             kernel_table(0.25, LAP01, TAPER_S, span=span)
