@@ -223,9 +223,9 @@ def _oriented(basis: np.ndarray, lefts: list[np.ndarray]):
     on a symmetric interval).  Every left @ basis.T is unchanged.  The
     directions whose singular values are distinct and above rounding
     depend on the span alone; the rest the grid barely sees, so the draws
-    depend neither on the sketch nor on how the BLAS rounds.  The vectors
-    come from the R of a QR of kg: rank x rank even on a grid with fewer
-    points than the rank."""
+    depend neither on the sample factors takes nor on how the BLAS
+    rounds.  The vectors come from the R of a QR of kg: rank x rank even
+    on a grid with fewer points than the rank."""
     v = np.linalg.svd(np.linalg.qr(lefts[0], mode="r"))[2].T
     basis = basis @ v
     mag = np.abs(basis)

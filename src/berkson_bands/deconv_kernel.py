@@ -12,15 +12,16 @@ on the Legendre recurrence (_legendre_rule), on panels cut so that no
 rule exceeds _MAX_RULE_NODES nodes (_gauss_rule).  A kernel sum over the
 design is then a node sum of the data's Fourier transform, and a kernel
 matrix between two point sets has low-rank factors
-(SpectralKernel.factors), found from the points' phases exp(i omega x)
-in row blocks of at most _BLOCK_ELEMS entries, each viewed as
-interleaved [cos, sin] columns (_phase_rows): no points x nodes array
-is formed.  squared_kernel gives the same
-operator for K(.;h)^2, whose band is [0, 2 cutoff/h].  Every read of K
-goes through these operators: the estimator, the Lepski rule and the
-bands form no grid x design matrix.  Their point sets are uniform,
-and transform, factors and fourier_sums demand it: they take
-exponentials of anchors and offsets alone (_uniform_blocks).
+(SpectralKernel.factors), found from K's exact rows at Chebyshev points
+of the grids' span and the points' phases exp(i omega x) in row blocks
+of at most _BLOCK_ELEMS entries, each viewed as interleaved [cos, sin]
+columns (_phase_rows): no points x nodes array is formed.
+squared_kernel gives the same operator for K(.;h)^2, whose band is
+[0, 2 cutoff/h].  Every read of K goes through these operators: the
+estimator, the Lepski rule and the bands form no grid x design matrix.
+Their point sets are uniform, and transform, factors and fourier_sums
+demand it: they take exponentials of anchors and offsets alone
+(_uniform_blocks).
 SpectralKernel.exact_matrix, a cos and a sin per entry at any points,
 is the dense reference.  kernel_table holds K on a uniform grid, the
 values the CLI's kernel-dump writes.
@@ -61,18 +62,15 @@ _MAX_RULE_NODES = 400
 # from 2 to 3000.  _NEWTON_STEPS only bounds the loop.
 _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-12
-# Low-rank kernel factors: a fixed-seed randomized range finder takes
-# sketches of _SKETCH_COLUMNS columns and keeps the directions whose
-# singular value exceeds _RANK_TOL times the first sketch's largest.  At
-# 1e-13 the factors of K and K^2 on gb_n750_s05 match the uncompressed
-# products to 7e-14 of their largest entry; near 1e-15 rounding noise
-# would pass the test.  One pass over the points sketches _SKETCH_GROUP
-# blocks.  The K and K^2 bases of every preset band stop within five, the
-# block that adds nothing included, and each block past the stop costs
-# as much as one that counts.
-_SKETCH_COLUMNS = 32
-_SKETCH_GROUP = 5
-_SKETCH_SEED = 0
+# Low-rank kernel factors (SpectralKernel.factors): a sample of K at
+# ceil(Omega l) + _SAMPLE_MARGIN Chebyshev points keeps the directions
+# whose singular value exceeds _RANK_TOL times the largest.  On the 31
+# factors calls of the preset bands (K from the grid and from the pilot
+# points, K^2 from both) and the benchmark's cold split band, every
+# margin from 16 to 96 finds the same ranks, and at 1e-13 the factors
+# match exact_matrix to 8e-14 of K(0); near 1e-15 rounding noise would
+# pass the test.
+_SAMPLE_MARGIN = 24
 _RANK_TOL = 1e-13
 
 
@@ -232,57 +230,40 @@ class SpectralKernel:
         x_i)).  Neither is formed: every product below takes their rows
         in blocks of whole anchors, at most _BLOCK_ELEMS entries each.
 
-        basis comes from a randomized range finder (Halko, Martinsson &
-        Tropp 2011): blocks of _SKETCH_COLUMNS Gaussian combinations of
-        the grid rows, with a fixed seed, are projected off the basis
-        found so far; each block adds the directions whose singular value
-        exceeds _RANK_TOL times the first block's largest, and the search
-        stops at a block that adds none.  So R is the numerical rank, not
-        the node count.  One pass over the grids and one over ``points``
-        give the sketches of _SKETCH_GROUP blocks.  ``points`` and each
-        grid must be uniform, each grid with a spacing of its own.
+        basis holds the left singular vectors, above _RANK_TOL times the
+        largest singular value, of one exact sample: the kernel matrix
+        from p Chebyshev points xi of the grids' hull [lo, hi] to
+        ``points``, one pass over ``points`` with left's rows at xi.  K is
+        band-limited in x to Omega, the largest node, so the Chebyshev
+        coefficients of its rows over the hull are Bessel values
+        J_k(Omega l), l = (hi - lo)/2 (Jacobi-Anger), which vanish fast
+        once k > Omega l: the rows at p = ceil(Omega l) + _SAMPLE_MARGIN
+        points span every row over the hull to rounding, as in black-box
+        kernel compression (Fong & Darve 2009).  A sample whose rank
+        reaches p is taken again at 2p.  So R is K's numerical rank, and
+        no random number is drawn.  ``points`` and each grid must be
+        uniform, each grid with a spacing of its own.
         """
-        omega, size = self.omega, np.size(points)
-        rng = np.random.default_rng(_SKETCH_SEED)
-
-        def sketches():
-            # copies, so that no sketch held here keeps a pass's group alive
-            while True:
-                yield from (sketch.copy() for sketch in
-                            _sketch_group(rng, points, grids, omega, self.factor))
-
-        limit = min(size, 2 * omega.size)
-        basis = np.empty((size, 0))
-        scale = None
-        for sketch in sketches():
-            sketch -= basis @ (basis.T @ sketch)
-            u, sv, _ = np.linalg.svd(sketch, full_matrices=False)
-            if scale is None:
-                scale = sv[0]
-            u = u[:, sv > _RANK_TOL * scale][:, : limit - basis.shape[1]]
-            if not u.shape[1]:
+        omega = self.omega
+        for g in grids:  # before the hull, so that a NaN fails as non-uniform
+            _uniform_blocks(g)
+        lo, hi = min(np.min(g) for g in grids), max(np.max(g) for g in grids)
+        half = 0.5 * (hi - lo)
+        p = math.ceil(omega.max() * half) + _SAMPLE_MARGIN
+        while True:
+            xi = 0.5 * (hi + lo) + half * np.cos(math.pi * (np.arange(p) + 0.5) / p)
+            rows = (self.factor * np.exp(1j * np.outer(xi, omega))).view(float)
+            # the SVD through the sample's R takes less memory than the
+            # sample's own: a cold n = 5,000 band peaks 18 MB lower
+            q, r = np.linalg.qr(_rows_times(points, omega, rows.T))
+            u, sv, _ = np.linalg.svd(r)
+            basis = q @ u[:, sv > _RANK_TOL * sv[0]]
+            if basis.shape[1] < p:
                 break
-            u -= basis @ (basis.T @ u)  # second pass restores orthogonality
-            basis = np.hstack((basis, np.linalg.qr(u)[0]))
-            if basis.shape[1] == limit:
-                break
+            p *= 2
 
         mix = _times_rows(basis, points, omega)  # basis.T @ right
         return basis, [_rows_times(g, omega, mix.T, self.factor) for g in grids]
-
-
-def _sketch_group(rng, points, grids, omega, factor) -> list[np.ndarray]:
-    """The range finder's next _SKETCH_GROUP sketches right @ left.T @
-    probe (see SpectralKernel.factors), each probe the generator's next
-    grid rows x _SKETCH_COLUMNS normals: one pass over the grids' phase
-    rows and one over the points'."""
-    ends = np.cumsum([np.size(g) for g in grids])
-    probe = rng.standard_normal((_SKETCH_GROUP, ends[-1], _SKETCH_COLUMNS))
-    mixed = sum(_times_rows(probe[:, end - np.size(g) : end], g, omega, factor)
-                for g, end in zip(grids, ends))  # probe.T @ left
-    del probe  # the points' pass needs room for the sketches instead
-    group = _rows_times(points, omega, mixed.reshape(-1, 2 * omega.size).T)
-    return np.hsplit(group, _SKETCH_GROUP)
 
 
 def _rows_times(x, omega, m, scale=1.0) -> np.ndarray:

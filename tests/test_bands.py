@@ -246,7 +246,7 @@ def test_draw_factor_of_a_plain_core_is_the_householder_factor(name):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_draw_geometry_reads_the_exact_kernel_sum(name):
-    # the range finder's rank cut may drop only rounding-level directions
+    # the sample's rank cut may drop only rounding-level directions
     # of K's grid factor: ghat through the factors is the node-rule sum
     sc = SCENARIOS[name]
     noise = sc.noise()
@@ -388,7 +388,7 @@ def test_split_band_reuses_the_plain_band_draw_geometry():
     build_band(sample, request, noise)
     shapes = []
     with record_normals(shapes):
-        build_band(sample, request, noise)  # warm: the range finder draws none
+        build_band(sample, request, noise)  # warm, and factors draws no normals
     calls = []
     factors = SpectralKernel.factors
     with pytest.MonkeyPatch.context() as mp:
@@ -413,7 +413,7 @@ def test_neighbouring_seeds_draw_independent_quantiles():
 
 
 def test_band_is_insensitive_to_grid_refinement(s200):
-    # the finer grid's range finder finds K's basis in another orientation
+    # the finer grid's factor turns K's basis another way (_oriented)
     def quarter_grid(interval, n, a_n, h):
         a, b = interval
         m = math.ceil((b - a) / (math.sqrt(h) / (n * math.sqrt(a_n) * 4)))

@@ -118,13 +118,17 @@ def test_nan_points_fail_the_uniform_grid_checks(after):
     calls = [
         lambda: estimate_g(sample, with_nan(grid), [op]),
         lambda: op.transform(with_nan(w), np.ones(w.size)),
-        lambda: op.factors(with_nan(w), grid),
-        lambda: op.factors(w, with_nan(grid)),
         lambda: fourier_sums(with_nan(grid), op.omega, op.factor[:, None]),
         lambda: dk._uniform_blocks(with_nan(np.linspace(0.0, 1.0, 10))),
     ]
     for call in calls:
         with pytest.raises(ValueError):
+            call()
+    # factors checks every grid before it takes their hull
+    for call in (lambda: op.factors(with_nan(w), grid),
+                 lambda: op.factors(w, with_nan(grid))):
+        with pytest.raises(ValueError,
+                           match="^the spectral operator needs a uniform grid$"):
             call()
     for interval in ((np.nan, 0.5), (-0.5, np.nan)):
         with pytest.raises(ValueError, match="identifiable range"):
@@ -372,10 +376,17 @@ def _factor_calls():
     yield op, design.points, (make_eval_grid(interval, sc.n, sc.a_n, h).points,)
 
 
+def _sample_size(op, grids) -> int:
+    """p, the Chebyshev points of factors' first sample for these grids."""
+    half = 0.5 * (max(np.max(g) for g in grids) - min(np.min(g) for g in grids))
+    return math.ceil(op.omega.max() * half) + dk._SAMPLE_MARGIN
+
+
 def test_kernel_factors_allocate_no_node_by_point_temporary():
-    # beyond the outputs and one group's probes and sketches, factors
-    # holds at most two row blocks' worth of temporaries; the exact
-    # factors, points x 2 nodes for every point set, would not fit there
+    # beyond the outputs and three points x p arrays (the sample, its
+    # QR's copy and Q), factors holds at most two row blocks' worth of
+    # temporaries; the exact factors, points x 2 nodes for every point
+    # set, would not fit there
     allowance = 2 * dk._BLOCK_ELEMS * 16
     for op, w, grids in _factor_calls():
         tracemalloc.start()
@@ -388,13 +399,13 @@ def test_kernel_factors_allocate_no_node_by_point_temporary():
         exact = (rows + w.size) * 2 * op.omega.size * 8
         assert exact > allowance
         outputs = basis.nbytes + sum(left.nbytes for left in lefts)
-        group = dk._SKETCH_GROUP * dk._SKETCH_COLUMNS * (rows + w.size) * 8
-        assert peak <= outputs + group + allowance
+        sample = 3 * w.size * _sample_size(op, grids) * 8
+        assert peak <= outputs + sample + allowance
 
 
 def test_kernel_factors_do_not_depend_on_block_sizes(monkeypatch):
-    # one anchor per row block and one sketch block per pass, on point
-    # sets whose sizes are no multiple of their anchor stride
+    # one anchor per row block, on point sets whose sizes are no multiple
+    # of their anchor stride
     w = np.linspace(-1.5, 1.5, 301)
     grids = (np.linspace(-0.7, 0.6, 257), np.linspace(-1.2, 1.1, 89), w[3:-5])
     for h in (0.1, 0.2):
@@ -402,7 +413,6 @@ def test_kernel_factors_do_not_depend_on_block_sizes(monkeypatch):
         basis, lefts = op.factors(w, *grids)
         with monkeypatch.context() as m:
             m.setattr(dk, "_BLOCK_ELEMS", 1)
-            m.setattr(dk, "_SKETCH_GROUP", 1)
             small_basis, small_lefts = op.factors(w, *grids)
         assert small_basis.shape == basis.shape
         peak = np.sum(op.factor)
@@ -412,6 +422,58 @@ def test_kernel_factors_do_not_depend_on_block_sizes(monkeypatch):
             # each basis holds the kernel rows the other one found
             for k, b in ((kernel, small_basis), (small_kernel, basis)):
                 assert np.max(np.abs(k - (k @ b) @ b.T)) <= 1e-12 * peak
+
+
+def _band_factor_calls():
+    """(operator, points, grids) of every factors call of the preset
+    bands, K from the grid, K from the pilot points and K^2 from both,
+    then the benchmark's cold split band (_factor_calls)."""
+    for sc in SCENARIOS.values():
+        design, noise = build_regular(sc.n, sc.a_n), sc.noise()
+        spec, w = default_taper(noise), design.points
+        eg = make_eval_grid(sc.interval, sc.n, sc.a_n, sc.h).points
+        lo, hi = identifiable_range(sc.a_n, bands_mod._CLAMP_FACTOR * sc.h)
+        xe = np.linspace(lo, hi, bands_mod._XE_POINTS)
+        reach = float(w[-1] - w[0])
+        (op,) = spectral_kernels([sc.h], noise, spec, design.reach(sc.interval))
+        yield op, w, (eg,)
+        (op,) = spectral_kernels([sc.h], noise, spec, reach)
+        yield op, w, (xe,)
+        yield squared_kernel(sc.h, noise, spec, reach), w, (eg, xe)
+    yield list(_factor_calls())[-1]
+
+
+def test_kernel_factors_do_not_depend_on_the_sample_margin(monkeypatch):
+    # K's rows over the grids' hull lie, to rounding, in the span of its
+    # rows at ceil(Omega half-length) + a few Chebyshev points, so a wider
+    # sample finds the same rank and the same kernel rows
+    for op, w, grids in _band_factor_calls():
+        basis, lefts = op.factors(w, *grids)
+        with monkeypatch.context() as m:
+            m.setattr(dk, "_SAMPLE_MARGIN", 72)
+            wide_basis, wide_lefts = op.factors(w, *grids)
+        assert wide_basis.shape == basis.shape
+        peak = np.sum(op.factor)
+        for left, wide in zip(lefts, wide_lefts):
+            assert np.max(np.abs(wide @ wide_basis.T - left @ basis.T)) <= 1e-12 * peak
+
+
+def test_kernel_factors_double_a_saturated_sample(monkeypatch):
+    # with no margin, K's rank from each preset's grid reaches p: factors
+    # samples again at 2p and then finds the kernel rows
+    monkeypatch.setattr(dk, "_SAMPLE_MARGIN", 0)
+    svd, sizes = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, **kw: sizes.append(a.shape[1]) or svd(a, **kw))
+    for op, w, grids in list(_band_factor_calls())[:-1:3]:
+        sizes.clear()
+        basis, lefts = op.factors(w, *grids)
+        p = _sample_size(op, grids)
+        assert sizes == [p, 2 * p]
+        assert basis.shape[1] < 2 * p
+        for left, g in zip(lefts, grids):
+            gap = left @ basis.T - op.exact_matrix(g, w)
+            assert np.max(np.abs(gap)) <= 1e-12 * np.sum(op.factor)
 
 
 def test_kernel_eval_is_symmetric():

@@ -19,8 +19,10 @@ process, one after the other, and writes:
   ``--bandwidth lepski``, ``kernel-dump``, and 2-replication
   ``simulate`` runs (their ``summary.json`` without ``runtime``).
 
-It prints every output that differs or exists in one tree only, and
-exits 1 if there is one, 0 if all agree and 2 if a tree fails to run.
+It prints every output that differs or exists in one tree only, then
+how many outputs differ and how many array outputs differ by more than
+1e-10 relative, the bound for a change meant to be exact.  It exits 1
+if any output differs, 0 if all agree and 2 if a tree fails to run.
 Outputs go to a temporary directory, removed afterwards.
 """
 from __future__ import annotations
@@ -149,30 +151,42 @@ def _run_tree(tree: Path, out: Path) -> subprocess.CompletedProcess:
                           env=env, stderr=subprocess.PIPE, text=True)
 
 
-def _describe(old: Path, new: Path) -> str:
-    """How two differing output files differ, for arrays."""
+# How far a change meant to be exact may move an array output, relative
+# to its largest magnitude
+EXACT = 1e-10
+
+
+def _describe(old: Path, new: Path) -> tuple[str, bool]:
+    """How two differing output files differ, for arrays, and whether
+    they are arrays that differ by more than EXACT relative or in shape."""
     if old.suffix != ".npy":
-        return "bytes differ"
+        return "bytes differ", False
     a, b = np.load(old), np.load(new)
     if a.shape != b.shape or a.dtype != b.dtype:
-        return f"{a.dtype}{a.shape} against {b.dtype}{b.shape}"
+        return f"{a.dtype}{a.shape} against {b.dtype}{b.shape}", True
     gap = np.max(np.abs(a - b), initial=0.0)
     scale = np.max(np.abs(a), initial=0.0)
-    return f"max difference {gap:.3g} ({gap / scale if scale else gap:.3g} relative)"
+    relative = gap / scale if scale else gap
+    return f"max difference {gap:.3g} ({relative:.3g} relative)", relative > EXACT
 
 
-def compare(old: Path, new: Path) -> list[str]:
-    """One line per output that differs between the two output trees."""
+def compare(old: Path, new: Path) -> tuple[list[str], int]:
+    """One line per output that differs between the two output trees, and
+    how many array outputs differ by more than EXACT relative (an array
+    in one tree only counts)."""
     files = {p.relative_to(root) for root in (old, new)
              for p in root.rglob("*") if p.is_file()}
-    lines = []
+    lines, inexact = [], 0
     for rel in sorted(files):
         a, b = old / rel, new / rel
         if not (a.exists() and b.exists()):
             lines.append(f"{rel}: only in {'old' if a.exists() else 'new'}")
+            inexact += rel.suffix == ".npy"
         elif a.read_bytes() != b.read_bytes():
-            lines.append(f"{rel}: {_describe(a, b)}")
-    return lines
+            text, far = _describe(a, b)
+            lines.append(f"{rel}: {text}")
+            inexact += far
+    return lines, inexact
 
 
 def main(argv=None) -> int:
@@ -191,11 +205,13 @@ def main(argv=None) -> int:
                 failed = True
         if failed:
             return 2
-        lines = compare(*outs)
+        lines, inexact = compare(*outs)
         count = sum(1 for p in outs[0].rglob("*") if p.is_file())
+        arrays = sum(1 for p in outs[0].rglob("*.npy"))
     for line in lines:
         print(line)
     print(f"{len(lines)} of {count} outputs differ")
+    print(f"{inexact} of {arrays} array outputs differ by more than {EXACT:g} relative")
     return 1 if lines else 0
 
 
