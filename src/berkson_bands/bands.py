@@ -16,7 +16,7 @@ weights so its shape matches what the supremum actually feels.
 
 Every kernel matrix a band needs from the grid or the pilot points to
 the design points is held as low-rank factors left @ basis.T, basis on
-the design side (deconv_kernel.SpectralKernel.factors, squared_kernel);
+the design side (SpectralKernel.factors and squared_factors of K);
 between design points K^2 is Toeplitz, applied by FFT as binned kernel
 sums are (_lag_spectra; Silverman 1982, Wand 1994).  No band builds a
 kernel table or a dense kernel matrix.  The plain and the split band
@@ -48,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .deconv_kernel import TaperSpec, fourier_sums, spectral_kernels, squared_kernel
+from .deconv_kernel import TaperSpec, fourier_sums, spectral_kernels
 from .design import (Design, RegressionSample, _caller_stacklevel, _is_int,
                      build_split, check_identifiable, default_b_n,
                      identifiable_range, ordered_interval, write_columns)
@@ -259,15 +259,15 @@ class _Workspace:
     """Variance-field kernels, error-law nodes and smoothing windows of a band.
 
     From the grid to the design points K^2 is k2g @ basis2.T, basis2
-    orthonormal.  Between design points K^2 and the squared taper kernel
-    are Toeplitz, with spectra k2ww and kt2ww (_lag_spectra).  With basis
-    K's basis from the pilot points xe, ck @ basis.T @ v holds the pilot
-    spline on xe, and spur @ v the error-law moment (_error_moments on
-    ``lattice``) of the one through (K^2 on xe) @ basis2 @ v.  An
-    error-free law has no pilot variance term, and the fields only it
-    needs (basis, ck, spur, kt2ww, lattice) are None.  ``vwin`` holds the
-    local-variance windows at xe, then at the design points.  No field is
-    design x error grid or design x design.
+    orthonormal (K's squared_factors).  Between design points K^2 and the
+    squared taper kernel are Toeplitz, with spectra k2ww and kt2ww
+    (_lag_spectra).  With basis K's basis from the pilot points xe,
+    ck @ basis.T @ v holds the pilot spline on xe, and spur @ v the
+    error-law moment (_error_moments on ``lattice``) of the one through
+    (K^2 on xe) @ basis2 @ v.  An error-free law has no pilot variance
+    term, and the fields only it needs (basis, ck, spur, kt2ww, lattice)
+    are None.  ``vwin`` holds the local-variance windows at xe, then at
+    the design points.  No field is design x error grid or design x design.
     """
 
     basis: np.ndarray | None
@@ -342,7 +342,7 @@ def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
     # every evaluation point lies in the design span
     reach = float(w[-1] - w[0])
     (kernel,) = spectral_kernels([h], noise, spec, reach)
-    basis2, (k2g, k2e) = squared_kernel(h, noise, spec, reach).factors(w, eg.points, xe)
+    basis2, (k2g, k2e) = kernel.squared_factors(w, eg.points, xe)
     k2sg = np.maximum(k2g @ (basis2.T @ np.ones(design.size)), 1e-300)
     # K smoothed by the error law is the taper kernel: K's factor times charfn
     k2ww, kt2ww = _lag_spectra(kernel.omega, np.column_stack(

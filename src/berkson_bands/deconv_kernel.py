@@ -16,9 +16,10 @@ matrix between two point sets has low-rank factors
 of the grids' span and the points' phases exp(i omega x) in row blocks
 of at most _BLOCK_ELEMS entries, each viewed as interleaved [cos, sin]
 columns (_phase_rows): no points x nodes array is formed.
-squared_kernel gives the same operator for K(.;h)^2, whose band is
-[0, 2 cutoff/h].  Every read of K goes through these operators: the
-estimator, the Lepski rule and the bands form no grid x design matrix.
+SpectralKernel.squared_factors gives those of K(.;h)^2, whose band is
+[0, 2 cutoff/h], from the squares of K's sample.  Every read of K goes
+through these operators: the estimator, the Lepski rule and the bands
+form no grid x design matrix.
 Their point sets are uniform, and transform, factors and fourier_sums
 demand it: they take exponentials of anchors and offsets alone
 (_uniform_blocks).
@@ -38,11 +39,11 @@ from .design import _A_N, _is_int
 from .noise_models import NoiseModel
 
 __all__ = ["TaperSpec", "KernelTable", "SpectralKernel", "phi_k", "kernel_table",
-           "spectral_kernels", "squared_kernel", "fourier_sums"]
+           "spectral_kernels", "fourier_sums"]
 
 # Entries of the largest block temporary of a kernel sum, a data
-# transform, a block of phase rows, or a node chunk of fourier_sums and
-# squared_kernel.
+# transform, a block of phase rows or of barycentric weights, or a node
+# chunk of fourier_sums.
 _BLOCK_ELEMS = 1 << 17
 # Intervals of kernel_table's grid; every default grid length reads it.
 _GRID_LEN = 1 << 14
@@ -62,16 +63,17 @@ _MAX_RULE_NODES = 400
 # from 2 to 3000.  _NEWTON_STEPS only bounds the loop.
 _NEWTON_STEPS = 10
 _NEWTON_TOL = 1e-12
-# Low-rank kernel factors (SpectralKernel.factors): a sample of K at
-# ceil(Omega l) + _SAMPLE_MARGIN Chebyshev points keeps the directions
-# whose singular value exceeds _RANK_TOL times the largest.  On the 31
-# factors calls of the preset bands (K from the grid and from the pilot
-# points, K^2 from both) and the benchmark's cold split band, every
-# margin from 16 to 96 finds the same ranks, and at 1e-13 the factors
-# match exact_matrix to 8e-14 of K(0); near 1e-15 rounding noise would
-# pass the test.
+# Low-rank factors (SpectralKernel._sample): a sample of K^power at
+# ceil(power Omega l) + _SAMPLE_MARGIN Chebyshev points keeps directions
+# above _RANK_TOL times its largest singular value, and doubles while the
+# factors miss exact rows off it by over _CHECK_TOL of K^power's peak.  On
+# the 31 calls of the preset bands and the cold split band every margin
+# from 16 to 96 finds the same ranks, the check never fires at 24, and at
+# 1e-13 the factors match exact_matrix to 1.1e-13 of K(0)^power (at 1e-15
+# rounding noise would pass the test).
 _SAMPLE_MARGIN = 24
 _RANK_TOL = 1e-13
+_CHECK_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -229,57 +231,104 @@ class SpectralKernel:
         (_phase_rows), so that a row product sums factor cos(omega (w_j -
         x_i)).  Neither is formed: every product below takes their rows
         in blocks of whole anchors, at most _BLOCK_ELEMS entries each.
+        basis comes from K's sample over the grids' hull (_sample), and
+        lefts are the exact rows times basis, left @ (basis.T @ right).T.
+        ``points`` and each grid must be uniform, each with its own step.
+        """
+        basis = self._sample(points, grids, 1)[0]
+        mix = _times_rows(basis, points, self.omega)  # basis.T @ right
+        return basis, [_rows_times(g, self.omega, mix.T, scale=self.factor)[0]
+                       for g in grids]
 
-        basis holds the left singular vectors, above _RANK_TOL times the
-        largest singular value, of one exact sample: the kernel matrix
-        from p Chebyshev points xi of the grids' hull [lo, hi] to
-        ``points``, one pass over ``points`` with left's rows at xi.  K is
-        band-limited in x to Omega, the largest node, so the Chebyshev
-        coefficients of its rows over the hull are Bessel values
-        J_k(Omega l), l = (hi - lo)/2 (Jacobi-Anger), which vanish fast
-        once k > Omega l: the rows at p = ceil(Omega l) + _SAMPLE_MARGIN
-        points span every row over the hull to rounding, as in black-box
-        kernel compression (Fong & Darve 2009).  A sample whose rank
-        reaches p is taken again at 2p.  So R is K's numerical rank, and
-        no random number is drawn.  ``points`` and each grid must be
-        uniform, each grid with a spacing of its own.
+    def squared_factors(self, points, *grids) -> tuple[np.ndarray, list[np.ndarray]]:
+        """factors of K^2 from the squares of K's sample (_sample).  Exact
+        rows of K^2 would need a grid x design matrix, so lefts read the
+        sample's coordinates at the grids by barycentric interpolation
+        (_chebyshev_read), stable at Chebyshev points (Berrut & Trefethen 2004)."""
+        basis, xi, coords = self._sample(points, grids, 2)
+        return basis, [_chebyshev_read(xi, coords, g) for g in grids]
+
+    def _sample(self, points, grids, power: int):
+        """(basis, xi, coords): an orthonormal basis of K^power's rows from
+        the grids' hull [lo, hi] to ``points``, the sample's Chebyshev
+        points xi, and its coordinates in basis, a row per xi.
+
+        The sample is K^power from p points xi to ``points``.  K^power is
+        band-limited to power Omega (Omega the largest node), so its rows'
+        Chebyshev coefficients over the hull are Bessel values J_k(power
+        Omega l), l = (hi - lo)/2, which vanish fast past k = power Omega l
+        (Jacobi-Anger): at p = ceil(power Omega l) + _SAMPLE_MARGIN the
+        sample spans every row to rounding (Fong & Darve 2009).  basis
+        holds its left singular vectors above _RANK_TOL of the largest.  p
+        doubles while the rank reaches p or the factors, by each power's
+        own lefts, miss exact rows at the hull's ends and the midpoints of
+        xi's six central gaps, where xi is sparsest, by more than
+        _CHECK_TOL of sum |factor|^power, K^power's bound and the scale of
+        its rounding even where the check rows are small.
         """
         omega = self.omega
         for g in grids:  # before the hull, so that a NaN fails as non-uniform
             _uniform_blocks(g)
         lo, hi = min(np.min(g) for g in grids), max(np.max(g) for g in grids)
         half = 0.5 * (hi - lo)
-        p = math.ceil(omega.max() * half) + _SAMPLE_MARGIN
+        p = math.ceil(power * omega.max() * half) + _SAMPLE_MARGIN
+        peak = np.sum(np.abs(self.factor)) ** power
         while True:
             xi = 0.5 * (hi + lo) + half * np.cos(math.pi * (np.arange(p) + 0.5) / p)
-            rows = (self.factor * np.exp(1j * np.outer(xi, omega))).view(float)
+            gaps = p // 2 - 3 + np.arange(6)
+            check = np.concatenate(([lo, hi], 0.5 * (xi[gaps] + xi[gaps + 1])))
+            rows = (self.factor * np.exp(1j * np.outer(np.r_[xi, check], omega))).view(float)
+            # the sample's product keeps its own shape: at two BLAS
+            # threads, added columns would move its rounding
+            sample, exact = _rows_times(points, omega, rows[:p].T, rows[p:].T)
+            sample **= power
+            exact **= power
             # the SVD through the sample's R takes less memory than the
             # sample's own: a cold n = 5,000 band peaks 18 MB lower
-            q, r = np.linalg.qr(_rows_times(points, omega, rows.T))
-            u, sv, _ = np.linalg.svd(r)
-            basis = q @ u[:, sv > _RANK_TOL * sv[0]]
-            if basis.shape[1] < p:
-                break
+            q, r = np.linalg.qr(sample)
+            u, sv, vt = np.linalg.svd(r)
+            keep = np.flatnonzero(sv > _RANK_TOL * sv[0])  # sv may be shorter than vt
+            basis, coords = q @ u[:, keep], vt[keep].T * sv[keep]
+            left = exact.T @ basis if power == 1 else _chebyshev_read(xi, coords, check)
+            gap = np.max(np.abs(basis @ left.T - exact))
+            if basis.shape[1] < p and gap <= _CHECK_TOL * peak:
+                return basis, xi, coords
             p *= 2
 
-        mix = _times_rows(basis, points, omega)  # basis.T @ right
-        return basis, [_rows_times(g, omega, mix.T, self.factor) for g in grids]
 
-
-def _rows_times(x, omega, m, scale=1.0) -> np.ndarray:
-    """rows @ m for the phase rows of x (_phase_rows), block by block."""
-    out = np.empty((np.size(x), m.shape[1]))
-    for s, rows in _phase_rows(x, omega, scale):
-        np.matmul(rows, m, out=out[s : s + len(rows)])
+def _chebyshev_read(xi, values, x) -> np.ndarray:
+    """The polynomial through ``values``, one row per Chebyshev point xi_c =
+    mid + half cos(pi (c + 1/2) / p), at x: the barycentric formula with
+    weights (-1)^c sin(pi (c + 1/2) / p), in row blocks of at most
+    _BLOCK_ELEMS entries.  An x on some xi_c reads row c."""
+    c = np.arange(xi.size)
+    weights = (-1.0) ** c * np.sin(math.pi * (c + 0.5) / c.size)
+    out = np.empty((np.size(x), values.shape[1]))
+    step = max(1, _BLOCK_ELEMS // c.size)
+    for s in range(0, np.size(x), step):
+        with np.errstate(divide="ignore"):
+            d = weights / np.subtract.outer(x[s : s + step], xi)
+        on = np.isinf(d).any(axis=1)
+        d[on] = np.isinf(d[on])
+        d /= d.sum(axis=1, keepdims=True)
+        np.matmul(d, values, out=out[s : s + step])
     return out
 
 
-def _times_rows(m, x, omega, scale=1.0) -> np.ndarray:
-    """m.T @ rows for the phase rows of x (_phase_rows), block by block;
-    m may stack such matrices, one row per point on its second-last axis."""
-    out = np.zeros(m.shape[:-2] + (m.shape[-1], 2 * omega.size))
+def _rows_times(x, omega, *ms, scale=1.0) -> list[np.ndarray]:
+    """[rows @ m for m in ms] for the phase rows of x (_phase_rows), one pass."""
+    outs = [np.empty((np.size(x), m.shape[1])) for m in ms]
     for s, rows in _phase_rows(x, omega, scale):
-        out += m[..., s : s + len(rows), :].swapaxes(-1, -2) @ rows
+        for m, out in zip(ms, outs):
+            np.matmul(rows, m, out=out[s : s + len(rows)])
+    return outs
+
+
+def _times_rows(m, x, omega) -> np.ndarray:
+    """m.T @ rows for the phase rows of x (_phase_rows), block by block."""
+    out = np.zeros((m.shape[1], 2 * omega.size))
+    for s, rows in _phase_rows(x, omega):
+        out += m[s : s + len(rows)].T @ rows
     return out
 
 
@@ -337,7 +386,11 @@ def spectral_kernels(
     ceil(3 (hi - lo) rate / 2 pi) + 24 nodes, in equal parts of at most
     _MAX_RULE_NODES each (_gauss_rule).
     """
-    _check_arguments(hs, reach)
+    if not (math.isfinite(reach) and reach >= 0):
+        raise ValueError(f"reach must be non-negative and finite, got {reach}")
+    for h in hs:
+        if not (math.isfinite(h) and h > 0):
+            raise ValueError(f"bandwidth must be positive, got {h}")
     edges = sorted(
         {0.0, *(spec.cutoff * f / h for h in hs for f in (spec.knot, 1.0))}
     )
@@ -346,63 +399,10 @@ def spectral_kernels(
     for h in hs:
         keep = nodes < spec.cutoff / h
         omega = nodes[keep]
-        factor = weights[keep] * _density(omega, h, noise, spec)
-        ops.append(
-            SpectralKernel(h=float(h), noise=noise, omega=omega, factor=factor)
-        )
+        factor = weights[keep] * (h * phi_k(omega * h, spec)
+                                  / (math.pi * noise.charfn(-omega)))
+        ops.append(SpectralKernel(h=float(h), noise=noise, omega=omega, factor=factor))
     return ops
-
-
-def squared_kernel(
-    h: float, noise: NoiseModel, spec: TaperSpec, reach: float
-) -> SpectralKernel:
-    """Spectral operator of K(.;h)^2, for |x - w| up to ``reach``.
-
-    With s the density of K (K(v/h; h) = int_0^C s(w) cos(w v) dw, where
-    C = cutoff/h), K^2 has the density G(nu) = 1/2 int s(|w|) s(|nu - w|)
-    dw over w in [nu - C, C] on the band [0, 2C]: the autoconvolution of
-    s extended evenly.  s loses smoothness at 0, +-knot C and +-C, so the
-    inner integral is split at those points of both factors and G at
-    their pairwise sums, which are the panel edges of the outer rule.
-    Inner panels are at most C long and get a Gauss-Legendre rule sized
-    like spectral_kernels' for the rate 2 ripple (the product of two
-    rippling factors); outer panels as in spectral_kernels.  The
-    operator matches the square of spectral_kernels' to about 1e-14
-    relative for both shipped error laws and no error.
-    """
-    _check_arguments([h], reach)
-    c = spec.cutoff / h
-    kinks = np.array([-1.0, -spec.knot, 0.0, spec.knot, 1.0]) * c
-    edges = sorted({float(a + b) for a in kinks for b in kinks if a + b >= 0.0})
-    nu, weights = _gauss_rule(edges, reach + noise.ripple)
-    # one rule on [-1, 1] serves every inner panel: length <= c, rate 2 ripple
-    t, q = _gauss_rule([-1.0, 1.0], noise.ripple * c)
-    density = np.empty(nu.size)
-    rows = max(1, _BLOCK_ELEMS // (2 * kinks.size * t.size))
-    for s in range(0, nu.size, rows):
-        v = nu[s : s + rows, None]
-        both = np.hstack((np.broadcast_to(kinks, (v.size, kinks.size)), v + kinks))
-        cuts = np.sort(np.clip(both, v - c, c), axis=1)
-        half = 0.5 * np.diff(cuts, axis=1)[..., None]
-        w = half * t + (cuts[:, :-1, None] + half)
-        f = (_density(np.abs(w), h, noise, spec)
-             * _density(np.abs(v[..., None] - w), h, noise, spec))
-        density[s : s + rows] = 0.5 * np.sum(half * q * f, axis=(1, 2))
-    return SpectralKernel(h=float(h), noise=noise, omega=nu, factor=weights * density)
-
-
-def _check_arguments(hs, reach: float) -> None:
-    if not (math.isfinite(reach) and reach >= 0):
-        raise ValueError(f"reach must be non-negative and finite, got {reach}")
-    for h in hs:
-        if not (math.isfinite(h) and h > 0):
-            raise ValueError(f"bandwidth must be positive, got {h}")
-
-
-def _density(omega, h: float, noise: NoiseModel, spec: TaperSpec):
-    """s(omega) = h phi_k(omega h) / (pi charfn(-omega)), the density of
-    K(v/h; h) = int_0^{cutoff/h} s(omega) cos(omega v) d omega."""
-    return h * phi_k(omega * h, spec) / (math.pi * noise.charfn(-omega))
 
 
 def _gauss_rule(edges, rate: float) -> tuple[np.ndarray, np.ndarray]:

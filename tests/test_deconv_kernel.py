@@ -20,7 +20,7 @@ from berkson_bands import (SCENARIOS, Laplace, NoError, TaperSpec, build_regular
 from berkson_bands.design import check_identifiable, identifiable_range
 import berkson_bands.deconv_kernel as dk
 from berkson_bands.deconv_kernel import (_legendre_rule, fourier_sums, kernel_table,
-                                         spectral_kernels, squared_kernel)
+                                         spectral_kernels)
 
 from conftest import A_N, LAP01, MIX, SMOOTH, TAPER_S, TAPER_W, operator_for
 from oracles import kernel_eval
@@ -198,14 +198,32 @@ def test_gauss_rule_cuts_long_panels_into_equal_parts(built_rules):
                                          (NoError(), SMOOTH, 0.25)],
                          ids=["laplace", "mixture", "no_error"])
 def test_squared_kernel_is_the_square_of_the_kernel(noise, spec, h):
-    reach = 3.0
-    (op,) = spectral_kernels([h], noise, spec, reach)
-    sq = squared_kernel(h, noise, spec, reach)
-    assert sq.omega[-1] < 2 * spec.cutoff / h
-    v = np.linspace(-reach, reach, 1201)
-    kernel = np.cos(np.outer(v, op.omega)) @ op.factor
-    squared = np.cos(np.outer(v, sq.omega)) @ sq.factor
-    assert np.max(np.abs(squared - kernel**2)) < 1e-13 * np.max(kernel**2)
+    # K^2's factors over a hull as wide as the design, against the square
+    # of the dense kernel matrix, to the bound of every factors test
+    w = np.linspace(-1.5, 1.5, 301)
+    grids = (np.linspace(-0.7, 0.6, 257), np.linspace(-1.2, 1.2, 90), w)
+    (op,) = spectral_kernels([h], noise, spec, 3.0)
+    basis, lefts = op.squared_factors(w, *grids)
+    assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), rtol=0, atol=1e-12)
+    for left, g in zip(lefts, grids):
+        gap = left @ basis.T - op.exact_matrix(g, w) ** 2
+        assert np.max(np.abs(gap)) <= 1e-12 * np.sum(op.factor) ** 2
+
+
+def test_squared_factors_read_a_chebyshev_point_as_its_coordinates():
+    # the barycentric weights divide by x - xi: a grid point on a sample
+    # point reads that point's coordinates, with no NaN
+    w, grid = np.linspace(-1.5, 1.5, 301), np.linspace(-0.7, 0.6, 257)
+    (op,) = spectral_kernels([0.2], MIX, TAPER_W, 3.0)
+    basis, xi, coords = op._sample(w, (grid,), 2)
+    c = xi.size // 3
+    on = xi[c : c + 2]
+    got_basis, (left, left_on) = op.squared_factors(w, grid, on)
+    assert np.array_equal(got_basis, basis)
+    assert np.isfinite(left).all()
+    assert np.array_equal(left_on, coords[c : c + 2])
+    gap = left_on @ basis.T - op.exact_matrix(on, w) ** 2
+    assert np.max(np.abs(gap)) <= 1e-12 * np.sum(op.factor) ** 2
 
 
 def test_kernel_factors_match_the_dense_kernel_matrix():
@@ -357,10 +375,15 @@ def test_uniform_route_matches_direct_phases(m, start, span, others, jitter_at):
             call()
 
 
+def _factored(op, power, points, grids):
+    """factors (power 1) or squared_factors (power 2) of op."""
+    return (op.factors if power == 1 else op.squared_factors)(points, *grids)
+
+
 def _factor_calls():
-    """(operator, points, grids) of two factors calls: K on a gb_n750_s05
-    workspace, and the split band of the benchmark's cold request on a
-    mix_ga_n750 design, Lepski's h = 1/2 undersmoothed."""
+    """(operator, power, points, grids) of three factors calls: K and K^2
+    on a gb_n750_s05 workspace, and the split band of the benchmark's
+    cold request on a mix_ga_n750 design, Lepski's h = 1/2 undersmoothed."""
     sc = SCENARIOS["gb_n750_s05"]
     design, noise = build_regular(sc.n, sc.a_n), sc.noise()
     w = design.points
@@ -368,30 +391,36 @@ def _factor_calls():
     lo, hi = identifiable_range(sc.a_n, bands_mod._CLAMP_FACTOR * sc.h)
     xe = np.linspace(lo, hi, bands_mod._XE_POINTS)
     (op,) = spectral_kernels([sc.h], noise, default_taper(noise), float(w[-1] - w[0]))
-    yield op, w, (eg, xe)
+    yield op, 1, w, (eg, xe)
+    yield op, 2, w, (eg, xe)
     sc = SCENARIOS["mix_ga_n750"]
     design, noise, h = build_regular(sc.n, sc.a_n), sc.noise(), undersmooth(0.5, sc.n)
     interval = (-0.7, 0.6)
     (op,) = spectral_kernels([h], noise, default_taper(noise), design.reach(interval))
-    yield op, design.points, (make_eval_grid(interval, sc.n, sc.a_n, h).points,)
+    yield op, 1, design.points, (make_eval_grid(interval, sc.n, sc.a_n, h).points,)
 
 
-def _sample_size(op, grids) -> int:
-    """p, the Chebyshev points of factors' first sample for these grids."""
+def _sample_size(op, power, grids) -> int:
+    """p, the Chebyshev points of the first sample of K^power for these grids."""
     half = 0.5 * (max(np.max(g) for g in grids) - min(np.min(g) for g in grids))
-    return math.ceil(op.omega.max() * half) + dk._SAMPLE_MARGIN
+    return math.ceil(power * op.omega.max() * half) + dk._SAMPLE_MARGIN
 
 
 def test_kernel_factors_allocate_no_node_by_point_temporary():
-    # beyond the outputs and three points x p arrays (the sample, its
-    # QR's copy and Q), factors holds at most two row blocks' worth of
-    # temporaries; the exact factors, points x 2 nodes for every point
-    # set, would not fit there
+    # beyond the outputs, three points x p arrays (the sample, its QR's
+    # copy and Q) and the points x 8 check rows, factors and
+    # squared_factors hold at most two row blocks' worth of temporaries;
+    # the exact factors, points x 2 nodes for every point set, would not
+    # fit there, nor would K^2's barycentric weights, grid x p, on a grid
+    # eight times as fine as the workspace's
     allowance = 2 * dk._BLOCK_ELEMS * 16
-    for op, w, grids in _factor_calls():
+    calls = list(_factor_calls())
+    op, _, w, (eg, xe) = calls[0]
+    calls.append((op, 2, w, (np.linspace(eg[0], eg[-1], 8 * eg.size), xe)))
+    for op, power, w, grids in calls:
         tracemalloc.start()
         try:
-            basis, lefts = op.factors(w, *grids)
+            basis, lefts = _factored(op, power, w, grids)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -399,7 +428,7 @@ def test_kernel_factors_allocate_no_node_by_point_temporary():
         exact = (rows + w.size) * 2 * op.omega.size * 8
         assert exact > allowance
         outputs = basis.nbytes + sum(left.nbytes for left in lefts)
-        sample = 3 * w.size * _sample_size(op, grids) * 8
+        sample = w.size * (3 * _sample_size(op, power, grids) + 8) * 8
         assert peak <= outputs + sample + allowance
 
 
@@ -425,9 +454,9 @@ def test_kernel_factors_do_not_depend_on_block_sizes(monkeypatch):
 
 
 def _band_factor_calls():
-    """(operator, points, grids) of every factors call of the preset
-    bands, K from the grid, K from the pilot points and K^2 from both,
-    then the benchmark's cold split band (_factor_calls)."""
+    """(kind, operator, power, points, grids) of every factors call of
+    the preset bands, K from the grid, K from the pilot points and K^2
+    from both, then the benchmark's cold split band (_factor_calls)."""
     for sc in SCENARIOS.values():
         design, noise = build_regular(sc.n, sc.a_n), sc.noise()
         spec, w = default_taper(noise), design.points
@@ -436,24 +465,24 @@ def _band_factor_calls():
         xe = np.linspace(lo, hi, bands_mod._XE_POINTS)
         reach = float(w[-1] - w[0])
         (op,) = spectral_kernels([sc.h], noise, spec, design.reach(sc.interval))
-        yield op, w, (eg,)
+        yield "grid", op, 1, w, (eg,)
         (op,) = spectral_kernels([sc.h], noise, spec, reach)
-        yield op, w, (xe,)
-        yield squared_kernel(sc.h, noise, spec, reach), w, (eg, xe)
-    yield list(_factor_calls())[-1]
+        yield "pilot", op, 1, w, (xe,)
+        yield "squared", op, 2, w, (eg, xe)
+    yield ("split", *list(_factor_calls())[-1])
 
 
 def test_kernel_factors_do_not_depend_on_the_sample_margin(monkeypatch):
-    # K's rows over the grids' hull lie, to rounding, in the span of its
-    # rows at ceil(Omega half-length) + a few Chebyshev points, so a wider
-    # sample finds the same rank and the same kernel rows
-    for op, w, grids in _band_factor_calls():
-        basis, lefts = op.factors(w, *grids)
+    # K^power's rows over the grids' hull lie, to rounding, in the span
+    # of its rows at ceil(power Omega half-length) + a few Chebyshev
+    # points, so a wider sample finds the same rank and the same rows
+    for _, op, power, w, grids in _band_factor_calls():
+        basis, lefts = _factored(op, power, w, grids)
         with monkeypatch.context() as m:
             m.setattr(dk, "_SAMPLE_MARGIN", 72)
-            wide_basis, wide_lefts = op.factors(w, *grids)
+            wide_basis, wide_lefts = _factored(op, power, w, grids)
         assert wide_basis.shape == basis.shape
-        peak = np.sum(op.factor)
+        peak = np.sum(op.factor) ** power
         for left, wide in zip(lefts, wide_lefts):
             assert np.max(np.abs(wide @ wide_basis.T - left @ basis.T)) <= 1e-12 * peak
 
@@ -465,15 +494,30 @@ def test_kernel_factors_double_a_saturated_sample(monkeypatch):
     svd, sizes = np.linalg.svd, []
     monkeypatch.setattr(np.linalg, "svd",
                         lambda a, **kw: sizes.append(a.shape[1]) or svd(a, **kw))
-    for op, w, grids in list(_band_factor_calls())[:-1:3]:
+    grid_calls = [c[1:] for c in _band_factor_calls() if c[0] == "grid"]
+    assert len(grid_calls) == len(SCENARIOS)
+    for op, _, w, grids in grid_calls:
         sizes.clear()
         basis, lefts = op.factors(w, *grids)
-        p = _sample_size(op, grids)
+        p = _sample_size(op, 1, grids)
         assert sizes == [p, 2 * p]
         assert basis.shape[1] < 2 * p
         for left, g in zip(lefts, grids):
             gap = left @ basis.T - op.exact_matrix(g, w)
             assert np.max(np.abs(gap)) <= 1e-12 * np.sum(op.factor)
+
+
+@pytest.mark.parametrize("margin", [0, -8])
+def test_kernel_factors_check_a_short_sample_off_its_points(monkeypatch, margin):
+    # a sample too small for K or K^2 that does not reach its rank misses
+    # the exact rows at the hull's ends or between its central points,
+    # and is taken again until the factors hold every kernel row
+    monkeypatch.setattr(dk, "_SAMPLE_MARGIN", margin)
+    for _, op, power, w, grids in _band_factor_calls():
+        basis, lefts = _factored(op, power, w, grids)
+        for left, g in zip(lefts, grids):
+            gap = left @ basis.T - op.exact_matrix(g, w) ** power
+            assert np.max(np.abs(gap)) <= 1e-12 * np.sum(op.factor) ** power
 
 
 def test_kernel_eval_is_symmetric():

@@ -20,15 +20,17 @@ process, one after the other, and writes:
   ``simulate`` runs (their ``summary.json`` without ``runtime``).
 
 It prints every output that differs or exists in one tree only, then
-how many outputs differ and how many array outputs differ by more than
-1e-10 relative, the bound for a change meant to be exact.  It exits 1
-if any output differs, 0 if all agree and 2 if a tree fails to run.
+how many outputs differ, and how many array outputs differ by more than
+1e-10 relative, the bound for a change meant to be exact, with the
+largest relative gap among them.  It exits 1 if any output differs, 0
+if all agree and 2 if a tree fails to run.
 Outputs go to a temporary directory, removed afterwards.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -156,37 +158,39 @@ def _run_tree(tree: Path, out: Path) -> subprocess.CompletedProcess:
 EXACT = 1e-10
 
 
-def _describe(old: Path, new: Path) -> tuple[str, bool]:
-    """How two differing output files differ, for arrays, and whether
-    they are arrays that differ by more than EXACT relative or in shape."""
+def _describe(old: Path, new: Path) -> tuple[str, float]:
+    """How two differing output files differ, for arrays, and the arrays'
+    largest difference relative to their largest magnitude: inf for a
+    change of shape or dtype, 0 for a file that is no array."""
     if old.suffix != ".npy":
-        return "bytes differ", False
+        return "bytes differ", 0.0
     a, b = np.load(old), np.load(new)
     if a.shape != b.shape or a.dtype != b.dtype:
-        return f"{a.dtype}{a.shape} against {b.dtype}{b.shape}", True
+        return f"{a.dtype}{a.shape} against {b.dtype}{b.shape}", math.inf
     gap = np.max(np.abs(a - b), initial=0.0)
     scale = np.max(np.abs(a), initial=0.0)
     relative = gap / scale if scale else gap
-    return f"max difference {gap:.3g} ({relative:.3g} relative)", relative > EXACT
+    return f"max difference {gap:.3g} ({relative:.3g} relative)", float(relative)
 
 
-def compare(old: Path, new: Path) -> tuple[list[str], int]:
-    """One line per output that differs between the two output trees, and
-    how many array outputs differ by more than EXACT relative (an array
-    in one tree only counts)."""
+def compare(old: Path, new: Path) -> tuple[list[str], int, float]:
+    """One line per output that differs between the two output trees, how
+    many array outputs differ by more than EXACT relative, and the largest
+    relative difference of an array output (an array in one tree only
+    counts, as inf)."""
     files = {p.relative_to(root) for root in (old, new)
              for p in root.rglob("*") if p.is_file()}
-    lines, inexact = [], 0
+    lines, gaps = [], [0.0]
     for rel in sorted(files):
         a, b = old / rel, new / rel
         if not (a.exists() and b.exists()):
             lines.append(f"{rel}: only in {'old' if a.exists() else 'new'}")
-            inexact += rel.suffix == ".npy"
+            gaps.append(math.inf if rel.suffix == ".npy" else 0.0)
         elif a.read_bytes() != b.read_bytes():
-            text, far = _describe(a, b)
+            text, relative = _describe(a, b)
             lines.append(f"{rel}: {text}")
-            inexact += far
-    return lines, inexact
+            gaps.append(relative)
+    return lines, sum(g > EXACT for g in gaps), max(gaps)
 
 
 def main(argv=None) -> int:
@@ -205,13 +209,14 @@ def main(argv=None) -> int:
                 failed = True
         if failed:
             return 2
-        lines, inexact = compare(*outs)
+        lines, inexact, largest = compare(*outs)
         count = sum(1 for p in outs[0].rglob("*") if p.is_file())
         arrays = sum(1 for p in outs[0].rglob("*.npy"))
     for line in lines:
         print(line)
     print(f"{len(lines)} of {count} outputs differ")
-    print(f"{inexact} of {arrays} array outputs differ by more than {EXACT:g} relative")
+    print(f"{inexact} of {arrays} array outputs differ by more than {EXACT:g} relative, "
+          f"the largest by {largest:.2g}")
     return 1 if lines else 0
 
 
