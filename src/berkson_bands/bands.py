@@ -76,8 +76,8 @@ _NW_FLOOR_FRAC = 0.7
 _XE_POINTS = 900
 # The pilot range stays this many bandwidths inside the design span.
 _CLAMP_FACTOR = 1.2
-# _error_moments reads splines in blocks of about this many values (plus
-# one error window); its FFT correlation then peaks at 13 MB on gb_n750_s05.
+# Spline reads, FFT correlations (_error_moments) and draw products (_sup_batch)
+# go in blocks of about this many values: gb_n750_s05's spur moments hold 3.5 MB.
 _READ_ELEMS = 1 << 18
 
 
@@ -206,13 +206,15 @@ def _sup_batch(core_t: np.ndarray, grid_t: np.ndarray, nu_g: np.ndarray,
     covariance.  So a draw takes rank normals instead of one per design
     point, and costs (rank + grid) x rank.  All draws come from one
     generator seeded with SeedSequence(root_seed), so different seeds
-    give independent streams.  The supremum of |v| is taken as
-    max(max v, -min v), which is the same number without writing |v|.
+    give independent streams.  z is drawn in one call, then multiplied
+    in blocks of about _READ_ELEMS values, so the blocks keep the stream;
+    numpy takes abs of each fresh block in place.
     """
     r = _draw_factor(core_t)
     z = np.random.default_rng(root_seed).standard_normal((draws, r.shape[0]))
-    out = (z @ r) @ (grid_t * (abs(coef) / nu_g))
-    return np.maximum(out.max(axis=1), -out.min(axis=1))
+    scaled, step = grid_t * (abs(coef) / nu_g), max(1, _READ_ELEMS // nu_g.size)
+    return np.concatenate([abs((z[i : i + step] @ r) @ scaled).max(axis=1)
+                           for i in range(0, draws, step)])
 
 
 def _oriented(basis: np.ndarray, lefts: list[np.ndarray]):
@@ -262,12 +264,12 @@ class _Workspace:
     orthonormal (K's squared_factors).  Between design points K^2 and the
     squared taper kernel are Toeplitz, with spectra k2ww and kt2ww
     (_lag_spectra).  With basis K's basis from the pilot points xe,
-    ck @ basis.T @ v holds the pilot spline on xe, and spur @ v the
-    error-law moment (_error_moments on ``lattice``) of the one through
-    (K^2 on xe) @ basis2 @ v.  An error-free law has no pilot variance
-    term, and the fields only it needs (basis, ck, spur, kt2ww, lattice)
-    are None.  ``vwin`` holds the local-variance windows at xe, then at
-    the design points.  No field is design x error grid or design x design.
+    ck @ basis.T @ v holds the pilot spline on xe, and spur @ v the error-law
+    moment (_error_moments on ``lattice`` and ``spectra``) of the one through
+    (K^2 on xe) @ basis2 @ v.  An error-free law has no pilot variance term,
+    and the fields only it needs (basis, ck, spur, kt2ww, lattice) are None.
+    ``vwin`` holds the local-variance windows at xe, then at the design
+    points.  No field is design x error grid or design x design.
     """
 
     basis: np.ndarray | None
@@ -281,6 +283,7 @@ class _Workspace:
     kt2ww: np.ndarray | None
     xe: np.ndarray
     lattice: tuple | None
+    spectra: dict
     vwin: Windows
 
 
@@ -332,10 +335,9 @@ def _read_points(w, delta, stride, xe) -> np.ndarray:
 @functools.lru_cache(maxsize=_WS_KEEP)
 def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
                interval: tuple[float, float]) -> _Workspace:
-    n, a_n = design.n, design.a_n
     w = design.points
     eg = _draw_geometry(design, noise, spec, h, interval)[0]
-    clamp_lo, clamp_hi = identifiable_range(a_n, _CLAMP_FACTOR * h)
+    clamp_lo, clamp_hi = identifiable_range(design.a_n, _CLAMP_FACTOR * h)
     if clamp_lo >= clamp_hi:
         raise ValueError(f"bandwidth h={h} too large for the design span")
     xe = np.linspace(clamp_lo, clamp_hi, _XE_POINTS)
@@ -349,15 +351,13 @@ def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
         (kernel.factor, kernel.factor * noise.charfn(-kernel.omega))), design)
     k2sw = np.maximum(_toeplitz(k2ww, np.ones(design.size)), 1e-300)
 
-    lattice = _error_lattice(noise, design)
+    lattice, spectra = _error_lattice(noise, design), {}
     if lattice is None:
         basis = ck = spur = kt2ww = None
     else:
         basis, (ke,) = kernel.factors(w, xe)
-        # one solve for both: the elimination runs column by column
-        both = _spline_coefficients(xe, np.hstack((ke, k2e)))
-        spur = _error_moments(xe, both[..., ke.shape[1] :], w, lattice)
-        ck = np.ascontiguousarray(both[..., : ke.shape[1]])
+        spur = _error_moments(xe, _spline_coefficients(xe, k2e), w, lattice, spectra)
+        ck = _spline_coefficients(xe, ke)
 
     mids = midpoints(w)
     hv = smoothing_bandwidth(interval, design.size)
@@ -369,8 +369,8 @@ def _workspace(design: Design, noise: NoiseModel, spec: TaperSpec, h: float,
         raise _too_short(interval, exc, shortest) from None
 
     return _Workspace(
-        basis=basis, ck=ck, basis2=basis2, k2g=k2g, spur=spur, k2sg=k2sg,
-        k2ww=k2ww, k2sw=k2sw, kt2ww=kt2ww, xe=xe, lattice=lattice, vwin=vwin)
+        basis=basis, ck=ck, basis2=basis2, k2g=k2g, spur=spur, k2sg=k2sg, k2ww=k2ww,
+        k2sw=k2sw, kt2ww=kt2ww, xe=xe, lattice=lattice, spectra=spectra, vwin=vwin)
 
 
 def _too_short(interval, cause, shortest: float) -> ValueError:
@@ -391,7 +391,8 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     shrinks.
     """
     dx = np.diff(x)
-    slope = np.diff(y, axis=0) / dx[:, None]
+    slope = np.diff(y, axis=0)
+    slope /= dx[:, None]
     ends = (x[2] - x[0], x[-1] - x[-3])
     lower = [*dx[1:], ends[1]]  # row i holds lower[i - 1], diag[i], upper[i]
     diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])), dx[-2]]
@@ -409,9 +410,12 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     s[-1] /= diag[-1]
     for i in range(x.size - 2, -1, -1):
         s[i] = (s[i] - upper[i] * s[i + 1]) / diag[i]
-    t = (s[:-1] + s[1:] - 2.0 * slope) / dx[:, None]
-    return np.stack((t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t,
-                     s[:-1], y[:-1]))
+    out = np.empty_like(slope, shape=(4, *slope.shape))
+    out[0] = (s[:-1] + s[1:] - 2.0 * slope) / dx[:, None]  # t, then t / dx
+    out[1] = (slope - s[:-1]) / dx[:, None] - out[0]
+    out[0] /= dx[:, None]
+    out[2], out[3] = s[:-1], y[:-1]
+    return out
 
 
 def _spline_read(xe: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -426,24 +430,35 @@ def _spline_read(xe: np.ndarray, coef: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _error_moments(xe, coef, w, lattice, square=False) -> np.ndarray:
+def _error_moments(xe, coef, w, lattice, spectra=None, square=False) -> np.ndarray:
     """sum_d fwt_d s(w_j + delta_d), design x column, for s the spline
     pieces ``coef`` (with ``square``, s and then s^2), in blocks of design
     rows of about _READ_ELEMS read points x columns.  Disjoint windows are
-    summed one by one, overlapping ones by FFT correlation with fwt."""
+    summed one by one, overlapping ones by FFT correlation with fwt in
+    column chunks of about _READ_ELEMS / 2 FFT points x columns, with fwt's
+    spectrum kept by FFT length in ``spectra``."""
     delta, fwt, stride = lattice
+    spectra = {} if spectra is None else spectra
     rows = max(1, _READ_ELEMS // (stride * coef.shape[-1]))
-    out = []
+    out = np.empty((w.size, 1 + square, coef.shape[-1]))
     for j in range(0, w.size, rows):
-        v = _spline_read(xe, coef, _read_points(w[j : j + rows], delta, stride, xe))
-        v = np.hstack((v, v * v)) if square else v
-        if stride == fwt.size:
-            out.append(fwt @ v.reshape(-1, fwt.size, v.shape[1]))
-        else:
-            nfft = 1 << (v.shape[0] - 1).bit_length()
-            spec = np.fft.rfft(v, nfft, axis=0) * np.fft.rfft(fwt[::-1], nfft)[:, None]
-            out.append(np.fft.irfft(spec, nfft, axis=0)[fwt.size - 1 : v.shape[0] : stride])
-    return np.vstack(out)
+        points = _read_points(w[j : j + rows], delta, stride, xe)
+        nfft = 1 << (points.size - 1).bit_length()
+        step = max(1, _READ_ELEMS // (2 * nfft)) if stride < fwt.size else coef.shape[-1]
+        for k in range(0, coef.shape[-1], step):
+            v = _spline_read(xe, coef[..., k : k + step], points)
+            v = np.hstack((v, v * v)) if square else v
+            if stride == fwt.size:
+                v = fwt @ v.reshape(-1, fwt.size, v.shape[1])
+            else:
+                if nfft not in spectra:
+                    spectra[nfft] = np.fft.rfft(fwt[::-1], nfft)[:, None]
+                v = np.fft.rfft(v, nfft, axis=0)  # frees the read
+                v *= spectra[nfft]
+                v = np.fft.irfft(v, nfft, axis=0)[fwt.size - 1 : points.size : stride]
+            out[j : j + rows, :, k : k + step] = v.reshape(len(v), 1 + square, -1)
+            del v  # before the next chunk is read
+    return out.reshape(w.size, -1)
 
 
 def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
@@ -469,7 +484,7 @@ def _band_variance_field(sample: RegressionSample, ws: _Workspace, h: float):
     else:
         pilot = (ws.ck @ (ws.basis.T @ (wts * y)) / h)[..., None]
         m1, m2 = _error_moments(ws.xe, pilot, sample.design.points, ws.lattice,
-                                square=True).T
+                                ws.spectra, square=True).T
         vm = np.maximum(m2 - m1**2, 0.0)
         spur1 = ws.spur @ (ws.basis2.T @ (wts**2 * v_nw_w)) / h**2
         spur2 = _toeplitz(ws.kt2ww, wts**2 * v_nw_w) / h**2

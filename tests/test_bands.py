@@ -164,6 +164,19 @@ def test_sup_draws_scale_exactly_with_coef():
         assert np.array_equal(scaled, abs(c) * base)
 
 
+def test_sup_draws_do_not_depend_on_the_draw_blocks():
+    d = build_regular(200, A_N)
+    grid = make_eval_grid((-0.7, 0.6), 200, A_N, 0.25).points
+    core_t, grid_t, coef = plain_core(d, 0.25, grid)
+    nu_g = np.linspace(0.5, 1.5, grid.size)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bands_mod, "_READ_ELEMS", 1)  # one draw per block
+        single = bands_mod._sup_batch(core_t, grid_t, nu_g, coef, 60, 3)
+        mp.setattr(bands_mod, "_READ_ELEMS", 1 << 40)  # every draw in one
+        whole = bands_mod._sup_batch(core_t, grid_t, nu_g, coef, 60, 3)
+    assert_close(single, whole, rel=1e-15)
+
+
 def test_quantile_stabilizes_in_draw_count():
     d = build_regular(200, A_N)
     grid = make_eval_grid((-0.7, 0.6), 200, A_N, 0.25).points
@@ -584,6 +597,22 @@ def test_spline_coefficients_match_cubic_spline(knots):
         assert_close(got[..., k], want[..., k], rel=1e-13)
 
 
+@pytest.mark.parametrize("knots", ["uniform", "random"])
+def test_spline_coefficients_of_some_columns_are_those_of_all(knots):
+    """The elimination runs column by column, so splitting the columns
+    between solves changes no bit."""
+    rng = np.random.default_rng(6)
+    if knots == "uniform":
+        x = np.linspace(-1.3, 0.9, 900)
+    else:
+        x = np.sort(rng.uniform(-1.3, 0.9, 60))
+    y = rng.standard_normal((x.size, 7))
+    full = bands_mod._spline_coefficients(x, y)
+    for cols in (slice(0, 3), slice(3, 7), [5, 1]):
+        assert np.array_equal(bands_mod._spline_coefficients(x, y[:, cols]),
+                              full[..., cols])
+
+
 def old_delta_grid(noise):
     """The fixed 641-point (Laplace) or 801-point (mixture) error grid the
     lattice rule replaced: (reach, step)."""
@@ -622,7 +651,7 @@ def test_delta_grid_sits_on_the_design_lattice(name):
     assert bands_mod._error_lattice(NoError(), design) is None
 
 
-@pytest.mark.parametrize("blocks", [False, True])
+@pytest.mark.parametrize("blocks", [False, True, "columns"])
 @pytest.mark.parametrize("noise,n", [(LAP01, 750), (LAP01, 100), (MIX, 750),
                                      (MIX, 100), (NARROW, 750), (NARROW, 100)])
 def test_lattice_moments_match_a_direct_read(noise, n, blocks):
@@ -645,12 +674,24 @@ def test_lattice_moments_match_a_direct_read(noise, n, blocks):
     assert_close(fwt, want / np.trapezoid(fw, delta), rel=1e-13)
     coef = bands_mod._spline_coefficients(
         xe, np.random.default_rng(n).standard_normal((xe.size, 2)))
+    calls, read = [], bands_mod._spline_read
     with pytest.MonkeyPatch.context() as mp:
-        if blocks:  # blocks of 7 design rows (14 for one column)
+        if blocks == "columns":  # one block of all rows, FFT chunks of one column
+            mp.setattr(bands_mod, "_READ_ELEMS", stride * 2 * design.size)
+            mp.setattr(bands_mod, "_spline_read",
+                       lambda *args: calls.append(args) or read(*args))
+        elif blocks:  # blocks of 7 design rows (14 for one column)
             mp.setattr(bands_mod, "_READ_ELEMS", 7 * stride * 2)
         got = bands_mod._error_moments(xe, coef, design.points, lattice)
         squares = bands_mod._error_moments(xe, coef[..., :1], design.points,
                                            lattice, square=True)
+    if blocks == "columns":
+        # chunks change no bit: the same rows in one chunk of both columns
+        assert len(calls) == (2 if stride < fwt.size else 1) + 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bands_mod, "_READ_ELEMS", 1 << 40)
+            assert np.array_equal(
+                bands_mod._error_moments(xe, coef, design.points, lattice), got)
     # every (j, d) read on its own, through the cell gather
     reads = np.add.outer(design.points, delta)
     assert np.any(reads < lo) and np.any(reads > hi)
@@ -872,10 +913,11 @@ def test_toeplitz_product_matches_the_dense_squared_kernel(noise, n):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name", ["gb_n750_s05", "mix_ga_n750"])
+@pytest.mark.parametrize("name", ["gb_n750_s05", "mix_ga_n750", "ga_n100_s10"])
 def test_cold_band_traced_peak_stays_small(name):
     """A cold band, workspace included, sketches no design x design
-    kernel matrix and reads splines in short blocks (_READ_ELEMS)."""
+    kernel matrix, reads and correlates splines in short blocks and
+    column chunks, and draws in blocks (_READ_ELEMS)."""
     sc = SCENARIOS[name]
     sample = generate_sample(sc, np.random.SeedSequence((sc.seed, 0, 0)))
     clear_caches()
@@ -885,7 +927,7 @@ def test_cold_band_traced_peak_stays_small(name):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 27e6
+    assert peak <= 20e6
 
 
 @pytest.mark.parametrize("n", [100, 750])
