@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Every subcommand of the installed berkson-bands script, once, in a fresh
-# temporary directory: the selftest, a plain band, a Lepski + split band,
-# the README's undersmoothed Lepski + split band, which must print nothing
-# on stderr, a preset split band, two estimates, a simulation with one and
-# with two workers, and a kernel dump.  Run it with the package installed.
+# temporary directory: a plain band, a Lepski + split band, the README's
+# undersmoothed Lepski + split band, which must print nothing on stderr, a
+# preset split band, two estimates, a simulation with one and with two
+# workers, and a kernel dump.  Run it with the package installed.
 set -euxo pipefail
 cd "$(mktemp -d)"
-berkson-bands selftest
 python -c "import numpy as np, berkson_bands as bb; bb.save_sample(bb.generate_sample(bb.SCENARIOS['mix_ga_n100'], np.random.SeedSequence(1)), 'sample.csv')"
 law=(--input sample.csv --density mixture --sigma-delta 0.05)
 berkson-bands band "${law[@]}" --h 0.5 --out plain.csv

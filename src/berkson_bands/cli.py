@@ -1,4 +1,4 @@
-"""Command-line interface: estimate, band, simulate, kernel-dump, selftest.
+"""Command-line interface: estimate, band, simulate, kernel-dump.
 
 Exit codes: 0 success, 2 configuration error (message names the
 offending flag), 1 runtime error.  --json switches the stdout summary
@@ -15,8 +15,6 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
-
 from .bands import (
     BandRequest,
     _sidecar,
@@ -27,10 +25,8 @@ from .bands import (
     write_band,
 )
 from .bandwidth import lepski_select, undersmooth
-from .deconv_kernel import (_GRID_LEN, fourier_sums, kernel_table, phi_k,
-                            spectral_kernels)
-from .design import (_A_N, RegressionSample, build_regular, load_sample,
-                     write_columns)
+from .deconv_kernel import _GRID_LEN, kernel_table, spectral_kernels
+from .design import _A_N, load_sample, write_columns
 from .estimator import estimate_g
 from .noise_models import _KINDS, _LAM, _MU, make_noise
 from .simulation import (
@@ -128,7 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--span", type=float)
     sp.add_argument("--out", default="kernel.csv")
 
-    sub.add_parser("selftest", help="run the internal agreement checks")
     return p
 
 
@@ -311,120 +306,11 @@ def _cmd_kernel_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selftest_checks() -> list[dict]:
-    checks: list[dict] = []
-
-    def record(name: str, err: float, tol: float) -> None:
-        checks.append(
-            {"name": name, "error": err, "tol": tol, "pass": bool(err <= tol)}
-        )
-
-    def gap(got, want) -> float:
-        """Largest gap between ``got`` and ``want``, relative to ``want``."""
-        return float(np.max(np.abs(np.subtract(got, want))) / np.max(np.abs(want)))
-
-    cases = [(label, SCENARIOS[name].noise(), SCENARIOS[name].h)
-             for label, name in (("laplace", "ga_n100_s10"),
-                                 ("mixture", "mix_ga_n100"))]
-    for label, noise, h in cases:
-        spec = default_taper(noise)
-        (op,) = spectral_kernels([h], noise, spec, 6.0 * h)
-        us = np.linspace(-5.5, 5.5, 9)
-        # K(u) = sum_r factor_r cos(omega_r h u), as kernel_table reads it
-        vals = fourier_sums(h * us, op.omega, op.factor[:, None])[:, 0]
-        err = float(np.max(np.abs(_simpson_kernel(us, h, noise, spec) - vals)))
-        record(f"kernel quadrature vs operator ({label})", err, 1e-10)
-
-    for label, noise, _ in cases:
-        reach = 40.0 / noise.a + (noise.mu if hasattr(noise, "mu") else 0.0)
-        xs = np.linspace(-reach, reach, 40001)
-        dens = noise.density(xs)
-        err = max(
-            abs(np.trapezoid(dens * np.cos(t * xs), xs) - noise.charfn(t))
-            for t in (0.5, 3.0, 10.0)
-        )
-        record(f"characteristic function vs density ({label})", err, 1e-6)
-
-    sc = dataclasses.replace(SCENARIOS["ga_n100_s10"], n=200)
-    n, a_n, h, noise = sc.n, sc.a_n, sc.h, sc.noise()
-    spec = default_taper(noise)
-    design = build_regular(n, a_n)
-    w = design.points
-    # every evaluation point lies in the design span
-    (kernel,) = spectral_kernels([h], noise, spec, float(w[-1] - w[0]))
-
-    grid = make_eval_grid(sc.interval, n, a_n, h).points
-    sample = RegressionSample(
-        design=design,
-        responses=np.random.default_rng(7).standard_normal(design.size),
-    )
-    (summed,) = estimate_g(sample, grid, [kernel])
-    direct = kernel.exact_matrix(grid, w) @ (design.weights * sample.responses) / h
-    record("Fourier sums vs direct node sum", gap(summed, direct), 1e-12)
-
-    # factors takes its phases in row blocks of the uniform grids
-    basis, lefts = kernel.factors(w, grid, w)
-    err = max(gap(left @ basis.T, kernel.exact_matrix(x, w))
-              for left, x in zip(lefts, (grid, w)))
-    record("uniform factors vs direct cos/sin", err, 1e-12)
-
-    def band(c: float):
-        scaled = RegressionSample(design=design, responses=c * sample.responses)
-        return build_band(scaled, sc.request(3), noise, taper=spec)
-
-    # the band's low-rank factors against the estimate's Fourier sums
-    base = band(1.0)
-    (est,) = estimate_g(sample, base.grid, spectral_kernels(
-        [h], noise, spec, design.reach(sc.interval)))
-    record("band estimate vs estimate_g", gap(base.ghat, est), 1e-10)
-
-    err = 0.0
-    for c in (-2.0, 3.0):
-        res = band(c)
-        err = max(err, gap(res.quantile, base.quantile), gap(res.ghat, c * base.ghat),
-                  gap(res.half_width, abs(c) * base.half_width))
-    record("band scale equivariance", err, 1e-10)
-    return checks
-
-
-def _simpson_kernel(us, h, noise, spec, intervals=2000) -> np.ndarray:
-    """K(u;h) = (1/pi) int_0^cutoff phi_k(t) cos(t u) / charfn(-t/h) dt at
-    each of ``us``, by composite Simpson on the taper's two smooth panels
-    [0, knot cutoff] and [knot cutoff, cutoff]: a reference that shares no
-    node rule with the spectral operator it checks."""
-    simpson = np.ones(intervals + 1)
-    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
-    total = np.zeros(np.size(us))
-    for lo, hi in ((0.0, spec.knot), (spec.knot, 1.0)):
-        t = np.linspace(lo * spec.cutoff, hi * spec.cutoff, intervals + 1)
-        step = (hi - lo) * spec.cutoff / intervals  # not t[1] - t[0], rounded
-        f = simpson * phi_k(t, spec) / noise.charfn(-t / h) * (step / 3.0)
-        total += np.cos(np.outer(us, t)) @ f
-    return total / math.pi
-
-
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    checks = _selftest_checks()
-    ok = all(c["pass"] for c in checks)
-    if args.json_out:
-        print(json.dumps({"op": "selftest", "ok": ok, "checks": checks},
-                         indent=2))
-    else:
-        width = max(len(c["name"]) for c in checks)
-        for c in checks:
-            status = "pass" if c["pass"] else "FAIL"
-            print(f"{c['name']:<{width}}  {status}  "
-                  f"(error {c['error']:.3g}, tol {c['tol']:.3g})")
-        print("selftest:", "all checks passed" if ok else "FAILURES above")
-    return 0 if ok else 1
-
-
 _DISPATCH = {
     "estimate": _cmd_estimate,
     "band": _cmd_band,
     "simulate": _cmd_simulate,
     "kernel-dump": _cmd_kernel_dump,
-    "selftest": _cmd_selftest,
 }
 
 

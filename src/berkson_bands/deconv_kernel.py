@@ -413,21 +413,26 @@ def _gauss_rule(edges, rate: float) -> tuple[np.ndarray, np.ndarray]:
     get more than _MAX_RULE_NODES is cut into the fewest equal parts
     whose own count fits, so a dyadic panel twice the length of its
     neighbour takes that neighbour's rule twice.  Parts of equal node
-    count share one _legendre_rule.
+    count share one _legendre_rule.  The rule is counted before it is
+    filled, so one that cannot fit fails at its allocation.
     """
-    nodes, weights, rules = [], [], {}
+    panels, rules = [], {}
     for lo, hi in zip(edges[:-1], edges[1:]):
         turns = _NODES_PER_TURN * (hi - lo) * rate / (2.0 * math.pi)
         parts = max(1, math.ceil(turns / (_MAX_RULE_NODES - _PANEL_NODES)))
-        m = _PANEL_NODES + math.ceil(turns / parts)
+        panels.append((lo, hi, parts, _PANEL_NODES + math.ceil(turns / parts)))
+    size = sum(parts * m for _, _, parts, m in panels)
+    nodes, weights, at = np.empty(size), np.empty(size), 0
+    for lo, hi, parts, m in panels:
         if m not in rules:
             rules[m] = _legendre_rule(m)
         x, q = rules[m]
         cuts = np.linspace(lo, hi, parts + 1)
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            nodes.append(0.5 * (b - a) * x + 0.5 * (b + a))
-            weights.append(0.5 * (b - a) * q)
-    return np.concatenate(nodes), np.concatenate(weights)
+        half, mid = 0.5 * np.diff(cuts)[:, None], 0.5 * (cuts[1:] + cuts[:-1])[:, None]
+        nodes[at : at + parts * m] = (half * x + mid).ravel()
+        weights[at : at + parts * m] = (half * q).ravel()
+        at += parts * m
+    return nodes, weights
 
 
 def _legendre_rule(m: int) -> tuple[np.ndarray, np.ndarray]:

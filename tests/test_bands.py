@@ -27,6 +27,7 @@ from berkson_bands import (
     build_band_extension,
     build_regular,
     build_split,
+    estimate_g,
     estimate_nu,
     g_a,
     generate_sample,
@@ -273,6 +274,10 @@ def test_draw_geometry_reads_the_exact_kernel_sum(name):
         cy = design.weights * sample.responses
         got, want = kg @ (basis.T @ cy), dense @ cy
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # and a band's ghat is estimate_g's Fourier sum on the band's grid
+    band = build_band(sample, sc.request(3), noise, taper=spec)
+    (est,) = estimate_g(sample, band.grid, [kernel])
+    assert np.max(np.abs(band.ghat - est)) <= 1e-12 * np.max(np.abs(est))
 
 
 def sups_of(r, grid_t, nu_g, coef, draws, seed):

@@ -90,10 +90,13 @@ def test_table_matches_direct_quadrature(noise, spec, h):
     assert err < 1e-6
 
 
-@pytest.mark.parametrize("noise,spec", [(LAP01, TAPER_S), (MIX, TAPER_W)],
-                         ids=["laplace", "mixture"])
-@pytest.mark.parametrize("h", [1 / 2, 1 / 16, 1 / 64])
-def test_spectral_operator_matches_direct_quadrature(noise, spec, h):
+# h from 1/2 to 1/64, and the laws and h of the ga_n100_s10 and
+# mix_ga_n100 presets
+@pytest.mark.parametrize("h,law", [(h, law) for h in (1 / 2, 1 / 16, 1 / 64)
+                                   for law in ("laplace", "mixture")]
+                         + [(0.25, "laplace"), (0.59, "mixture")])
+def test_spectral_operator_matches_direct_quadrature(h, law):
+    noise, spec = {"laplace": (LAP01, TAPER_S), "mixture": (MIX, TAPER_W)}[law]
     # the Fourier sum of the factors at x is K(x/h) = K(-x/h)
     x = np.linspace(-7.2, 7.2, 25) * h
     (op,) = spectral_kernels([h], noise, spec, 7.2 * h)
